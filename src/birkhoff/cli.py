@@ -10,6 +10,7 @@ CSV or JSON).  Exit codes: 0 success, 2 usage error, 3 domain error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -20,7 +21,6 @@ from .rtbpmodel import (
     ModelParams,
     coefficients,
     scan_omega1,
-    scan_threads_from_env,
     stability_verdict,
 )
 
@@ -34,16 +34,18 @@ def _fmt(v: float) -> str:
     return format(float(v), ".16e")
 
 
-def _emit(text: str, path: str | None):
+def _write(chunks, path: str | None):
+    """Write an iterable of strings to stdout ("-" or None) or to a file."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            fh.writelines(chunks)
+
+
+def _emit(text: str, path: str | None):
+    """Write one document and its final newline."""
+    _write((text, "\n"), path)
 
 
 def _json_text(payload) -> str:
@@ -166,16 +168,14 @@ def _run_rtbp_scan(args) -> int:
     lo, hi, steps = args.grid
     rows = scan_omega1(params, args.omega3, lo, hi, steps,
                        d2_tolerance=args.d2_tolerance,
-                       max_half_order=args.max_half_order,
-                       threads=scan_threads_from_env())
+                       max_half_order=args.max_half_order)
     if args.format == "csv":
-        lines = ["omega1,D2,flag"]
-        lines += [f"{_fmt(r.omega1)},{_fmt(r.d2)},{r.flag}" for r in rows]
-        text = "\n".join(lines)
+        # line by line, so the text of a long scan is never held whole
+        lines = (f"{_fmt(r.omega1)},{_fmt(r.d2)},{r.flag}\n" for r in rows)
+        _write(itertools.chain(("omega1,D2,flag\n",), lines), args.output)
     else:
-        text = _json_text([
-            {"omega1": r.omega1, "D2": r.d2, "flag": r.flag} for r in rows])
-    _emit(text, args.output)
+        _emit(_json_text([
+            {"omega1": r.omega1, "D2": r.d2, "flag": r.flag} for r in rows]), args.output)
     return 0
 
 
@@ -207,7 +207,7 @@ def main(argv=None) -> int:
             "relation": err.relation,
         }) + "\n")
         return RESONANCE_ERROR
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OverflowError, OSError) as err:
         sys.stderr.write(_json_text({
             "error": "domain",
             "message": str(err),

@@ -23,6 +23,10 @@ from .polyalg import Frequencies
 _CROSS_CHECK_RTOL = 1e-9
 
 
+class DeterminantOverflowError(ValueError):
+    """The determinant is not representable as a finite double at this point."""
+
+
 class PoleError(ZeroDivisionError):
     """A frequency pair sits exactly on a pole of the closed forms."""
 
@@ -119,11 +123,18 @@ def d2_expanded(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
 
 
 def d2_closed(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
-    """-(k2200*w3^2 + k1111*w1*w3 + k0022*w1^2) from the tabulated coefficients."""
+    """-(k2200*w3^2 + k1111*w1*w3 + k0022*w1^2) from the tabulated coefficients.
+
+    Raises DeterminantOverflowError (a ValueError) when the composed value is
+    not finite, so no nan or inf reaches a caller.
+    """
     w1, w3 = freqs.omega1, freqs.omega3
     value = -(k2200(c, freqs) * w3 ** 2
               + k1111(c, freqs) * w1 * w3
               + k0022(c, freqs) * w1 ** 2)
+    if not math.isfinite(value):
+        raise DeterminantOverflowError(
+            f"determinant overflows at omega1={w1!r}, omega3={w3!r} (got {value!r})")
     if __debug__:
         other = d2_expanded(c, freqs)
         scale = max(abs(value), abs(other), 1.0)

@@ -375,6 +375,10 @@ class GradedHamiltonian:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "GradedHamiltonian":
+        """Read the JSON form; any malformed payload raises ValueError."""
+        if not isinstance(payload, Mapping):
+            raise ValueError(
+                f"a Hamiltonian must be a JSON object, got {type(payload).__name__}")
         if payload.get("dof") != 2:
             raise ValueError("only dof = 2 Hamiltonians are supported")
         chart = payload.get("chart")
@@ -384,11 +388,17 @@ class GradedHamiltonian:
         if not (isinstance(freqs, (list, tuple)) and len(freqs) == 2):
             raise ValueError("frequencies must be a two-element list [omega1, omega3]")
         terms: dict[Exponents, complex] = {}
-        for entry in payload.get("terms", []):
-            e = _validate_exponents(entry["exponents"])
-            if sum(e) < 2:
-                raise ValueError(f"terms must have degree >= 2, got exponents {e}")
-            c = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
-            terms[e] = terms.get(e, 0) + c
+        try:
+            for entry in payload.get("terms", []):
+                e = _validate_exponents(entry["exponents"])
+                if sum(e) < 2:
+                    raise ValueError(f"terms must have degree >= 2, got exponents {e}")
+                c = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+                terms[e] = terms.get(e, 0) + c
+            omega1, omega3 = float(freqs[0]), float(freqs[1])
+        except KeyError as err:
+            raise ValueError(f"term without the field {err}") from err
+        except TypeError as err:
+            raise ValueError(f"malformed term or frequency: {err}") from err
         poly = CanonicalPolynomial(terms, chart)
-        return cls.from_polynomial(poly, Frequencies(float(freqs[0]), float(freqs[1])))
+        return cls.from_polynomial(poly, Frequencies(omega1, omega3))

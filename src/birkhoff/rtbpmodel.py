@@ -16,8 +16,6 @@ at sqrt(A)).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from statistics import median
@@ -398,6 +396,25 @@ def _pole_flags(omega1: float, omega3: float) -> tuple[str, ...]:
     return tuple(flags)
 
 
+def _d2_point(cq: CubicQuarticCoefficients, omega1: float,
+              omega3: float) -> tuple[float, tuple[str, ...]]:
+    """Determinant and pole flags at one frequency pair from evaluated coefficients.
+
+    An exactly-on-pole pair does not raise: the value is computed at the
+    adjacent representable omega1 instead and the pair carries the pole flag.
+    """
+    freqs = Frequencies(omega1, omega3)
+    flags = _pole_flags(omega1, omega3)
+    try:
+        value = d2_closed(cq, freqs)
+    except PoleError as err:
+        nudged = Frequencies(math.nextafter(omega1, math.inf), omega3)
+        value = d2_closed(cq, nudged)
+        if not flags:
+            flags = (f"pole:{err.relation}",)
+    return value, flags
+
+
 def d2_eval(params: ModelParams, omega1: float, omega3: float,
             max_half_order: int | None = None) -> D2Result:
     """Evaluate the determinant at one frequency pair, flagging pole proximity.
@@ -406,16 +423,7 @@ def d2_eval(params: ModelParams, omega1: float, omega3: float,
     adjacent representable omega1 instead and the row carries the pole flag.
     """
     coeffs = coefficients(params, max_half_order)
-    freqs = Frequencies(omega1, omega3)
-    flags = _pole_flags(omega1, omega3)
-    cq = coeffs.cubic_quartic()
-    try:
-        value = d2_closed(cq, freqs)
-    except PoleError as err:
-        nudged = Frequencies(math.nextafter(omega1, math.inf), omega3)
-        value = d2_closed(cq, nudged)
-        if not flags:
-            flags = (f"pole:{err.relation}",)
+    value, flags = _d2_point(coeffs.cubic_quartic(), omega1, omega3)
     return D2Result(value=value, flags=flags, coefficients=coeffs)
 
 
@@ -504,14 +512,14 @@ class ScanRow:
 
 def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
                 steps: int, d2_tolerance: float | None = None,
-                max_half_order: int | None = None,
-                threads: int | None = None) -> list[ScanRow]:
+                max_half_order: int | None = None) -> list[ScanRow]:
     """Uniform scan of the determinant over omega1 in [lo, hi], endpoints included.
 
     Rows inside the pole guard bands are flagged rather than dropped; rows with
     |D2| at or below the degeneracy tolerance (default: DEGENERACY_FRACTION of
-    the scan's median |D2|) are flagged degenerate.  Rows are independent;
-    threads > 1 fans the evaluation out over a thread pool.
+    the scan's median |D2|) are flagged degenerate.  The model coefficients do
+    not depend on omega1, so they are evaluated once for the whole grid; each
+    row then matches d2_eval at the same omega1.
     """
     if not (0.0 < lo < hi):
         raise ValueError("grid needs 0 < lo < hi")
@@ -520,39 +528,22 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
     step = (hi - lo) / (steps - 1)
     grid = [lo + k * step for k in range(steps - 1)] + [hi]
 
-    def evaluate(w):
-        return d2_eval(params, w, omega3, max_half_order)
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(evaluate, grid))
-    else:
-        results = [evaluate(w) for w in grid]
+    cq = coefficients(params, max_half_order).cubic_quartic()
+    results = [_d2_point(cq, w, omega3) for w in grid]
 
     if d2_tolerance is None:
-        magnitudes = [abs(r.value) for r in results if math.isfinite(r.value)]
-        scale = median(magnitudes) if magnitudes else 0.0
+        # d2_closed never returns a non-finite value, and the grid is not empty
+        scale = median(abs(value) for value, _ in results)
         d2_tolerance = DEGENERACY_FRACTION * scale if scale > 0 else 1e-300
 
     rows = []
-    for w, res in zip(grid, results):
-        if res.near_pole:
+    for w, (value, flags) in zip(grid, results):
+        # _d2_point returns pole flags only
+        if flags:
             flag = "pole"
-        elif abs(res.value) <= d2_tolerance:
+        elif abs(value) <= d2_tolerance:
             flag = "degenerate"
         else:
             flag = "ok"
-        rows.append(ScanRow(omega1=w, d2=res.value, flag=flag))
+        rows.append(ScanRow(omega1=w, d2=value, flag=flag))
     return rows
-
-
-def scan_threads_from_env() -> int | None:
-    """Optional thread cap from the BIRKHOFF_D2_THREADS environment variable."""
-    raw = os.environ.get("BIRKHOFF_D2_THREADS")
-    if not raw:
-        return None
-    try:
-        n = int(raw)
-    except ValueError as err:
-        raise ValueError(f"BIRKHOFF_D2_THREADS must be an integer, got {raw!r}") from err
-    return n if n > 0 else None

@@ -1,7 +1,12 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import birkhoff
 from birkhoff import d2_from_k
 from birkhoff.cli import main
 
@@ -43,6 +48,13 @@ class TestClosedFormCommand:
         header, row = out.strip().splitlines()
         assert header == "K2200,K1111,K0022,D2"
         assert float(row.split(",")[2]) == pytest.approx(-1.5)
+
+    def test_determinant_overflow_is_domain_error(self, capsys):
+        code, out, err = run(capsys, ["closed-form", "--a1", "1", "--omega1", "1e-320",
+                                      "--omega3", "1"])
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == "domain"
 
     def test_pole_exits_with_resonance_code(self, capsys):
         code, _, err = run(capsys, ["closed-form", "--a3", "1", "--omega1", "2",
@@ -91,6 +103,19 @@ class TestNormalizeCommand:
         j, l, r, s = payload["exponents"]
         assert abs(1.0 * (l - j) + 2.0 * (s - r)) < 1e-9
         assert abs(payload["divisor"]) < 1e-9
+
+    @pytest.mark.parametrize("payload", [
+        [hamiltonian_payload()],
+        hamiltonian_payload(extra_terms=[{"re": 0.4, "im": 0.0}]),
+        hamiltonian_payload(extra_terms=[{"exponents": [3, 0, 0, 0], "re": None}]),
+    ], ids=["top-level-list", "missing-exponents", "null-coefficient"])
+    def test_malformed_hamiltonian_is_domain_error(self, capsys, tmp_path, payload):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, ["normalize", "--input", str(path)])
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == "domain"
 
     def test_missing_input_is_domain_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["normalize", "--input",
@@ -153,12 +178,40 @@ class TestRtbpScanCommand:
         _, second, _ = run(capsys, argv)
         assert first == second
 
-    def test_threaded_output_matches_serial(self, capsys, monkeypatch):
-        argv = ["rtbp-scan", *REF_FLAGS, "--omega3", "1", "--grid", "0.1:0.9:50"]
-        _, serial, _ = run(capsys, argv)
-        monkeypatch.setenv("BIRKHOFF_D2_THREADS", "3")
-        _, threaded, _ = run(capsys, argv)
-        assert serial == threaded
+    @pytest.mark.parametrize("extra, digest", [
+        (["--grid", "0.05:0.95:181", "--format", "csv"],
+         "52a7aae6968002fba09f7aaf3df533ee9c06752dd5821c945a30bd4422f74937"),
+        (["--grid", "0.05:4.0:10000", "--format", "json"],
+         "d3f2902a20dd299b69d9ae546d98ddc41a4c03323160203c6fffcd044f06b072"),
+        (["--grid", "0.25:2.25:9", "--max-half-order", "2", "--format", "csv"],
+         "0ef287509a7379cf822846f237b0c993c9b0fd444ee75d4cc528e9065e4e533f"),
+    ])
+    def test_golden_output_bytes(self, capsys, extra, digest):
+        # SHA-256 of the output of the per-row scan that evaluated the
+        # coefficient series at every grid point (CPython 3.11)
+        code, out, _ = run(capsys, ["rtbp-scan", *REF_FLAGS, "--omega3", "1", *extra])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_determinant_overflow_is_domain_error(self, capsys):
+        code, out, err = run(capsys, ["rtbp-scan", *REF_FLAGS, "--omega3", "1",
+                                      "--grid", "1e-300:0.9:3"])
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == "domain"
+
+    def test_no_non_finite_token_without_debug_checks(self):
+        # under -O the composed determinant is no longer cross-checked, so
+        # the overflow must be caught on its own
+        src = os.path.dirname(os.path.dirname(birkhoff.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "birkhoff.cli", "rtbp-scan", *REF_FLAGS,
+             "--omega3", "1", "--grid", "1e-300:0.9:3"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stdout == ""  # in particular, no nan or inf token
+        assert json.loads(proc.stderr)["error"] == "domain"
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, ["rtbp-scan", *REF_FLAGS, "--omega3", "1",

@@ -13,6 +13,7 @@ from birkhoff import (
     k1111,
     k2200,
 )
+from birkhoff.closedform import DeterminantOverflowError
 
 
 def coeffs(**kw):
@@ -142,3 +143,9 @@ class TestDeterminant:
     def test_non_finite_coefficients_rejected(self):
         with pytest.raises(ValueError):
             CubicQuarticCoefficients(a1=float("nan"))
+
+    def test_overflowing_determinant_raises_domain_error(self):
+        # omega1 = 1e-320 is subnormal: the composed value comes out nan
+        with pytest.raises(DeterminantOverflowError):
+            d2_closed(coeffs(a1=1.0), Frequencies(1e-320, 1.0))
+        assert issubclass(DeterminantOverflowError, ValueError)

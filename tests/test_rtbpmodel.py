@@ -1,5 +1,6 @@
 import math
 import random
+import statistics
 
 import pytest
 
@@ -19,6 +20,8 @@ from birkhoff import (
     stability_verdict,
     verdict_from_d2,
 )
+
+from birkhoff.rtbpmodel import DEGENERACY_FRACTION
 
 REFERENCE_POINT = ModelParams(mu=0.00025, q=0.025, Q=0.00025, A=0.00025)
 
@@ -185,11 +188,27 @@ class TestScan:
                 assert min(abs(r.omega1 - 0.5), abs(r.omega1 - 2.0)) < 0.02 \
                     or r.omega1 < 0.011
 
-    def test_thread_fanout_matches_serial(self):
-        serial = scan_omega1(REFERENCE_POINT, 1.0, 0.1, 0.9, 33)
-        threaded = scan_omega1(REFERENCE_POINT, 1.0, 0.1, 0.9, 33, threads=4)
-        assert [(r.omega1, r.d2, r.flag) for r in serial] == \
-               [(r.omega1, r.d2, r.flag) for r in threaded]
+    @pytest.mark.parametrize("grid", [(0.25, 2.25, 9), (0.05, 4.0, 2001)])
+    @pytest.mark.parametrize("max_half_order", [0, 2, None])
+    @pytest.mark.parametrize("d2_tolerance", [None, 1e24])
+    def test_rows_match_pointwise_evaluation(self, grid, max_half_order, d2_tolerance):
+        # the scan evaluates the coefficients once per grid; every row must
+        # still equal d2_eval, which evaluates them afresh at each point
+        rows = scan_omega1(REFERENCE_POINT, 1.0, *grid, d2_tolerance=d2_tolerance,
+                           max_half_order=max_half_order)
+        points = [d2_eval(REFERENCE_POINT, r.omega1, 1.0, max_half_order) for r in rows]
+        tolerance = d2_tolerance
+        if tolerance is None:
+            tolerance = DEGENERACY_FRACTION * statistics.median(abs(p.value) for p in points)
+        assert len(rows) == grid[2]
+        for row, point in zip(rows, points):
+            assert row.d2 == point.value
+            expected = ("pole" if point.near_pole
+                        else "degenerate" if abs(point.value) <= tolerance else "ok")
+            assert row.flag == expected
+        # the coarse grid puts the exact poles omega1 = 0.5 and 2.0 on grid points
+        if grid[2] == 9:
+            assert {r.omega1 for r in rows if r.flag == "pole"} == {0.5, 2.0}
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
