@@ -10,6 +10,7 @@ CSV or JSON).  Exit codes: 0 success, 2 usage error, 3 domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -17,12 +18,7 @@ import sys
 from .closedform import CubicQuarticCoefficients, PoleError, d2_closed, k0022, k1111, k2200
 from .normalform import ResonanceError, normalize
 from .polyalg import Frequencies, GradedHamiltonian, REAL_CHART
-from .rtbpmodel import (
-    ModelParams,
-    coefficients,
-    scan_omega1,
-    stability_verdict,
-)
+from .rtbpmodel import ModelParams, d2_eval, scan_omega1, verdict_from_d2
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 3
@@ -63,7 +59,9 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return lo, hi, steps
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="birkhoff",
         description="Degree-4 Birkhoff normal forms and the stability "
@@ -146,10 +144,11 @@ def _run_closed_form(args) -> int:
 
 def _run_rtbp_eval(args) -> int:
     params = ModelParams(mu=args.mu, q=args.q, Q=args.Q, A=args.A)
-    verdict = stability_verdict(params, args.omega1, args.omega3,
-                                d2_tolerance=args.d2_tolerance,
-                                max_half_order=args.max_half_order)
-    coeffs = coefficients(params, args.max_half_order)
+    # one evaluation of the series serves both the verdict and the report
+    result = d2_eval(params, args.omega1, args.omega3, args.max_half_order)
+    verdict = verdict_from_d2(result.value, args.omega1, args.omega3,
+                              args.d2_tolerance, pole_flags=result.flags)
+    coeffs = result.coefficients
     payload = {
         "params": {"mu": params.mu, "q": params.q, "Q": params.Q, "A": params.A},
         "coefficients": {
@@ -188,8 +187,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except ResonanceError as err:

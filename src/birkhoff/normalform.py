@@ -168,8 +168,8 @@ def _eliminate(source: CanonicalPolynomial, freqs: Frequencies, tol: float,
         if abs(d) < flag_window:
             flags.append((e, d))
         w_terms[e] = 1j * c / d
-    return (CanonicalPolynomial(w_terms, COMPLEX_CHART),
-            CanonicalPolynomial(kept, COMPLEX_CHART),
+    return (CanonicalPolynomial._from_checked(w_terms, COMPLEX_CHART),
+            CanonicalPolynomial._from_checked(kept, COMPLEX_CHART),
             flags)
 
 

@@ -5,7 +5,9 @@ Polynomials live in four variables read either as the real canonical chart
 Terms are stored sparsely as a mapping from exponent tuples to coefficients.
 Coefficients may be floats/complex for numerical work or exact types
 (int, Fraction) when exact arithmetic is wanted; all operations are pure and
-values are immutable after construction.
+values are immutable after construction.  Exponent tuples are checked once,
+where they enter through the public constructors; results the module builds
+itself skip that check.
 """
 
 from __future__ import annotations
@@ -39,12 +41,7 @@ class Monomial:
     exponents: Exponents
 
     def __post_init__(self):
-        e = tuple(int(v) for v in self.exponents)
-        if len(e) != 4 or any(v < 0 for v in e):
-            raise ValueError(
-                f"exponents must be four non-negative integers, got {self.exponents!r}"
-            )
-        object.__setattr__(self, "exponents", e)
+        object.__setattr__(self, "exponents", _validate_exponents(self.exponents))
 
     @property
     def degree(self) -> int:
@@ -57,9 +54,11 @@ class Monomial:
 
 
 def _validate_exponents(exponents) -> Exponents:
-    e = tuple(int(v) for v in exponents)
-    if len(e) != 4 or any(v < 0 for v in e):
-        raise ValueError(f"bad exponent tuple {exponents!r}")
+    """Four non-negative ints; a bool, float or string exponent raises ValueError."""
+    e = tuple(exponents)
+    if len(e) != 4 or not all(type(v) is int and v >= 0 for v in e):
+        raise ValueError(
+            f"exponents must be four non-negative integers, got {exponents!r}")
     return e
 
 
@@ -87,6 +86,16 @@ class CanonicalPolynomial:
             cleaned = _clean_terms({_validate_exponents(e): c for e, c in terms.items()})
         self._terms = cleaned
         self.chart = chart
+
+    @classmethod
+    def _from_checked(cls, terms: Mapping[Exponents, complex],
+                      chart: str) -> "CanonicalPolynomial":
+        # terms keyed by exponent tuples the package built from checked ones;
+        # the relative-zero purge still runs, as in the public constructor
+        poly = cls.__new__(cls)
+        poly._terms = _clean_terms(terms)
+        poly.chart = chart
+        return poly
 
     @classmethod
     def zero(cls, chart: str = REAL_CHART) -> "CanonicalPolynomial":
@@ -129,13 +138,14 @@ class CanonicalPolynomial:
         if d < 0:
             raise ValueError("degree must be non-negative")
         picked = {e: c for e, c in self._terms.items() if sum(e) == d}
-        return CanonicalPolynomial(picked, self.chart)
+        return CanonicalPolynomial._from_checked(picked, self.chart)
 
     def homogeneous_parts(self) -> dict[int, "CanonicalPolynomial"]:
         split: dict[int, dict] = {}
         for e, c in self._terms.items():
             split.setdefault(sum(e), {})[e] = c
-        return {d: CanonicalPolynomial(t, self.chart) for d, t in sorted(split.items())}
+        return {d: CanonicalPolynomial._from_checked(t, self.chart)
+                for d, t in sorted(split.items())}
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -152,7 +162,7 @@ class CanonicalPolynomial:
         merged = dict(self._terms)
         for e, c in other._terms.items():
             merged[e] = merged.get(e, 0) + c
-        return CanonicalPolynomial(merged, self.chart)
+        return CanonicalPolynomial._from_checked(merged, self.chart)
 
     def __sub__(self, other):
         if not isinstance(other, CanonicalPolynomial):
@@ -160,7 +170,8 @@ class CanonicalPolynomial:
         return self + (-other)
 
     def __neg__(self):
-        return CanonicalPolynomial({e: -c for e, c in self._terms.items()}, self.chart)
+        return CanonicalPolynomial._from_checked(
+            {e: -c for e, c in self._terms.items()}, self.chart)
 
     def __mul__(self, other):
         if isinstance(other, CanonicalPolynomial):
@@ -170,9 +181,9 @@ class CanonicalPolynomial:
                 for e2, c2 in other._terms.items():
                     key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
                     prod[key] = prod.get(key, 0) + c1 * c2
-            return CanonicalPolynomial(prod, self.chart)
+            return CanonicalPolynomial._from_checked(prod, self.chart)
         if isinstance(other, Number):
-            return CanonicalPolynomial(
+            return CanonicalPolynomial._from_checked(
                 {e: c * other for e, c in self._terms.items()}, self.chart)
         return NotImplemented
 
@@ -193,11 +204,6 @@ class CanonicalPolynomial:
 
     def max_abs_coefficient(self) -> float:
         return max((abs(c) for c in self._terms.values()), default=0.0)
-
-
-def grade(f: CanonicalPolynomial, d: int) -> CanonicalPolynomial:
-    """Degree-d homogeneous part of f; summing over all d reconstitutes f."""
-    return f.homogeneous_part(d)
 
 
 def poisson_bracket(f: CanonicalPolynomial, g: CanonicalPolynomial) -> CanonicalPolynomial:
@@ -223,7 +229,7 @@ def poisson_bracket(f: CanonicalPolynomial, g: CanonicalPolynomial) -> Canonical
                 exps[k + 1] -= 1
                 key = tuple(exps)
                 acc[key] = acc.get(key, 0) + mult * c12
-    return CanonicalPolynomial(acc, f.chart)
+    return CanonicalPolynomial._from_checked(acc, f.chart)
 
 
 def _expand_linear_power(c1, c2, e: int) -> dict[tuple[int, int], complex]:
@@ -257,7 +263,7 @@ def _substitute(f: CanonicalPolynomial, first_form, second_form,
             for (x2, y2), c2 in mode2.items():
                 key = (x1, y1, x2, y2)
                 out[key] = out.get(key, 0) + base * c1 * c2
-    return CanonicalPolynomial(out, new_chart)
+    return CanonicalPolynomial._from_checked(out, new_chart)
 
 
 def complexify(f: CanonicalPolynomial) -> CanonicalPolynomial:
@@ -288,7 +294,13 @@ class Frequencies:
     def __post_init__(self):
         for name in ("omega1", "omega3"):
             v = getattr(self, name)
-            if not (isinstance(v, Number) and math.isfinite(v) and v > 0):
+            try:
+                # the exact-type test spares plain floats and ints the ABC check
+                ok = ((type(v) in (float, int) or isinstance(v, Number))
+                      and math.isfinite(v) and v > 0)
+            except TypeError:  # complex
+                ok = False
+            if not ok:
                 raise ValueError(f"{name} must be a positive finite real, got {v!r}")
 
     @property

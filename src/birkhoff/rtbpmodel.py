@@ -455,14 +455,19 @@ class StabilityVerdict:
 
 
 def verdict_from_d2(d2: float, omega1: float, omega3: float,
-                    d2_tolerance: float,
+                    d2_tolerance: float | None,
                     pole_flags: tuple[str, ...] = (),
                     divisor_tolerance: float | None = None) -> StabilityVerdict:
     """Classify one evaluated determinant value.
 
     stable requires |D2| above tolerance, frequencies outside the pole guard
-    bands, and no essentially exact low-order resonance.
+    bands, and no essentially exact low-order resonance.  A tolerance of None
+    is DEGENERACY_FRACTION of |D2| itself (a single point has no grid to take
+    a median over), so only an exact zero is then reported degenerate.
     """
+    if d2_tolerance is None:
+        scale = abs(d2)
+        d2_tolerance = DEGENERACY_FRACTION * scale if scale > 0 else 1e-300
     if d2_tolerance <= 0:
         raise ValueError("d2_tolerance must be positive")
     if divisor_tolerance is None:
@@ -491,14 +496,10 @@ def stability_verdict(params: ModelParams, omega1: float, omega3: float,
                       max_half_order: int | None = None) -> StabilityVerdict:
     """Evaluate the model at one frequency pair and classify the outcome.
 
-    Without an explicit tolerance the degeneracy cut is DEGENERACY_FRACTION of
-    |D2| itself (a single point has no grid to take a median over), so only an
-    exact zero is reported degenerate.
+    Without an explicit tolerance the degeneracy cut is the single-point rule
+    of verdict_from_d2.
     """
     result = d2_eval(params, omega1, omega3, max_half_order)
-    if d2_tolerance is None:
-        scale = abs(result.value)
-        d2_tolerance = DEGENERACY_FRACTION * scale if scale > 0 else 1e-300
     return verdict_from_d2(result.value, omega1, omega3, d2_tolerance,
                            pole_flags=result.flags)
 

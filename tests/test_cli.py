@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -8,6 +10,7 @@ import pytest
 
 import birkhoff
 from birkhoff import d2_from_k
+from birkhoff import cli
 from birkhoff.cli import main
 
 
@@ -30,6 +33,29 @@ def hamiltonian_payload(freqs=(1.0, 3.0), extra_terms=()):
     ]
     terms.extend(extra_terms)
     return {"dof": 2, "chart": "real", "frequencies": [w1, w3], "terms": terms}
+
+
+def populated_payload(seed, chart, freqs=(1.07, 0.41)):
+    """Every cubic and quartic monomial, with coefficients drawn from Random(seed)."""
+    rng = random.Random(seed)
+    w1, w3 = freqs
+    if chart == "real":
+        payload = hamiltonian_payload(freqs)
+    else:
+        payload = {"dof": 2, "chart": "complex", "frequencies": [w1, w3], "terms": [
+            {"exponents": [1, 1, 0, 0], "re": 0.0, "im": w1},
+            {"exponents": [0, 0, 1, 1], "re": 0.0, "im": w3},
+        ]}
+    for e in itertools.product(range(5), repeat=4):
+        if sum(e) in (3, 4):
+            im = rng.uniform(-1.0, 1.0) if chart == "complex" else 0.0
+            payload["terms"].append(
+                {"exponents": list(e), "re": rng.uniform(-1.0, 1.0), "im": im})
+    return payload
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class TestClosedFormCommand:
@@ -108,7 +134,11 @@ class TestNormalizeCommand:
         [hamiltonian_payload()],
         hamiltonian_payload(extra_terms=[{"re": 0.4, "im": 0.0}]),
         hamiltonian_payload(extra_terms=[{"exponents": [3, 0, 0, 0], "re": None}]),
-    ], ids=["top-level-list", "missing-exponents", "null-coefficient"])
+        hamiltonian_payload(extra_terms=[{"exponents": [3.9, 0, 0, 0], "re": 0.4}]),
+        hamiltonian_payload(extra_terms=[{"exponents": [True, 0, 2, 0], "re": 0.4}]),
+        hamiltonian_payload(extra_terms=[{"exponents": ["2", 0, 1, 0], "re": 0.4}]),
+    ], ids=["top-level-list", "missing-exponents", "null-coefficient",
+            "float-exponent", "bool-exponent", "string-exponent"])
     def test_malformed_hamiltonian_is_domain_error(self, capsys, tmp_path, payload):
         path = tmp_path / "h.json"
         path.write_text(json.dumps(payload))
@@ -116,6 +146,19 @@ class TestNormalizeCommand:
         assert code == 3
         assert out == ""
         assert json.loads(err)["error"] == "domain"
+
+    @pytest.mark.parametrize("seed, chart, digest", [
+        (11, "real", "ada7ab1d061fe88a695d13a2a9d716a77557248657530985b8039133f8a772a3"),
+        (12, "complex", "e50d77cd6a99e37df4a4f2a2876f65bb840134c4882e14faf813a99714983f38"),
+    ])
+    def test_golden_output_bytes(self, capsys, tmp_path, seed, chart, digest):
+        # SHA-256 of the report of the engine that re-checked the exponents
+        # of every intermediate polynomial (CPython 3.11)
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(populated_payload(seed, chart)))
+        code, out, _ = run(capsys, ["normalize", "--input", str(path)])
+        assert code == 0
+        assert sha256(out) == digest
 
     def test_missing_input_is_domain_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["normalize", "--input",
@@ -132,6 +175,23 @@ class TestRtbpEvalCommand:
         payload = json.loads(out)
         assert payload["verdict"]["status"] == "stable"
         assert payload["coefficients"]["a1"] != 0.0
+
+    @pytest.mark.parametrize("extra, digest", [
+        (["--omega1", "0.3"],
+         "ba124342b077eb0fe64eb00ef11c2ae386913f9580b9e3faa6d147dec280db7a"),
+        (["--omega1", "0.5"],
+         "3b075be39a800e1d1c296015a45c85fe19adc08e1ff0b57e1d1641b6cdd8844a"),
+        (["--omega1", "0.3", "--max-half-order", "2", "--d2-tolerance", "1e30"],
+         "c30fee8a0d7b80fcd4ac94dff945a27ec6811cc6ac322facee364d0efff38c36"),
+        (["--omega1", "1"],
+         "071d26e33d33200be00dc9a352a8a3fad07a4f07a769168d1ac599d2b31e6621"),
+    ], ids=["stable", "pole", "degenerate", "resonant"])
+    def test_golden_output_bytes(self, capsys, extra, digest):
+        # SHA-256 of the output when the coefficients were evaluated twice,
+        # once for the verdict and once for the report (CPython 3.11)
+        code, out, _ = run(capsys, ["rtbp-eval", *REF_FLAGS, *extra, "--omega3", "1"])
+        assert code == 0
+        assert sha256(out) == digest
 
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run(capsys, ["rtbp-eval", "--mu", "2.0", "--q", "0.5",
@@ -191,7 +251,7 @@ class TestRtbpScanCommand:
         # coefficient series at every grid point (CPython 3.11)
         code, out, _ = run(capsys, ["rtbp-scan", *REF_FLAGS, "--omega3", "1", *extra])
         assert code == 0
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+        assert sha256(out) == digest
 
     def test_determinant_overflow_is_domain_error(self, capsys):
         code, out, err = run(capsys, ["rtbp-scan", *REF_FLAGS, "--omega3", "1",
@@ -233,3 +293,24 @@ class TestRtbpScanCommand:
         with pytest.raises(SystemExit) as exc:
             main(["rtbp-scan", *REF_FLAGS, "--grid", "nonsense"])
         assert exc.value.code == 2
+
+
+class TestParser:
+    def test_cached_parser_keeps_no_state_between_calls(self, capsys, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(populated_payload(11, "real")))
+        scan = ["rtbp-scan", *REF_FLAGS, "--omega3", "1", "--grid", "0.1:0.9:50"]
+        pairs = [
+            (scan + ["--d2-tolerance", "1e34"], scan),
+            (["normalize", "--input", str(path)],
+             ["closed-form", "--b5", "1", "--omega1", "1", "--omega3", "3"]),
+        ]
+        for before, after in pairs:
+            cli.build_parser.cache_clear()
+            first = run(capsys, before)
+            second = run(capsys, after)
+            cli.build_parser.cache_clear()
+            fresh = run(capsys, after)
+            assert first[0] == second[0] == 0
+            assert first[1] != second[1]
+            assert second == fresh

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from birkhoff import (
     GradedHamiltonian,
     Monomial,
     complexify,
-    grade,
     poisson_bracket,
     realify,
 )
@@ -29,6 +29,15 @@ class TestMonomial:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             Monomial((1, -1, 0, 0))
+
+    @pytest.mark.parametrize("exponents", [
+        (1.0, 0, 0, 0), (True, 0, 2, 0), ("2", 0, 1, 0), (1, 0, 0), (1, 0, 0, 0, 0),
+    ], ids=repr)
+    def test_non_integer_or_misshapen_exponents_rejected(self, exponents):
+        with pytest.raises(ValueError):
+            Monomial(exponents)
+        with pytest.raises(ValueError):
+            CanonicalPolynomial({exponents: 1.0})
 
     def test_resonance_predicate(self):
         assert Monomial((2, 2, 1, 1)).is_resonant()
@@ -198,23 +207,42 @@ class TestChartChange:
 class TestGrading:
     def test_grade_picks_homogeneous_part(self):
         f = poly({(2, 0, 0, 0): 1, (3, 0, 0, 0): 1})
-        assert grade(f, 3).terms == {(3, 0, 0, 0): 1}
+        assert f.homogeneous_part(3).terms == {(3, 0, 0, 0): 1}
 
     def test_grade_missing_degree_is_empty(self):
         f = poly({(2, 0, 0, 0): 1})
-        assert grade(f, 5).is_zero
+        assert f.homogeneous_part(5).is_zero
 
     def test_grade_constant_plus_action(self):
         f = poly({(0, 0, 0, 0): 1, (1, 1, 0, 0): 1})
-        assert grade(f, 2).terms == {(1, 1, 0, 0): 1}
+        assert f.homogeneous_part(2).terms == {(1, 1, 0, 0): 1}
 
     def test_parts_reconstitute(self):
         rng = random.Random(31)
         f = random_exact_polynomial(rng, max_terms=8)
         total = CanonicalPolynomial.zero()
         for d in range(0, 5):
-            total = total + grade(f, d)
+            total = total + f.homogeneous_part(d)
         assert total == f
+
+
+class TestFrequencies:
+    @pytest.mark.parametrize("value", [
+        1, 0.5, 1e-300, 1e300, Fraction(1, 3), Decimal("1.5"), True,
+    ], ids=repr)
+    def test_positive_finite_reals_accepted(self, value):
+        assert Frequencies(value, 1.0).omega1 == value
+        assert Frequencies(1.0, value).omega3 == value
+
+    @pytest.mark.parametrize("value", [
+        "1", None, [1], 1 + 0j, 1j, math.nan, math.inf, -math.inf,
+        Decimal("NaN"), 0, 0.0, -0.0, False, -1, -0.5, Fraction(-1, 2),
+    ], ids=repr)
+    def test_everything_else_rejected(self, value):
+        with pytest.raises(ValueError, match="positive finite real"):
+            Frequencies(value, 1.0)
+        with pytest.raises(ValueError, match="positive finite real"):
+            Frequencies(1.0, value)
 
 
 class TestGradedHamiltonian:
