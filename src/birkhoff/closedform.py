@@ -9,6 +9,12 @@ for reproducing historical stability curves.
 The quadratic-in-cubic sectors of these forms disagree with the Lie-transform
 engine in :mod:`birkhoff.normalform`; see DISCREPANCIES.md for the term-by-term
 comparison.  The linear-in-quartic sectors agree exactly.
+
+The determinant is composed from the three coefficients by :func:`d2_from_k`,
+the one spelling of that formula, which the engine uses as well.
+:func:`d2_expanded` writes the same determinant out as one rational
+expression; it is the reference that the tests and the benchmark check
+:func:`d2_closed` against, and the program never calls it at run time.
 """
 
 from __future__ import annotations
@@ -17,11 +23,6 @@ import math
 from dataclasses import dataclass, fields
 
 from .polyalg import Frequencies
-
-#: relative agreement demanded between the composed and expanded determinant
-#: when the debug cross-check runs (python without -O)
-_CROSS_CHECK_RTOL = 1e-9
-
 
 class DeterminantOverflowError(ValueError):
     """The determinant is not representable as a finite double at this point."""
@@ -101,8 +102,9 @@ def k0022(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
 def d2_expanded(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
     """The determinant written out as a single rational expression.
 
-    Algebraically identical to composing k2200/k1111/k0022; kept as an
-    independent transcription so the two spellings can cross-check each other.
+    Algebraically identical to composing k2200/k1111/k0022.  It is an
+    independent transcription kept as the reference for the tests and the
+    benchmark; nothing in the program calls it.
     """
     w1, w3 = freqs.omega1, freqs.omega3
     den = w1 ** 2 - 4.0 * w3 ** 2
@@ -122,22 +124,22 @@ def d2_expanded(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
                    / (-4.0 * w1 ** 2 + w3 ** 2))
 
 
+def d2_from_k(k2200: float, k1111: float, k0022: float, freqs: Frequencies) -> float:
+    """Arnold determinant from the three resonant degree-4 coefficients."""
+    return -(k2200 * freqs.omega3 ** 2
+             + k1111 * freqs.omega1 * freqs.omega3
+             + k0022 * freqs.omega1 ** 2)
+
+
 def d2_closed(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
     """-(k2200*w3^2 + k1111*w1*w3 + k0022*w1^2) from the tabulated coefficients.
 
     Raises DeterminantOverflowError (a ValueError) when the composed value is
     not finite, so no nan or inf reaches a caller.
     """
-    w1, w3 = freqs.omega1, freqs.omega3
-    value = -(k2200(c, freqs) * w3 ** 2
-              + k1111(c, freqs) * w1 * w3
-              + k0022(c, freqs) * w1 ** 2)
+    value = d2_from_k(k2200(c, freqs), k1111(c, freqs), k0022(c, freqs), freqs)
     if not math.isfinite(value):
         raise DeterminantOverflowError(
-            f"determinant overflows at omega1={w1!r}, omega3={w3!r} (got {value!r})")
-    if __debug__:
-        other = d2_expanded(c, freqs)
-        scale = max(abs(value), abs(other), 1.0)
-        assert abs(value - other) <= _CROSS_CHECK_RTOL * scale, (
-            f"composed ({value!r}) and expanded ({other!r}) determinants disagree")
+            f"determinant overflows at omega1={freqs.omega1!r}, "
+            f"omega3={freqs.omega3!r} (got {value!r})")
     return value

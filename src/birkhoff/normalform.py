@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+from .closedform import d2_from_k
 from .polyalg import (
     COMPLEX_CHART,
     CanonicalPolynomial,
@@ -53,12 +54,20 @@ def divisor(exponents, freqs: Frequencies) -> float:
 
 
 def is_resonant(exponents) -> bool:
+    """True for a pure action product X1^j Y1^j X2^r Y2^r (j = l and r = s)."""
     j, l, r, s = exponents
     return j == l and r == s
 
 
-def default_divisor_tolerance(freqs: Frequencies) -> float:
-    return 1e-9 * freqs.largest
+def _divisor_tolerance(freqs: Frequencies, divisor_tolerance: float | None) -> float:
+    """1e-9 times the largest frequency for None; anything but a positive
+    finite real raises ValueError."""
+    if divisor_tolerance is None:
+        return 1e-9 * freqs.largest
+    if not (math.isfinite(divisor_tolerance) and divisor_tolerance > 0):
+        raise ValueError("divisor_tolerance must be a positive finite real, "
+                         f"got {divisor_tolerance!r}")
+    return divisor_tolerance
 
 
 def solve_homological_term(coefficient: complex, exponents, freqs: Frequencies,
@@ -69,19 +78,11 @@ def solve_homological_term(coefficient: complex, exponents, freqs: Frequencies,
     includes every monomial with j = l and r = s.
     """
     exponents = tuple(exponents)
-    if divisor_tolerance is None:
-        divisor_tolerance = default_divisor_tolerance(freqs)
+    divisor_tolerance = _divisor_tolerance(freqs, divisor_tolerance)
     d = divisor(exponents, freqs)
     if is_resonant(exponents) or abs(d) < divisor_tolerance:
         raise ResonanceError(exponents, d)
     return 1j * coefficient / d
-
-
-def d2_from_k(k2200: float, k1111: float, k0022: float, freqs: Frequencies) -> float:
-    """Arnold determinant from the three resonant degree-4 coefficients."""
-    return -(k2200 * freqs.omega3 ** 2
-             + k1111 * freqs.omega1 * freqs.omega3
-             + k0022 * freqs.omega1 ** 2)
 
 
 @dataclass(frozen=True)
@@ -162,12 +163,10 @@ def _eliminate(source: CanonicalPolynomial, freqs: Frequencies, tol: float,
         if is_resonant(e):
             kept[e] = c
             continue
+        w_terms[e] = solve_homological_term(c, e, freqs, tol)
         d = divisor(e, freqs)
-        if abs(d) < tol:
-            raise ResonanceError(e, d)
         if abs(d) < flag_window:
             flags.append((e, d))
-        w_terms[e] = 1j * c / d
     return (CanonicalPolynomial._from_checked(w_terms, COMPLEX_CHART),
             CanonicalPolynomial._from_checked(kept, COMPLEX_CHART),
             flags)
@@ -185,15 +184,15 @@ def normalize(ham: GradedHamiltonian, order: int = 2,
     this order and are ignored.
 
     Raises ResonanceError when any required divisor is below tolerance
-    (default 1e-9 times the largest frequency).
+    (default 1e-9 times the largest frequency), and ValueError for a
+    tolerance that is not a positive finite real.
     """
     if order != 2:
         raise ValueError("only order 2 (normalization through degree 4) is supported")
     if ham.chart != COMPLEX_CHART:
         raise ValueError("normalize expects the complex chart; complexify first")
     freqs = ham.frequencies
-    if divisor_tolerance is None:
-        divisor_tolerance = default_divisor_tolerance(freqs)
+    divisor_tolerance = _divisor_tolerance(freqs, divisor_tolerance)
     flag_window = NEAR_RESONANCE_WINDOW * freqs.largest
 
     h2 = ham.part(2)

@@ -34,25 +34,6 @@ class ChartMismatchError(ValueError):
     """An operation mixed polynomials from different charts."""
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A power product X1^j Y1^l X2^r Y2^s (q1^j p1^l q2^r p2^s in the real chart)."""
-
-    exponents: Exponents
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", _validate_exponents(self.exponents))
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def is_resonant(self) -> bool:
-        """True when the monomial is a pure action product (j = l and r = s)."""
-        j, l, r, s = self.exponents
-        return j == l and r == s
-
-
 def _validate_exponents(exponents) -> Exponents:
     """Four non-negative ints; a bool, float or string exponent raises ValueError."""
     e = tuple(exponents)
@@ -100,10 +81,6 @@ class CanonicalPolynomial:
     @classmethod
     def zero(cls, chart: str = REAL_CHART) -> "CanonicalPolynomial":
         return cls({}, chart)
-
-    @classmethod
-    def from_monomial(cls, exponents, coefficient=1, chart: str = REAL_CHART):
-        return cls({tuple(exponents): coefficient}, chart)
 
     # -- inspection ---------------------------------------------------------
 
@@ -359,10 +336,6 @@ class GradedHamiltonian:
     def complexify(self) -> "GradedHamiltonian":
         return GradedHamiltonian(
             {d: complexify(p) for d, p in self._parts.items()}, self.frequencies)
-
-    def realify(self) -> "GradedHamiltonian":
-        return GradedHamiltonian(
-            {d: realify(p) for d, p in self._parts.items()}, self.frequencies)
 
     @classmethod
     def from_polynomial(cls, poly: CanonicalPolynomial,

@@ -427,6 +427,22 @@ def d2_eval(params: ModelParams, omega1: float, omega3: float,
     return D2Result(value=value, flags=flags, coefficients=coeffs)
 
 
+def _degeneracy_cut(d2_tolerance: float | None, magnitudes) -> float:
+    """The |D2| at or below which a value is degenerate.
+
+    None takes DEGENERACY_FRACTION of the median of magnitudes (a tiny floor
+    when that median is 0); an explicit tolerance that is not a positive
+    finite real raises ValueError.
+    """
+    if d2_tolerance is None:
+        scale = median(magnitudes)
+        return DEGENERACY_FRACTION * scale if scale > 0 else 1e-300
+    if not (math.isfinite(d2_tolerance) and d2_tolerance > 0):
+        raise ValueError(
+            f"d2_tolerance must be a positive finite real, got {d2_tolerance!r}")
+    return d2_tolerance
+
+
 class StabilityStatus(str, Enum):
     STABLE = "stable"
     RESONANT = "resonant"
@@ -463,13 +479,10 @@ def verdict_from_d2(d2: float, omega1: float, omega3: float,
     stable requires |D2| above tolerance, frequencies outside the pole guard
     bands, and no essentially exact low-order resonance.  A tolerance of None
     is DEGENERACY_FRACTION of |D2| itself (a single point has no grid to take
-    a median over), so only an exact zero is then reported degenerate.
+    a median over), so only an exact zero is then reported degenerate; an
+    explicit tolerance must be a positive finite real.
     """
-    if d2_tolerance is None:
-        scale = abs(d2)
-        d2_tolerance = DEGENERACY_FRACTION * scale if scale > 0 else 1e-300
-    if d2_tolerance <= 0:
-        raise ValueError("d2_tolerance must be positive")
+    d2_tolerance = _degeneracy_cut(d2_tolerance, (abs(d2),))
     if divisor_tolerance is None:
         divisor_tolerance = 1e-9 * max(omega1, omega3)
     notes = list(pole_flags)
@@ -518,7 +531,8 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
 
     Rows inside the pole guard bands are flagged rather than dropped; rows with
     |D2| at or below the degeneracy tolerance (default: DEGENERACY_FRACTION of
-    the scan's median |D2|) are flagged degenerate.  The model coefficients do
+    the scan's median |D2|; an explicit one must be a positive finite real)
+    are flagged degenerate.  The model coefficients do
     not depend on omega1, so they are evaluated once for the whole grid; each
     row then matches d2_eval at the same omega1.
     """
@@ -532,10 +546,8 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
     cq = coefficients(params, max_half_order).cubic_quartic()
     results = [_d2_point(cq, w, omega3) for w in grid]
 
-    if d2_tolerance is None:
-        # d2_closed never returns a non-finite value, and the grid is not empty
-        scale = median(abs(value) for value, _ in results)
-        d2_tolerance = DEGENERACY_FRACTION * scale if scale > 0 else 1e-300
+    # d2_closed never returns a non-finite value, and the grid is not empty
+    d2_tolerance = _degeneracy_cut(d2_tolerance, (abs(value) for value, _ in results))
 
     rows = []
     for w, (value, flags) in zip(grid, results):

@@ -12,9 +12,12 @@ import birkhoff
 from birkhoff import d2_from_k
 from birkhoff import cli
 from birkhoff.cli import main
+from conftest import CANCELLATION_POINT
 
 
 REF_FLAGS = ["--mu", "0.00025", "--q", "0.025", "--Q", "0.00025", "--A", "0.00025"]
+
+NON_POSITIVE_OR_NON_FINITE = ["0", "-1", "nan", "inf"]
 
 
 def run(capsys, argv):
@@ -160,6 +163,18 @@ class TestNormalizeCommand:
         assert code == 0
         assert sha256(out) == digest
 
+    @pytest.mark.parametrize("tolerance", NON_POSITIVE_OR_NON_FINITE)
+    def test_invalid_divisor_tolerance_is_domain_error(self, capsys, tmp_path, tolerance):
+        # omega1 = 2*omega3 exactly: the term X1*Y2^2 of q1*p2^2 has divisor 0
+        extra = [{"exponents": [1, 0, 0, 2], "re": 0.5, "im": 0.0}]
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(hamiltonian_payload((2.0, 1.0), extra)))
+        code, out, err = run(capsys, ["normalize", "--input", str(path),
+                                      "--divisor-tolerance", tolerance])
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == "domain"
+
     def test_missing_input_is_domain_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["normalize", "--input",
                                     str(tmp_path / "missing.json")])
@@ -192,6 +207,13 @@ class TestRtbpEvalCommand:
         code, out, _ = run(capsys, ["rtbp-eval", *REF_FLAGS, *extra, "--omega3", "1"])
         assert code == 0
         assert sha256(out) == digest
+
+    def test_stable_next_to_a_root_of_the_determinant(self, capsys):
+        mu, q, Q, A, w1 = (repr(v) for v in CANCELLATION_POINT)
+        code, out, _ = run(capsys, ["rtbp-eval", "--mu", mu, "--q", q, "--Q", Q,
+                                    "--A", A, "--omega1", w1, "--omega3", "1"])
+        assert code == 0
+        assert json.loads(out)["verdict"]["status"] == "stable"
 
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run(capsys, ["rtbp-eval", "--mu", "2.0", "--q", "0.5",
@@ -261,8 +283,8 @@ class TestRtbpScanCommand:
         assert json.loads(err)["error"] == "domain"
 
     def test_no_non_finite_token_without_debug_checks(self):
-        # under -O the composed determinant is no longer cross-checked, so
-        # the overflow must be caught on its own
+        # d2_closed checks the composed value itself, so the overflow exits 3
+        # under -O as well and no nan or inf token is written
         src = os.path.dirname(os.path.dirname(birkhoff.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
@@ -293,6 +315,49 @@ class TestRtbpScanCommand:
         with pytest.raises(SystemExit) as exc:
             main(["rtbp-scan", *REF_FLAGS, "--grid", "nonsense"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["rtbp-scan", *REF_FLAGS, "--omega3", "1", "--grid", "0.1:0.9:5"],
+    ["rtbp-eval", *REF_FLAGS, "--omega1", "0.3"],
+], ids=["scan", "eval"])
+@pytest.mark.parametrize("tolerance", NON_POSITIVE_OR_NON_FINITE)
+def test_invalid_d2_tolerance_is_domain_error(capsys, command, tolerance):
+    code, out, err = run(capsys, [*command, "--d2-tolerance", tolerance])
+    assert code == 3
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "domain"
+    assert "d2_tolerance" in payload["message"]
+
+
+class TestInterpreterFlags:
+    def test_optimized_interpreter_gives_the_same_bytes(self, tmp_path):
+        # the README invocations, and the point next to a root of D2, give
+        # the same exit code, stdout and output file under python and python -O
+        mu, q, Q, A, w1 = (repr(v) for v in CANCELLATION_POINT)
+        commands = [
+            ["closed-form", "--b5", "1", "--omega1", "1", "--omega3", "3"],
+            ["rtbp-eval", *REF_FLAGS, "--omega1", "0.3"],
+            ["rtbp-scan", *REF_FLAGS, "--omega3", "1", "--grid", "0.05:0.95:181",
+             "--format", "csv", "--output", "d2.csv"],
+            ["rtbp-eval", "--mu", mu, "--q", q, "--Q", Q, "--A", A, "--omega1", w1],
+        ]
+        src = os.path.dirname(os.path.dirname(birkhoff.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for command in commands:
+            seen = []
+            for flags in ([], ["-O"]):
+                cwd = tmp_path / ("optimized" if flags else "plain")
+                cwd.mkdir(exist_ok=True)
+                proc = subprocess.run(
+                    [sys.executable, *flags, "-m", "birkhoff.cli", *command],
+                    capture_output=True, cwd=cwd, env=env, timeout=60)
+                written = cwd / "d2.csv"
+                seen.append((proc.returncode, proc.stdout,
+                             written.read_bytes() if written.exists() else None))
+            assert seen[0][0] == 0
+            assert seen[0] == seen[1]
 
 
 class TestParser:

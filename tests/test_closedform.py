@@ -5,7 +5,9 @@ import pytest
 from birkhoff import (
     CubicQuarticCoefficients,
     Frequencies,
+    ModelParams,
     PoleError,
+    coefficients,
     d2_closed,
     d2_expanded,
     d2_from_k,
@@ -14,6 +16,7 @@ from birkhoff import (
     k2200,
 )
 from birkhoff.closedform import DeterminantOverflowError
+from conftest import CANCELLATION_POINT
 
 
 def coeffs(**kw):
@@ -22,6 +25,13 @@ def coeffs(**kw):
 
 def random_coeffs(rng):
     return CubicQuarticCoefficients(*[rng.uniform(-2, 2) for _ in range(7)])
+
+
+def term_scale(c, freqs):
+    """|K2200 w3^2| + |K1111 w1 w3| + |K0022 w1^2|, the size of the terms of D2."""
+    w1, w3 = freqs.omega1, freqs.omega3
+    return (abs(k2200(c, freqs) * w3 ** 2) + abs(k1111(c, freqs) * w1 * w3)
+            + abs(k0022(c, freqs) * w1 ** 2))
 
 
 class TestK2200:
@@ -96,6 +106,9 @@ class TestDeterminant:
             assert d2_closed(c, freqs) == composed
 
     def test_expanded_form_agrees(self):
+        # The two spellings agree to rounding in the terms of D2.  Next to a
+        # root of D2 those terms cancel, so |D2| is no scale for the gap.
+        cases = []
         rng = random.Random(42)
         for _ in range(100):
             c = random_coeffs(rng)
@@ -103,10 +116,30 @@ class TestDeterminant:
             w3 = rng.uniform(0.2, 4.0)
             if min(abs(2 * w1 - w3), abs(w1 - 2 * w3)) < 0.05:
                 continue
-            freqs = Frequencies(w1, w3)
-            a = d2_closed(c, freqs)
-            b = d2_expanded(c, freqs)
-            assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+            cases.append((c, Frequencies(w1, w3)))
+        # model coefficients over the supported domain (A <= 0.01)
+        rng = random.Random(45)
+        for _ in range(100):
+            params = ModelParams(mu=10.0 ** rng.uniform(-4.0, -1.0),
+                                 q=rng.uniform(0.01, 1.0),
+                                 Q=10.0 ** rng.uniform(-4.0, 0.0),
+                                 A=rng.uniform(0.0, 0.01))
+            c = coefficients(params).cubic_quartic()
+            for _ in range(10):
+                w1 = rng.uniform(0.05, 4.0)
+                if min(abs(2 * w1 - 1.0), abs(w1 - 2.0)) < 0.01:
+                    continue
+                cases.append((c, Frequencies(w1, 1.0)))
+        mu, q, Q, A, w1 = CANCELLATION_POINT
+        near_root = (coefficients(ModelParams(mu, q, Q, A)).cubic_quartic(),
+                     Frequencies(w1, 1.0))
+        cases.append(near_root)
+        for c, freqs in cases:
+            gap = abs(d2_closed(c, freqs) - d2_expanded(c, freqs))
+            assert gap <= 5e-14 * term_scale(c, freqs)
+        # while next to the root the gap is large against |D2| itself
+        value = d2_closed(*near_root)
+        assert abs(value - d2_expanded(*near_root)) > 1e-9 * max(abs(value), 1.0)
 
     def test_finite_away_from_poles(self):
         # with omega3 = 1 the only poles are omega1 in {1/2, 2} and omega1 -> 0

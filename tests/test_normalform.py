@@ -14,6 +14,7 @@ from birkhoff import (
     normalize,
     solve_homological_term,
 )
+from birkhoff.normalform import is_resonant
 from conftest import draw_nonresonant_frequencies, lie_k0022, lie_k1111, lie_k2200
 
 
@@ -42,6 +43,10 @@ class TestHomologicalRule:
             solve_homological_term(1.0, (1, 1, 0, 0), Frequencies(1.3, 0.4))
         assert err.value.exponents == (1, 1, 0, 0)
         assert err.value.divisor == 0.0
+
+    def test_resonance_predicate(self):
+        assert is_resonant((2, 2, 1, 1))
+        assert not is_resonant((2, 1, 1, 1))
 
     def test_near_zero_divisor_raises(self):
         # divisor omega1*(0-2) + omega3*(1-0) with omega3 barely off 2*omega1

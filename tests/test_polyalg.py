@@ -10,7 +10,6 @@ from birkhoff import (
     ChartMismatchError,
     Frequencies,
     GradedHamiltonian,
-    Monomial,
     complexify,
     poisson_bracket,
     realify,
@@ -23,25 +22,20 @@ def poly(terms, chart="real"):
 
 
 class TestMonomial:
+    # single-term polynomials
     def test_degree_is_exponent_sum(self):
-        assert Monomial((2, 1, 0, 3)).degree == 6
+        assert CanonicalPolynomial({(2, 1, 0, 3): 1}).degree() == 6
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
-            Monomial((1, -1, 0, 0))
+            CanonicalPolynomial({(1, -1, 0, 0): 1.0})
 
     @pytest.mark.parametrize("exponents", [
         (1.0, 0, 0, 0), (True, 0, 2, 0), ("2", 0, 1, 0), (1, 0, 0), (1, 0, 0, 0, 0),
     ], ids=repr)
     def test_non_integer_or_misshapen_exponents_rejected(self, exponents):
         with pytest.raises(ValueError):
-            Monomial(exponents)
-        with pytest.raises(ValueError):
             CanonicalPolynomial({exponents: 1.0})
-
-    def test_resonance_predicate(self):
-        assert Monomial((2, 2, 1, 1)).is_resonant()
-        assert not Monomial((2, 1, 1, 1)).is_resonant()
 
 
 class TestArithmetic:
