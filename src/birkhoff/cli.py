@@ -13,7 +13,9 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .closedform import CubicQuarticCoefficients, PoleError, d2_closed, k0022, k1111, k2200
 from .normalform import ResonanceError, normalize
@@ -44,8 +46,35 @@ def _emit(text: str, path: str | None):
     _write((text, "\n"), path)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+def _json_text(value, indent: str = "\n") -> str:
+    """The text of json.dumps(value, indent=2, sort_keys=True), for str keys.
+
+    json.dumps with an indent runs CPython's pure-Python encoder; here only
+    the layout is Python, and every leaf goes through a C-level encoder.
+    Non-finite floats, bools and None take json.dumps's own tokens.  indent
+    is the line break and indentation that come before the value's closing
+    bracket.
+    """
+    # floats first: they are most of the leaves of a report
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value)
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:

@@ -59,11 +59,12 @@ def is_resonant(exponents) -> bool:
     return j == l and r == s
 
 
-def _divisor_tolerance(freqs: Frequencies, divisor_tolerance: float | None) -> float:
-    """1e-9 times the largest frequency for None; anything but a positive
+def _divisor_tolerance(omega1: float, omega3: float,
+                       divisor_tolerance: float | None) -> float:
+    """1e-9 times the larger frequency for None; anything but a positive
     finite real raises ValueError."""
     if divisor_tolerance is None:
-        return 1e-9 * freqs.largest
+        return 1e-9 * max(omega1, omega3)
     if not (math.isfinite(divisor_tolerance) and divisor_tolerance > 0):
         raise ValueError("divisor_tolerance must be a positive finite real, "
                          f"got {divisor_tolerance!r}")
@@ -78,7 +79,7 @@ def solve_homological_term(coefficient: complex, exponents, freqs: Frequencies,
     includes every monomial with j = l and r = s.
     """
     exponents = tuple(exponents)
-    divisor_tolerance = _divisor_tolerance(freqs, divisor_tolerance)
+    divisor_tolerance = _divisor_tolerance(freqs.omega1, freqs.omega3, divisor_tolerance)
     d = divisor(exponents, freqs)
     if is_resonant(exponents) or abs(d) < divisor_tolerance:
         raise ResonanceError(exponents, d)
@@ -192,7 +193,7 @@ def normalize(ham: GradedHamiltonian, order: int = 2,
     if ham.chart != COMPLEX_CHART:
         raise ValueError("normalize expects the complex chart; complexify first")
     freqs = ham.frequencies
-    divisor_tolerance = _divisor_tolerance(freqs, divisor_tolerance)
+    divisor_tolerance = _divisor_tolerance(freqs.omega1, freqs.omega3, divisor_tolerance)
     flag_window = NEAR_RESONANCE_WINDOW * freqs.largest
 
     h2 = ham.part(2)

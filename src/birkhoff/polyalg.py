@@ -12,6 +12,7 @@ itself skip that check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from numbers import Number
@@ -214,14 +215,18 @@ def _expand_linear_power(c1, c2, e: int) -> dict[tuple[int, int], complex]:
     return {(t, e - t): math.comb(e, t) * c1 ** t * c2 ** (e - t) for t in range(e + 1)}
 
 
-def _expand_mode(ea: int, eb: int, fa, fb) -> dict[tuple[int, int], complex]:
-    # (fa . (U,V))**ea * (fb . (U,V))**eb  for one canonical pair
+@functools.cache
+def _expand_mode(ea: int, eb: int, fa, fb) -> tuple[tuple[tuple[int, int], complex], ...]:
+    # (fa . (U,V))**ea * (fb . (U,V))**eb  for one canonical pair, as
+    # ((power of U, power of V), coefficient) items.  Cached: a chart change
+    # of degree <= d meets at most (d+1)**2 keys per form, and the result is a
+    # tuple so no caller can change what the next one reads.
     out: dict[tuple[int, int], complex] = {}
     for (u1, v1), ca in _expand_linear_power(fa[0], fa[1], ea).items():
         for (u2, v2), cb in _expand_linear_power(fb[0], fb[1], eb).items():
             key = (u1 + u2, v1 + v2)
             out[key] = out.get(key, 0) + ca * cb
-    return out
+    return tuple(out.items())
 
 
 def _substitute(f: CanonicalPolynomial, first_form, second_form,
@@ -236,8 +241,8 @@ def _substitute(f: CanonicalPolynomial, first_form, second_form,
         mode1 = _expand_mode(j, l, first_form, second_form)
         mode2 = _expand_mode(r, s, first_form, second_form)
         base = c * scale
-        for (x1, y1), c1 in mode1.items():
-            for (x2, y2), c2 in mode2.items():
+        for (x1, y1), c1 in mode1:
+            for (x2, y2), c2 in mode2:
                 key = (x1, y1, x2, y2)
                 out[key] = out.get(key, 0) + base * c1 * c2
     return CanonicalPolynomial._from_checked(out, new_chart)
@@ -385,5 +390,6 @@ class GradedHamiltonian:
             raise ValueError(f"term without the field {err}") from err
         except TypeError as err:
             raise ValueError(f"malformed term or frequency: {err}") from err
-        poly = CanonicalPolynomial(terms, chart)
+        # every key passed _validate_exponents above
+        poly = CanonicalPolynomial._from_checked(terms, chart)
         return cls.from_polynomial(poly, Frequencies(omega1, omega3))

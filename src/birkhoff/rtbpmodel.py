@@ -21,6 +21,7 @@ from enum import Enum
 from statistics import median
 
 from .closedform import CubicQuarticCoefficients, PoleError, d2_closed
+from .normalform import _divisor_tolerance
 from .polyalg import CanonicalPolynomial, Frequencies, GradedHamiltonian
 
 _SQRT3 = math.sqrt(3.0)
@@ -480,11 +481,12 @@ def verdict_from_d2(d2: float, omega1: float, omega3: float,
     bands, and no essentially exact low-order resonance.  A tolerance of None
     is DEGENERACY_FRACTION of |D2| itself (a single point has no grid to take
     a median over), so only an exact zero is then reported degenerate; an
-    explicit tolerance must be a positive finite real.
+    explicit tolerance must be a positive finite real.  The resonance test
+    uses normalize's divisor tolerance rule (None is 1e-9 times the larger
+    frequency; an explicit one must be a positive finite real).
     """
     d2_tolerance = _degeneracy_cut(d2_tolerance, (abs(d2),))
-    if divisor_tolerance is None:
-        divisor_tolerance = 1e-9 * max(omega1, omega3)
+    divisor_tolerance = _divisor_tolerance(omega1, omega3, divisor_tolerance)
     notes = list(pole_flags)
     if pole_flags:
         status = StabilityStatus.POLE
@@ -540,14 +542,18 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
         raise ValueError("grid needs 0 < lo < hi")
     if steps < 2:
         raise ValueError("grid needs at least 2 steps")
+    if d2_tolerance is not None:
+        # an invalid explicit tolerance fails before any grid point is evaluated
+        d2_tolerance = _degeneracy_cut(d2_tolerance, ())
     step = (hi - lo) / (steps - 1)
     grid = [lo + k * step for k in range(steps - 1)] + [hi]
 
     cq = coefficients(params, max_half_order).cubic_quartic()
     results = [_d2_point(cq, w, omega3) for w in grid]
 
-    # d2_closed never returns a non-finite value, and the grid is not empty
-    d2_tolerance = _degeneracy_cut(d2_tolerance, (abs(value) for value, _ in results))
+    if d2_tolerance is None:
+        # d2_closed never returns a non-finite value, and the grid is not empty
+        d2_tolerance = _degeneracy_cut(None, (abs(value) for value, _ in results))
 
     rows = []
     for w, (value, flags) in zip(grid, results):

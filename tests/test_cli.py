@@ -175,6 +175,25 @@ class TestNormalizeCommand:
         assert out == ""
         assert json.loads(err)["error"] == "domain"
 
+    def test_order_other_than_two_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(hamiltonian_payload()))
+        code, out, err = run(capsys, ["normalize", "--input", str(path), "--order", "3"])
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == "domain"
+
+    def test_near_resonant_report_is_laid_out_as_json_dumps(self, capsys, tmp_path):
+        # omega1 = 2*omega3 + 2e-5: X1*Y2^2 has divisor -2e-5, inside the
+        # NEAR_RESONANCE_WINDOW flag band yet above the divisor tolerance
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(populated_payload(13, "real", (2.00002, 1.0))))
+        code, out, _ = run(capsys, ["normalize", "--input", str(path)])
+        assert code == 0
+        report = json.loads(out)
+        assert [1, 0, 0, 2] in [r["exponents"] for r in report["resonances"]]
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
     def test_missing_input_is_domain_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["normalize", "--input",
                                     str(tmp_path / "missing.json")])

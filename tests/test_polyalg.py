@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from decimal import Decimal
@@ -14,6 +15,7 @@ from birkhoff import (
     poisson_bracket,
     realify,
 )
+from birkhoff import polyalg
 from conftest import random_exact_polynomial
 
 
@@ -189,6 +191,24 @@ class TestChartChange:
             diff = lhs - rhs
             scale = max(lhs.max_abs_coefficient(), 1.0)
             assert diff.max_abs_coefficient() < 1e-12 * scale
+
+    def test_cached_expansion_is_bit_identical(self, monkeypatch):
+        # both chart changes share one expansion cache, keyed by their forms;
+        # realify runs on a cold cache, then again after complexify has filled it
+        monomials = [e for e in itertools.product(range(6), repeat=4) if sum(e) <= 5]
+        c = complex(0.7, -0.3)
+
+        def realified():
+            return [realify(poly({e: c}, "complex")).terms for e in monomials]
+
+        def complexified():
+            return [complexify(poly({e: c})).terms for e in monomials]
+
+        polyalg._expand_mode.cache_clear()
+        cached = (realified(), complexified(), realified())
+        monkeypatch.setattr(polyalg, "_expand_mode", polyalg._expand_mode.__wrapped__)
+        fresh_real, fresh_complex = realified(), complexified()
+        assert cached == (fresh_real, fresh_complex, fresh_real)
 
     def test_wrong_chart_rejected(self):
         f = poly({(1, 0, 0, 0): 1.0}, "complex")

@@ -21,6 +21,8 @@ from birkhoff import (
     verdict_from_d2,
 )
 
+from birkhoff import rtbpmodel
+from birkhoff.cli import main
 from birkhoff.rtbpmodel import DEGENERACY_FRACTION
 
 REFERENCE_POINT = ModelParams(mu=0.00025, q=0.025, Q=0.00025, A=0.00025)
@@ -153,6 +155,17 @@ class TestStabilityVerdict:
         with pytest.raises(ValueError):
             verdict_from_d2(1.0, 0.3, 1.0, d2_tolerance=0.0)
 
+    @pytest.mark.parametrize("divisor_tolerance", [math.nan, 0.0, -1.0, math.inf])
+    def test_divisor_tolerance_must_be_positive_finite(self, divisor_tolerance):
+        # nan, 0 and -1 would let the exact 1:1 resonance pass as stable
+        with pytest.raises(ValueError, match="divisor_tolerance"):
+            verdict_from_d2(1.0, 1.0, 1.0, d2_tolerance=None,
+                            divisor_tolerance=divisor_tolerance)
+
+    def test_default_tolerances_report_the_one_to_one_resonance(self):
+        verdict = verdict_from_d2(1.0, 1.0, 1.0, d2_tolerance=None)
+        assert verdict.status is StabilityStatus.RESONANT
+
 
 class TestScan:
     def test_two_point_scan_of_narrow_interval(self):
@@ -209,6 +222,26 @@ class TestScan:
         # the coarse grid puts the exact poles omega1 = 0.5 and 2.0 on grid points
         if grid[2] == 9:
             assert {r.omega1 for r in rows if r.flag == "pole"} == {0.5, 2.0}
+
+    def test_invalid_tolerance_fails_before_any_evaluation(self, monkeypatch, capsys):
+        calls = []
+        point = rtbpmodel._d2_point
+
+        def counted(*args):
+            calls.append(args)
+            return point(*args)
+
+        monkeypatch.setattr(rtbpmodel, "_d2_point", counted)
+        scan_omega1(REFERENCE_POINT, 1.0, 0.05, 0.95, 7, d2_tolerance=1.0)
+        assert len(calls) == 7
+        calls.clear()
+        with pytest.raises(ValueError, match="d2_tolerance"):
+            scan_omega1(REFERENCE_POINT, 1.0, 0.05, 0.95, 10**5, d2_tolerance=-1.0)
+        assert main(["rtbp-scan", "--mu", "0.00025", "--q", "0.025", "--Q", "0.00025",
+                     "--A", "0.00025", "--grid", "0.05:0.95:100000",
+                     "--d2-tolerance", "-1"]) == 3
+        assert capsys.readouterr().out == ""
+        assert calls == []
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
