@@ -99,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_norm = sub.add_parser("normalize", help="normalize a Hamiltonian JSON file")
     p_norm.add_argument("--input", required=True, help="Hamiltonian JSON path")
-    p_norm.add_argument("--order", type=int, default=2)
     p_norm.add_argument("--divisor-tolerance", type=float, default=None)
     p_norm.add_argument("--output", default=None)
 
@@ -145,8 +144,7 @@ def _run_normalize(args) -> int:
     ham = GradedHamiltonian.from_json_dict(payload)
     if ham.chart == REAL_CHART:
         ham = ham.complexify()
-    report = normalize(ham, order=args.order,
-                       divisor_tolerance=args.divisor_tolerance)
+    report = normalize(ham, divisor_tolerance=args.divisor_tolerance)
     _emit(_json_text(report.to_json_dict()), args.output)
     return 0
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 from .closedform import d2_from_k
 from .polyalg import (
@@ -33,6 +32,10 @@ from .polyalg import (
 #: divisors within this window (times the largest frequency) are reported in
 #: NormalFormReport.resonance_flags even when the term is still eliminated
 NEAR_RESONANCE_WINDOW = 1e-3
+
+#: the quadratic part may differ from i*omega1*X1*Y1 + i*omega3*X2*Y2 by this
+#: much, times the largest frequency
+QUADRATIC_REL_TOL = 1e-9
 
 
 class ResonanceError(ValueError):
@@ -87,23 +90,14 @@ def solve_homological_term(coefficient: complex, exponents, freqs: Frequencies,
 
 
 @dataclass(frozen=True)
-class GeneratingFunction:
-    """Homogeneous generator pieces keyed by degree (3 for order 1, 4 for order 2)."""
-
-    parts: Mapping[int, CanonicalPolynomial]
-
-    def part(self, d: int) -> CanonicalPolynomial:
-        return self.parts.get(d, CanonicalPolynomial.zero(COMPLEX_CHART))
-
-
-@dataclass(frozen=True)
 class NormalFormReport:
     """Outcome of a degree-4 normalization.
 
     k2200/k1111/k0022 are the real parts of the surviving action-product
     coefficients; max_imag_residual records the largest imaginary part seen
     relative to the coefficient scale (it vanishes for Hamiltonians that come
-    from a real chart).
+    from a real chart).  generating holds the generator pieces of degree 3
+    and 4, kamiltonian the normal form through degree 4.
     """
 
     k2200: float
@@ -111,7 +105,7 @@ class NormalFormReport:
     k0022: float
     d2: float
     resonance_flags: tuple[tuple[Exponents, float], ...]
-    generating: GeneratingFunction
+    generating: GradedHamiltonian
     kamiltonian: GradedHamiltonian
     max_imag_residual: float
 
@@ -124,19 +118,11 @@ class NormalFormReport:
             "resonances": [
                 {"exponents": list(e), "divisor": d} for e, d in self.resonance_flags
             ],
-            "generating": GradedHamiltonian(
-                dict(self.generating.parts), self.kamiltonian.frequencies
-            ).to_json_dict() if self.generating.parts else {
-                "dof": 2, "chart": COMPLEX_CHART,
-                "frequencies": [self.kamiltonian.frequencies.omega1,
-                                self.kamiltonian.frequencies.omega3],
-                "terms": [],
-            },
+            "generating": self.generating.to_json_dict(),
         }
 
 
-def _check_diagonal_quadratic(h2: CanonicalPolynomial, freqs: Frequencies,
-                              rel_tol: float = 1e-9):
+def _check_diagonal_quadratic(h2: CanonicalPolynomial, freqs: Frequencies):
     expected = {(1, 1, 0, 0): 1j * freqs.omega1, (0, 0, 1, 1): 1j * freqs.omega3}
     scale = freqs.largest
     for e, c in h2.terms.items():
@@ -145,10 +131,10 @@ def _check_diagonal_quadratic(h2: CanonicalPolynomial, freqs: Frequencies,
             raise ValueError(
                 f"quadratic part has off-diagonal term {e}; normalize requires "
                 "i*omega1*X1*Y1 + i*omega3*X2*Y2")
-        if abs(c - want) > rel_tol * scale:
+        if abs(c - want) > QUADRATIC_REL_TOL * scale:
             raise ValueError(
                 f"quadratic coefficient {c!r} at {e} does not match i*omega "
-                f"({want!r}) within {rel_tol!r} relative")
+                f"({want!r}) within {QUADRATIC_REL_TOL!r} relative")
     for e, want in expected.items():
         raise ValueError(f"quadratic part is missing the diagonal term {e} "
                          f"with coefficient {want!r}")
@@ -173,7 +159,7 @@ def _eliminate(source: CanonicalPolynomial, freqs: Frequencies, tol: float,
             flags)
 
 
-def normalize(ham: GradedHamiltonian, order: int = 2,
+def normalize(ham: GradedHamiltonian,
               divisor_tolerance: float | None = None) -> NormalFormReport:
     """Bring a complex-chart Hamiltonian to normal form through degree 4.
 
@@ -188,8 +174,6 @@ def normalize(ham: GradedHamiltonian, order: int = 2,
     (default 1e-9 times the largest frequency), and ValueError for a
     tolerance that is not a positive finite real.
     """
-    if order != 2:
-        raise ValueError("only order 2 (normalization through degree 4) is supported")
     if ham.chart != COMPLEX_CHART:
         raise ValueError("normalize expects the complex chart; complexify first")
     freqs = ham.frequencies
@@ -218,26 +202,14 @@ def normalize(ham: GradedHamiltonian, order: int = 2,
     k1111 = values[(1, 1, 1, 1)]
     k0022 = values[(0, 0, 2, 2)]
 
-    gen_parts = {}
-    if not w_deg3.is_zero:
-        gen_parts[3] = w_deg3
-    if not w_deg4.is_zero:
-        gen_parts[4] = w_deg4
-
-    kam_parts = {2: h2}
-    if not k3.is_zero:
-        kam_parts[3] = k3
-    if not k4.is_zero:
-        kam_parts[4] = k4
-
     return NormalFormReport(
         k2200=k2200,
         k1111=k1111,
         k0022=k0022,
         d2=d2_from_k(k2200, k1111, k0022, freqs),
         resonance_flags=tuple(flags3 + flags4),
-        generating=GeneratingFunction(gen_parts),
-        kamiltonian=GradedHamiltonian(kam_parts, freqs),
+        generating=GradedHamiltonian({3: w_deg3, 4: w_deg4}, freqs),
+        kamiltonian=GradedHamiltonian({2: h2, 3: k3, 4: k4}, freqs),
         max_imag_residual=worst_imag,
     )
 

@@ -118,13 +118,6 @@ class CanonicalPolynomial:
         picked = {e: c for e, c in self._terms.items() if sum(e) == d}
         return CanonicalPolynomial._from_checked(picked, self.chart)
 
-    def homogeneous_parts(self) -> dict[int, "CanonicalPolynomial"]:
-        split: dict[int, dict] = {}
-        for e, c in self._terms.items():
-            split.setdefault(sum(e), {})[e] = c
-        return {d: CanonicalPolynomial._from_checked(t, self.chart)
-                for d, t in sorted(split.items())}
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check_chart(self, other: "CanonicalPolynomial"):
@@ -290,37 +283,44 @@ class Frequencies:
         return max(self.omega1, self.omega3)
 
 
-class GradedHamiltonian:
-    """Homogeneous pieces of a polynomial Hamiltonian, keyed by degree >= 2."""
+def _json_number(value, what: str) -> float:
+    """A finite JSON number (int or float, not bool) as a float."""
+    number = float(value)  # TypeError for null, lists and objects
+    if type(value) not in (int, float) or not math.isfinite(number):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return number
 
-    __slots__ = ("_parts", "frequencies")
+
+class GradedHamiltonian:
+    """Homogeneous pieces of a polynomial Hamiltonian, keyed by degree >= 2.
+
+    Each part is held, read and written as its own polynomial, so the
+    relative-zero purge only ever compares coefficients of one degree.  The
+    chart is that of the parts given, zero parts included (they are not
+    stored), and real when no part is given.
+    """
+
+    __slots__ = ("_parts", "chart", "frequencies")
 
     def __init__(self, parts: Mapping[int, CanonicalPolynomial],
                  frequencies: Frequencies):
-        if not isinstance(frequencies, Frequencies):
-            frequencies = Frequencies(*frequencies)
         stored: dict[int, CanonicalPolynomial] = {}
         chart = None
         for d, poly in parts.items():
             if not isinstance(d, int) or d < 2:
                 raise ValueError(f"part degrees start at 2, got {d!r}")
-            if poly.is_zero:
-                continue
-            if any(sum(e) != d for e in poly):
-                raise ValueError(f"part {d} is not homogeneous of degree {d}")
             if chart is None:
                 chart = poly.chart
             elif poly.chart != chart:
                 raise ChartMismatchError("all parts must share one chart")
+            if poly.is_zero:
+                continue
+            if any(sum(e) != d for e in poly):
+                raise ValueError(f"part {d} is not homogeneous of degree {d}")
             stored[d] = poly
         self._parts = stored
+        self.chart = REAL_CHART if chart is None else chart
         self.frequencies = frequencies
-
-    @property
-    def chart(self) -> str:
-        for poly in self._parts.values():
-            return poly.chart
-        return REAL_CHART
 
     @property
     def parts(self) -> dict[int, CanonicalPolynomial]:
@@ -332,40 +332,36 @@ class GradedHamiltonian:
     def part(self, d: int) -> CanonicalPolynomial:
         return self._parts.get(d, CanonicalPolynomial.zero(self.chart))
 
-    def as_polynomial(self) -> CanonicalPolynomial:
-        total = CanonicalPolynomial.zero(self.chart)
-        for poly in self._parts.values():
-            total = total + poly
-        return total
-
     def complexify(self) -> "GradedHamiltonian":
         return GradedHamiltonian(
             {d: complexify(p) for d, p in self._parts.items()}, self.frequencies)
 
-    @classmethod
-    def from_polynomial(cls, poly: CanonicalPolynomial,
-                        frequencies: Frequencies) -> "GradedHamiltonian":
-        return cls(poly.homogeneous_parts(), frequencies)
-
     # -- file format --------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        """Flat Hamiltonian file payload; exponent order fixed as (X1, Y1, X2, Y2)."""
-        flat = self.as_polynomial()
+        """Hamiltonian file payload: the parts in degree order, each in graded
+        lexicographic order; exponent order fixed as (X1, Y1, X2, Y2)."""
+        terms = []
+        for d in self.degrees():
+            for e, c in self._parts[d].sorted_terms():
+                z = complex(c)
+                # + 0.0 writes a negative zero as 0.0
+                terms.append({"exponents": list(e), "re": z.real + 0.0,
+                              "im": z.imag + 0.0})
         return {
             "dof": 2,
             "chart": self.chart,
             "frequencies": [self.frequencies.omega1, self.frequencies.omega3],
-            "terms": [
-                {"exponents": list(e), "re": float(c.real) if isinstance(c, complex) else float(c),
-                 "im": float(c.imag) if isinstance(c, complex) else 0.0}
-                for e, c in flat.sorted_terms()
-            ],
+            "terms": terms,
         }
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "GradedHamiltonian":
-        """Read the JSON form; any malformed payload raises ValueError."""
+        """Read the JSON form; any malformed payload raises ValueError.
+
+        Coefficients and frequencies must be finite JSON numbers; repeated
+        exponents add up.
+        """
         if not isinstance(payload, Mapping):
             raise ValueError(
                 f"a Hamiltonian must be a JSON object, got {type(payload).__name__}")
@@ -377,19 +373,24 @@ class GradedHamiltonian:
         freqs = payload.get("frequencies")
         if not (isinstance(freqs, (list, tuple)) and len(freqs) == 2):
             raise ValueError("frequencies must be a two-element list [omega1, omega3]")
-        terms: dict[Exponents, complex] = {}
+        by_degree: dict[int, dict[Exponents, complex]] = {}
         try:
             for entry in payload.get("terms", []):
                 e = _validate_exponents(entry["exponents"])
-                if sum(e) < 2:
+                d = sum(e)
+                if d < 2:
                     raise ValueError(f"terms must have degree >= 2, got exponents {e}")
-                c = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+                c = complex(_json_number(entry.get("re", 0.0), "re"),
+                            _json_number(entry.get("im", 0.0), "im"))
+                terms = by_degree.setdefault(d, {})
                 terms[e] = terms.get(e, 0) + c
-            omega1, omega3 = float(freqs[0]), float(freqs[1])
+            omega1 = _json_number(freqs[0], "omega1")
+            omega3 = _json_number(freqs[1], "omega3")
         except KeyError as err:
             raise ValueError(f"term without the field {err}") from err
-        except TypeError as err:
+        except (TypeError, OverflowError) as err:
             raise ValueError(f"malformed term or frequency: {err}") from err
         # every key passed _validate_exponents above
-        poly = CanonicalPolynomial._from_checked(terms, chart)
-        return cls.from_polynomial(poly, Frequencies(omega1, omega3))
+        return cls({d: CanonicalPolynomial._from_checked(t, chart)
+                    for d, t in sorted(by_degree.items())},
+                   Frequencies(omega1, omega3))

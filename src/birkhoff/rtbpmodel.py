@@ -349,12 +349,7 @@ def build_model_hamiltonian(coeffs, freqs: Frequencies) -> GradedHamiltonian:
         (2, 0, 2, 0): float(coeffs.b3),
         (0, 0, 4, 0): float(coeffs.b5),
     })
-    parts = {2: h2}
-    if not h3.is_zero:
-        parts[3] = h3
-    if not h4.is_zero:
-        parts[4] = h4
-    return GradedHamiltonian(parts, freqs)
+    return GradedHamiltonian({2: h2, 3: h3, 4: h4}, freqs)
 
 
 # -- determinant evaluation and verdicts --------------------------------------
@@ -473,8 +468,7 @@ class StabilityVerdict:
 
 def verdict_from_d2(d2: float, omega1: float, omega3: float,
                     d2_tolerance: float | None,
-                    pole_flags: tuple[str, ...] = (),
-                    divisor_tolerance: float | None = None) -> StabilityVerdict:
+                    pole_flags: tuple[str, ...] = ()) -> StabilityVerdict:
     """Classify one evaluated determinant value.
 
     stable requires |D2| above tolerance, frequencies outside the pole guard
@@ -482,11 +476,11 @@ def verdict_from_d2(d2: float, omega1: float, omega3: float,
     is DEGENERACY_FRACTION of |D2| itself (a single point has no grid to take
     a median over), so only an exact zero is then reported degenerate; an
     explicit tolerance must be a positive finite real.  The resonance test
-    uses normalize's divisor tolerance rule (None is 1e-9 times the larger
-    frequency; an explicit one must be a positive finite real).
+    uses normalize's default divisor tolerance, 1e-9 times the larger
+    frequency.
     """
     d2_tolerance = _degeneracy_cut(d2_tolerance, (abs(d2),))
-    divisor_tolerance = _divisor_tolerance(omega1, omega3, divisor_tolerance)
+    divisor_tolerance = _divisor_tolerance(omega1, omega3, None)
     notes = list(pole_flags)
     if pole_flags:
         status = StabilityStatus.POLE

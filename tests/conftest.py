@@ -10,7 +10,13 @@ quadratic-in-cubic sectors (see DISCREPANCIES.md).
 
 from fractions import Fraction
 
-from birkhoff import CanonicalPolynomial
+from birkhoff import (
+    CanonicalPolynomial,
+    Frequencies,
+    ModelParams,
+    build_model_hamiltonian,
+    coefficients,
+)
 
 #: (mu, q, Q, A, omega1) with omega3 = 1: a model point inside the supported
 #: domain (A <= 0.01) next to a root of D2, where the composed and expanded
@@ -18,6 +24,15 @@ from birkhoff import CanonicalPolynomial
 #: three terms; the verdict there is stable
 CANCELLATION_POINT = (0.002720043807294557, 0.5463885506276273, 0.3866753034233212,
                       0.0048672361891881405, 0.5746535936534526)
+
+
+def reference_model_hamiltonian():
+    """Real-chart model Hamiltonian at (mu, q, Q, A) = (0.00025, 0.025, 0.00025,
+    0.00025) with omega1 = 0.3, omega3 = 1.  Its quadratic coefficients are
+    1e-17 to 1e-21 of its cubic and quartic ones, and its cubic generator
+    terms 1e-15 and less of its quartic ones."""
+    params = ModelParams(mu=0.00025, q=0.025, Q=0.00025, A=0.00025)
+    return build_model_hamiltonian(coefficients(params), Frequencies(0.3, 1.0))
 
 
 def lie_k2200(c, freqs):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -12,7 +13,8 @@ import birkhoff
 from birkhoff import d2_from_k
 from birkhoff import cli
 from birkhoff.cli import main
-from conftest import CANCELLATION_POINT
+from birkhoff.normalform import normalize
+from conftest import CANCELLATION_POINT, reference_model_hamiltonian
 
 
 REF_FLAGS = ["--mu", "0.00025", "--q", "0.025", "--Q", "0.00025", "--A", "0.00025"]
@@ -140,8 +142,18 @@ class TestNormalizeCommand:
         hamiltonian_payload(extra_terms=[{"exponents": [3.9, 0, 0, 0], "re": 0.4}]),
         hamiltonian_payload(extra_terms=[{"exponents": [True, 0, 2, 0], "re": 0.4}]),
         hamiltonian_payload(extra_terms=[{"exponents": ["2", 0, 1, 0], "re": 0.4}]),
+        hamiltonian_payload(extra_terms=[{"exponents": [3, 0, 0, 0], "re": math.nan}]),
+        hamiltonian_payload(extra_terms=[{"exponents": [4, 0, 0, 0], "re": math.inf}]),
+        hamiltonian_payload(extra_terms=[{"exponents": [1, 0, 2, 0], "im": -math.inf}]),
+        hamiltonian_payload(extra_terms=[{"exponents": [3, 0, 0, 0], "re": "2.0"}]),
+        hamiltonian_payload(extra_terms=[{"exponents": [3, 0, 0, 0], "re": True}]),
+        dict(hamiltonian_payload((0.3, 1.0)), frequencies=["0.3", 1.0]),
+        dict(hamiltonian_payload((1.0, 1.0)), frequencies=[1.0, True]),
     ], ids=["top-level-list", "missing-exponents", "null-coefficient",
-            "float-exponent", "bool-exponent", "string-exponent"])
+            "float-exponent", "bool-exponent", "string-exponent",
+            "nan-coefficient", "infinite-coefficient", "infinite-imaginary-part",
+            "string-coefficient", "bool-coefficient", "string-frequency",
+            "bool-frequency"])
     def test_malformed_hamiltonian_is_domain_error(self, capsys, tmp_path, payload):
         path = tmp_path / "h.json"
         path.write_text(json.dumps(payload))
@@ -175,13 +187,19 @@ class TestNormalizeCommand:
         assert out == ""
         assert json.loads(err)["error"] == "domain"
 
-    def test_order_other_than_two_is_domain_error(self, capsys, tmp_path):
+    def test_written_reference_model_normalizes_as_in_memory(self, capsys, tmp_path):
+        # the quadratic and cubic parts are below 1e-14 of the quartic one
+        ham = reference_model_hamiltonian()
+        want = normalize(ham.complexify())
         path = tmp_path / "h.json"
-        path.write_text(json.dumps(hamiltonian_payload()))
-        code, out, err = run(capsys, ["normalize", "--input", str(path), "--order", "3"])
-        assert code == 3
-        assert out == ""
-        assert json.loads(err)["error"] == "domain"
+        path.write_text(json.dumps(ham.to_json_dict()))
+        code, out, _ = run(capsys, ["normalize", "--input", str(path)])
+        assert code == 0
+        report = json.loads(out)
+        assert report["D2"] == want.d2
+        terms = report["generating"]["terms"]
+        assert len(terms) == 52
+        assert sorted(sum(t["exponents"]) for t in terms) == [3] * 20 + [4] * 32
 
     def test_near_resonant_report_is_laid_out_as_json_dumps(self, capsys, tmp_path):
         # omega1 = 2*omega3 + 2e-5: X1*Y2^2 has divisor -2e-5, inside the

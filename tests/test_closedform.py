@@ -9,13 +9,12 @@ from birkhoff import (
     PoleError,
     coefficients,
     d2_closed,
-    d2_expanded,
     d2_from_k,
     k0022,
     k1111,
     k2200,
 )
-from birkhoff.closedform import DeterminantOverflowError
+from birkhoff.closedform import DeterminantOverflowError, d2_expanded
 from conftest import CANCELLATION_POINT
 
 

@@ -102,10 +102,6 @@ class TestNormalize:
         with pytest.raises(ValueError, match="off-diagonal"):
             normalize(ham)
 
-    def test_only_degree_four_order_supported(self):
-        with pytest.raises(ValueError):
-            normalize(complex_ham({}, 1.0, 3.0), order=3)
-
     def test_exact_resonance_raises_with_offender(self):
         h3 = CanonicalPolynomial({(2, 0, 0, 1): 0.7}, "complex")
         with pytest.raises(ResonanceError) as err:

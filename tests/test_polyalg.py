@@ -16,7 +16,7 @@ from birkhoff import (
     realify,
 )
 from birkhoff import polyalg
-from conftest import random_exact_polynomial
+from conftest import random_exact_polynomial, reference_model_hamiltonian
 
 
 def poly(terms, chart="real"):
@@ -283,15 +283,37 @@ class TestGradedHamiltonian:
         h2 = poly({(2, 0, 0, 0): 0.6, (0, 2, 0, 0): 0.6,
                    (0, 0, 2, 0): 0.35, (0, 0, 0, 2): 0.35})
         h3 = poly({(3, 0, 0, 0): -0.25, (1, 0, 2, 0): 1.5})
-        ham = GradedHamiltonian({2: h2, 3: h3}, self.freqs())
-        payload = ham.to_json_dict()
-        back = GradedHamiltonian.from_json_dict(payload)
-        assert back.degrees() == ham.degrees()
-        for d in ham.degrees():
-            want = ham.part(d)
-            got = back.part(d)
-            for e, c in want.terms.items():
-                assert got.coefficient(e) == pytest.approx(c, rel=1e-15)
+        # the reference model's quadratic part is below 1e-14 of its quartic
+        for ham in (GradedHamiltonian({2: h2, 3: h3}, self.freqs()),
+                    reference_model_hamiltonian()):
+            payload = ham.to_json_dict()
+            back = GradedHamiltonian.from_json_dict(payload)
+            assert back.degrees() == ham.degrees()
+            assert len(payload["terms"]) == sum(len(ham.part(d)) for d in ham.degrees())
+            for d in ham.degrees():
+                want = ham.part(d)
+                got = back.part(d)
+                assert len(got) == len(want)
+                for e, c in want.terms.items():
+                    assert got.coefficient(e) == pytest.approx(c, rel=1e-15)
+        assert [len(back.part(d)) for d in (2, 3, 4)] == [4, 4, 3]
+
+    def test_zero_complex_part_sets_chart(self):
+        zero = CanonicalPolynomial.zero("complex")
+        ham = GradedHamiltonian({3: zero, 4: zero}, self.freqs())
+        assert ham.chart == "complex"
+        assert ham.degrees() == []
+        assert ham.to_json_dict()["chart"] == "complex"
+        assert GradedHamiltonian({}, self.freqs()).chart == "real"
+        with pytest.raises(ChartMismatchError):
+            GradedHamiltonian({2: poly({(2, 0, 0, 0): 1.0}), 3: zero}, self.freqs())
+
+    def test_negative_zero_is_written_as_zero(self):
+        h2 = poly({(1, 1, 0, 0): complex(-0.0, 1.2), (0, 0, 1, 1): complex(0.7, -0.0)},
+                  "complex")
+        terms = GradedHamiltonian({2: h2}, self.freqs()).to_json_dict()["terms"]
+        assert [(t["re"], t["im"]) for t in terms] == [(0.7, 0.0), (0.0, 1.2)]
+        assert all(math.copysign(1.0, t[k]) == 1.0 for t in terms for k in ("re", "im"))
 
     def test_json_term_order_is_deterministic(self):
         h = poly({(0, 0, 2, 0): 1.0, (2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0})
@@ -303,6 +325,21 @@ class TestGradedHamiltonian:
         payload = {"dof": 2, "chart": "real", "frequencies": [1.0, 1.0],
                    "terms": [{"exponents": [1, 0, 0, 0], "re": 1.0, "im": 0.0}]}
         with pytest.raises(ValueError):
+            GradedHamiltonian.from_json_dict(payload)
+
+    @pytest.mark.parametrize("field, value", [
+        ("re", math.nan), ("re", math.inf), ("im", -math.inf), ("re", "2.0"),
+        ("im", True), ("omega1", "0.3"), ("omega3", False), ("omega3", math.nan),
+    ], ids=repr)
+    def test_from_json_requires_finite_numbers(self, field, value):
+        term = {"exponents": [3, 0, 0, 0], "re": 1.0, "im": 0.0}
+        freqs = [0.3, 1.0]
+        if field in term:
+            term[field] = value
+        else:
+            freqs[field == "omega3"] = value
+        payload = {"dof": 2, "chart": "real", "frequencies": freqs, "terms": [term]}
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
             GradedHamiltonian.from_json_dict(payload)
 
     def test_from_json_rejects_other_dof(self):
