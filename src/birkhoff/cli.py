@@ -192,17 +192,27 @@ def _run_rtbp_eval(args) -> int:
 def _run_rtbp_scan(args) -> int:
     params = ModelParams(mu=args.mu, q=args.q, Q=args.Q, A=args.A)
     lo, hi, steps = args.grid
+    # every grid point is evaluated here, so an error leaves no output behind
     rows = scan_omega1(params, args.omega3, lo, hi, steps,
                        d2_tolerance=args.d2_tolerance,
                        max_half_order=args.max_half_order)
+    # row by row, so neither the rows nor the text of a long scan are held
     if args.format == "csv":
-        # line by line, so the text of a long scan is never held whole
-        lines = (f"{_fmt(r.omega1)},{_fmt(r.d2)},{r.flag}\n" for r in rows)
+        lines = (f"{_fmt(w)},{_fmt(d2)},{flag}\n" for w, d2, flag in rows)
         _write(itertools.chain(("omega1,D2,flag\n",), lines), args.output)
     else:
-        _emit(_json_text([
-            {"omega1": r.omega1, "D2": r.d2, "flag": r.flag} for r in rows]), args.output)
+        _write(_json_rows(rows), args.output)
     return 0
+
+
+def _json_rows(rows):
+    """The text of _json_text(list of row objects) and its final newline, row by row."""
+    separator = "\n  "
+    yield "["
+    for w, d2, flag in rows:
+        yield separator + _json_text({"omega1": w, "D2": d2, "flag": flag}, "\n  ")
+        separator = ",\n  "
+    yield "\n]\n"
 
 
 _HANDLERS = {

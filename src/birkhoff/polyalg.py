@@ -373,7 +373,8 @@ class GradedHamiltonian:
         freqs = payload.get("frequencies")
         if not (isinstance(freqs, (list, tuple)) and len(freqs) == 2):
             raise ValueError("frequencies must be a two-element list [omega1, omega3]")
-        by_degree: dict[int, dict[Exponents, complex]] = {}
+        # a degree-2 part, empty or not, carries the file's chart
+        by_degree: dict[int, dict[Exponents, complex]] = {2: {}}
         try:
             for entry in payload.get("terms", []):
                 e = _validate_exponents(entry["exponents"])

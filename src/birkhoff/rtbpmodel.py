@@ -15,10 +15,13 @@ at sqrt(A)).
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from statistics import median
+from typing import Iterator, NamedTuple
 
 from .closedform import CubicQuarticCoefficients, PoleError, d2_closed
 from .normalform import _divisor_tolerance
@@ -40,6 +43,10 @@ RESONANCE_GUARD = 0.01
 #: |D2| at or below this fraction of the scan's median |D2| flags a row as
 #: degenerate when no explicit tolerance is given
 DEGENERACY_FRACTION = 1e-6
+
+#: |D2| values sorted at a time when a scan takes its median; bounds the
+#: transient list of float objects that sorting builds
+MEDIAN_CHUNK = 1 << 16
 
 
 class ModelDomainError(ValueError):
@@ -301,9 +308,17 @@ def coefficient_series(params: ModelParams) -> dict[str, dict[int, float]]:
     """Per-half-order expansion coefficients for every model quantity.
 
     The returned inner mappings give the coefficient of A**(h/2) for each
-    half-order h present in the corresponding expansion.
+    half-order h present in the corresponding expansion.  A mass ratio or
+    radiation factor so small that a power of it underflows to 0, or a
+    quotient overflows, raises ModelDomainError.
     """
-    return {name: fn(params.mu, params.q, params.Q) for name, fn in _SERIES.items()}
+    mu, q, Q = params.mu, params.q, params.Q
+    try:
+        return {name: fn(mu, q, Q) for name, fn in _SERIES.items()}
+    except (ZeroDivisionError, OverflowError) as err:
+        raise ModelDomainError(
+            f"the expansions are not representable as doubles at "
+            f"(mu, q, Q) = ({mu!r}, {q!r}, {Q!r}): {err}") from err
 
 
 def coefficients(params: ModelParams,
@@ -312,16 +327,22 @@ def coefficients(params: ModelParams,
 
     max_half_order keeps only terms A**(h/2) with h up to the given bound
     (0 keeps the oblateness-independent sector, 2 truncates after the A term,
-    None keeps everything tabulated).
+    None keeps everything tabulated); a negative bound raises ValueError.
     """
     if max_half_order is None:
         max_half_order = HALF_ORDERS[-1]
+    elif max_half_order < 0:
+        raise ValueError(f"max_half_order must be >= 0, got {max_half_order!r}")
     table = coefficient_series(params)
     values = {}
-    for name, orders in table.items():
-        values[name] = sum(
-            coeff * params.A ** (h / 2.0)
-            for h, coeff in sorted(orders.items()) if h <= max_half_order)
+    try:
+        for name, orders in table.items():
+            values[name] = sum(
+                coeff * params.A ** (h / 2.0)
+                for h, coeff in sorted(orders.items()) if h <= max_half_order)
+    except OverflowError as err:
+        raise ModelDomainError(
+            f"a power of A = {params.A!r} is not a finite double") from err
     return CoefficientSet(**values)
 
 
@@ -423,15 +444,35 @@ def d2_eval(params: ModelParams, omega1: float, omega3: float,
     return D2Result(value=value, flags=flags, coefficients=coeffs)
 
 
-def _degeneracy_cut(d2_tolerance: float | None, magnitudes) -> float:
+def _median_abs(values) -> float:
+    """statistics.median of the magnitudes of a non-empty sequence of floats.
+
+    The result is bit for bit that of statistics.median, but beyond
+    MEDIAN_CHUNK values no list of all the magnitudes is built: runs of
+    MEDIAN_CHUNK are sorted into arrays of doubles and merged up to the middle.
+    """
+    n = len(values)
+    if n <= MEDIAN_CHUNK:
+        ordered = iter(sorted(map(abs, values)))
+    else:
+        runs = [array("d", sorted(map(abs, values[i:i + MEDIAN_CHUNK])))
+                for i in range(0, n, MEDIAN_CHUNK)]
+        ordered = heapq.merge(*runs)
+    if n % 2:
+        return next(itertools.islice(ordered, n // 2, None))
+    below = next(itertools.islice(ordered, n // 2 - 1, None))
+    return (below + next(ordered)) / 2
+
+
+def _degeneracy_cut(d2_tolerance: float | None, values) -> float:
     """The |D2| at or below which a value is degenerate.
 
-    None takes DEGENERACY_FRACTION of the median of magnitudes (a tiny floor
-    when that median is 0); an explicit tolerance that is not a positive
-    finite real raises ValueError.
+    None takes DEGENERACY_FRACTION of the median magnitude of the D2 values
+    (a tiny floor when that median is 0); an explicit tolerance that is not a
+    positive finite real raises ValueError.
     """
     if d2_tolerance is None:
-        scale = median(magnitudes)
+        scale = _median_abs(values)
         return DEGENERACY_FRACTION * scale if scale > 0 else 1e-300
     if not (math.isfinite(d2_tolerance) and d2_tolerance > 0):
         raise ValueError(
@@ -479,7 +520,7 @@ def verdict_from_d2(d2: float, omega1: float, omega3: float,
     uses normalize's default divisor tolerance, 1e-9 times the larger
     frequency.
     """
-    d2_tolerance = _degeneracy_cut(d2_tolerance, (abs(d2),))
+    d2_tolerance = _degeneracy_cut(d2_tolerance, (d2,))
     divisor_tolerance = _divisor_tolerance(omega1, omega3, None)
     notes = list(pole_flags)
     if pole_flags:
@@ -513,8 +554,7 @@ def stability_verdict(params: ModelParams, omega1: float, omega3: float,
                            pole_flags=result.flags)
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     omega1: float
     d2: float
     flag: str  # "ok" | "pole" | "degenerate"
@@ -522,15 +562,19 @@ class ScanRow:
 
 def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
                 steps: int, d2_tolerance: float | None = None,
-                max_half_order: int | None = None) -> list[ScanRow]:
+                max_half_order: int | None = None) -> Iterator[ScanRow]:
     """Uniform scan of the determinant over omega1 in [lo, hi], endpoints included.
 
     Rows inside the pole guard bands are flagged rather than dropped; rows with
     |D2| at or below the degeneracy tolerance (default: DEGENERACY_FRACTION of
     the scan's median |D2|; an explicit one must be a positive finite real)
-    are flagged degenerate.  The model coefficients do
-    not depend on omega1, so they are evaluated once for the whole grid; each
-    row then matches d2_eval at the same omega1.
+    are flagged degenerate.  The model coefficients do not depend on omega1,
+    so they are evaluated once for the whole grid; each row then matches
+    d2_eval at the same omega1.
+
+    Every grid point is evaluated before this returns, so any error is raised
+    here; only D2 (8 bytes) and a pole bit (1 byte) are kept per row.  The
+    rows are returned as an iterator that builds each one as it is taken.
     """
     if not (0.0 < lo < hi):
         raise ValueError("grid needs 0 < lo < hi")
@@ -539,24 +583,32 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
     if d2_tolerance is not None:
         # an invalid explicit tolerance fails before any grid point is evaluated
         d2_tolerance = _degeneracy_cut(d2_tolerance, ())
-    step = (hi - lo) / (steps - 1)
-    grid = [lo + k * step for k in range(steps - 1)] + [hi]
+    last = steps - 1
+    step = (hi - lo) / last
 
     cq = coefficients(params, max_half_order).cubic_quartic()
-    results = [_d2_point(cq, w, omega3) for w in grid]
-
-    if d2_tolerance is None:
-        # d2_closed never returns a non-finite value, and the grid is not empty
-        d2_tolerance = _degeneracy_cut(None, (abs(value) for value, _ in results))
-
-    rows = []
-    for w, (value, flags) in zip(grid, results):
+    values = array("d")
+    poles = bytearray()
+    for k in range(steps):
         # _d2_point returns pole flags only
-        if flags:
+        value, flags = _d2_point(cq, hi if k == last else lo + k * step, omega3)
+        values.append(value)
+        poles.append(bool(flags))
+
+    # d2_closed never returns a non-finite value, and the grid is not empty
+    cut = _degeneracy_cut(d2_tolerance, values)
+    return _scan_rows(values, poles, lo, step, hi, cut)
+
+
+def _scan_rows(values: array, poles: bytearray, lo: float, step: float,
+               hi: float, cut: float) -> Iterator[ScanRow]:
+    """Rows of an evaluated scan, the grid point recomputed from its index."""
+    last = len(values) - 1
+    for k, value in enumerate(values):
+        if poles[k]:
             flag = "pole"
-        elif abs(value) <= d2_tolerance:
+        elif abs(value) <= cut:
             flag = "degenerate"
         else:
             flag = "ok"
-        rows.append(ScanRow(omega1=w, d2=value, flag=flag))
-    return rows
+        yield ScanRow(hi if k == last else lo + k * step, value, flag)

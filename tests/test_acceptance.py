@@ -326,7 +326,7 @@ def test_criterion_4_reference_point_rational_fit():
 
 
 def _reference_scan():
-    return scan_omega1(REFERENCE_POINT, 1.0, 0.05, 0.95, 181)
+    return list(scan_omega1(REFERENCE_POINT, 1.0, 0.05, 0.95, 181))
 
 
 def test_criterion_5_asymptote_reproduction():
@@ -418,7 +418,7 @@ def test_criterion_8_performance_sanity():
     best = min(_timed(normalize, ham) for _ in range(5))
 
     start = time.perf_counter()
-    rows = scan_omega1(REFERENCE_POINT, 1.0, 0.05, 4.0, 10_000)
+    rows = list(scan_omega1(REFERENCE_POINT, 1.0, 0.05, 4.0, 10_000))
     scan_elapsed = time.perf_counter() - start
     assert len(rows) == 10_000
 

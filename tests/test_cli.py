@@ -6,11 +6,12 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import birkhoff
-from birkhoff import d2_from_k
+from birkhoff import ModelParams, d2_from_k, scan_omega1
 from birkhoff import cli
 from birkhoff.cli import main
 from birkhoff.normalform import normalize
@@ -18,6 +19,7 @@ from conftest import CANCELLATION_POINT, reference_model_hamiltonian
 
 
 REF_FLAGS = ["--mu", "0.00025", "--q", "0.025", "--Q", "0.00025", "--A", "0.00025"]
+REFERENCE_POINT = ModelParams(mu=0.00025, q=0.025, Q=0.00025, A=0.00025)
 
 NON_POSITIVE_OR_NON_FINITE = ["0", "-1", "nan", "inf"]
 
@@ -149,11 +151,12 @@ class TestNormalizeCommand:
         hamiltonian_payload(extra_terms=[{"exponents": [3, 0, 0, 0], "re": True}]),
         dict(hamiltonian_payload((0.3, 1.0)), frequencies=["0.3", 1.0]),
         dict(hamiltonian_payload((1.0, 1.0)), frequencies=[1.0, True]),
+        {"dof": 2, "chart": "complex", "frequencies": [0.3, 1.0], "terms": []},
     ], ids=["top-level-list", "missing-exponents", "null-coefficient",
             "float-exponent", "bool-exponent", "string-exponent",
             "nan-coefficient", "infinite-coefficient", "infinite-imaginary-part",
             "string-coefficient", "bool-coefficient", "string-frequency",
-            "bool-frequency"])
+            "bool-frequency", "empty-complex-file"])
     def test_malformed_hamiltonian_is_domain_error(self, capsys, tmp_path, payload):
         path = tmp_path / "h.json"
         path.write_text(json.dumps(payload))
@@ -161,6 +164,15 @@ class TestNormalizeCommand:
         assert code == 3
         assert out == ""
         assert json.loads(err)["error"] == "domain"
+
+    def test_empty_complex_file_names_the_missing_diagonal(self, capsys, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(
+            {"dof": 2, "chart": "complex", "frequencies": [0.3, 1.0], "terms": []}))
+        code, out, err = run(capsys, ["normalize", "--input", str(path)])
+        assert code == 3
+        assert out == ""
+        assert "missing the diagonal term (1, 1, 0, 0)" in json.loads(err)["message"]
 
     @pytest.mark.parametrize("seed, chart, digest", [
         (11, "real", "ada7ab1d061fe88a695d13a2a9d716a77557248657530985b8039133f8a772a3"),
@@ -319,6 +331,48 @@ class TestRtbpScanCommand:
         assert out == ""
         assert json.loads(err)["error"] == "domain"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_scan_writes_nothing(self, capsys, tmp_path, fmt):
+        # every grid point is evaluated before the first byte is written
+        target = tmp_path / "scan.out"
+        for output in (["--output", str(target)], []):
+            code, out, err = run(capsys, ["rtbp-scan", *REF_FLAGS, "--omega3", "1",
+                                          "--grid", "1e-300:0.9:3", "--format", fmt,
+                                          *output])
+            assert code == 3
+            assert out == ""
+            assert json.loads(err)["error"] == "domain"
+        assert not target.exists()
+
+    @pytest.mark.parametrize("grid", ["0.3:0.3000000001:2", "0.25:2.25:9",
+                                      "0.05:4.0:2001"])
+    def test_streamed_json_is_the_whole_document(self, capsys, grid):
+        code, out, _ = run(capsys, ["rtbp-scan", *REF_FLAGS, "--omega3", "1",
+                                    "--grid", grid, "--format", "json"])
+        assert code == 0
+        lo, hi, steps = cli._parse_grid(grid)
+        rows = scan_omega1(REFERENCE_POINT, 1.0, lo, hi, steps)
+        whole = cli._json_text([{"omega1": w, "D2": d2, "flag": flag}
+                                for w, d2, flag in rows])
+        assert out == whole + "\n"
+        assert len(json.loads(out)) == steps
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_scan_memory_is_bounded_per_row(self, tmp_path, fmt):
+        # rows are written as they are made; only D2 and a pole bit are held
+        # per row, plus the median's sorted copy of |D2|
+        steps = 50_000
+        argv = ["rtbp-scan", *REF_FLAGS, "--omega3", "1", "--format", fmt,
+                "--output", str(tmp_path / f"scan.{fmt}")]
+        assert main([*argv, "--grid", "0.05:4.0:2"]) == 0  # warm caches
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--grid", f"0.05:4.0:{steps}"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / steps < 64
+
     def test_no_non_finite_token_without_debug_checks(self):
         # d2_closed checks the composed value itself, so the overflow exits 3
         # under -O as well and no nan or inf token is written
@@ -366,6 +420,27 @@ def test_invalid_d2_tolerance_is_domain_error(capsys, command, tolerance):
     payload = json.loads(err)
     assert payload["error"] == "domain"
     assert "d2_tolerance" in payload["message"]
+
+
+@pytest.mark.parametrize("model", [
+    ["--mu", "1e-40", "--q", "0.5", "--Q", "0.5", "--A", "0.001"],
+    ["--mu", "1e-300", "--q", "0.5", "--Q", "1e-300", "--A", "0.001"],
+    ["--mu", "1e-32", "--q", "0.5", "--Q", "0.5", "--A", "0.001"],
+    ["--mu", "0.1", "--q", "0.5", "--Q", "0.5", "--A", "1e200"],
+    [*REF_FLAGS, "--max-half-order", "-3"],
+], ids=["series-underflow", "mu-times-Q-underflow", "coefficient-square-overflow",
+        "huge-oblateness", "negative-max-half-order"])
+@pytest.mark.parametrize("command", [
+    ["rtbp-eval", "--omega1", "0.3"],
+    ["rtbp-scan", "--grid", "0.1:0.9:5"],
+], ids=["eval", "scan"])
+def test_unevaluable_model_is_domain_error(capsys, model, command):
+    code, out, err = run(capsys, [*command, *model])
+    assert code == 3
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "domain"
+    assert "Numerical result out of range" not in payload["message"]
 
 
 class TestInterpreterFlags:

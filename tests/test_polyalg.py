@@ -308,6 +308,13 @@ class TestGradedHamiltonian:
         with pytest.raises(ChartMismatchError):
             GradedHamiltonian({2: poly({(2, 0, 0, 0): 1.0}), 3: zero}, self.freqs())
 
+    @pytest.mark.parametrize("chart", ["real", "complex"])
+    def test_empty_file_keeps_its_chart(self, chart):
+        payload = {"dof": 2, "chart": chart, "frequencies": [0.3, 1.0], "terms": []}
+        ham = GradedHamiltonian.from_json_dict(payload)
+        assert ham.chart == chart
+        assert ham.degrees() == []
+
     def test_negative_zero_is_written_as_zero(self):
         h2 = poly({(1, 1, 0, 0): complex(-0.0, 1.2), (0, 0, 1, 1): complex(0.7, -0.0)},
                   "complex")

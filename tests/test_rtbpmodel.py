@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+from array import array
 
 import pytest
 
@@ -22,6 +23,7 @@ from birkhoff import (
 )
 
 from birkhoff import rtbpmodel
+from birkhoff.closedform import DeterminantOverflowError
 from birkhoff.cli import main
 from birkhoff.rtbpmodel import DEGENERACY_FRACTION
 
@@ -78,6 +80,33 @@ class TestCoefficients:
                 assert diffs[1] == 0.0
                 continue
             assert diffs[1] / diffs[0] >= 10 ** 1.4
+
+    @pytest.mark.parametrize("mu, Q", [(1e-40, 0.5), (1e-300, 1e-300)])
+    def test_vanishing_mass_ratio_is_domain_error(self, mu, Q):
+        # a power of mu or mu*Q underflows to 0 inside the expansions
+        params = ModelParams(mu=mu, q=0.5, Q=Q, A=0.001)
+        for evaluate in (coefficient_series, coefficients):
+            with pytest.raises(ModelDomainError, match=r"\(mu, q, Q\)"):
+                evaluate(params)
+
+    def test_overflowing_power_of_oblateness_is_domain_error(self):
+        with pytest.raises(ModelDomainError, match="power of A"):
+            coefficients(ModelParams(mu=0.1, q=0.5, Q=0.5, A=1e200))
+
+    def test_overflowing_coefficient_square_is_determinant_overflow(self):
+        # finite coefficients whose squares leave the double range
+        with pytest.raises(DeterminantOverflowError, match="omega1=0.3"):
+            d2_eval(ModelParams(mu=1e-32, q=0.5, Q=0.5, A=0.001), 0.3, 1.0)
+
+    def test_negative_max_half_order_rejected(self):
+        for h in (0, 4, None):
+            coefficients(REFERENCE_POINT, max_half_order=h)
+        with pytest.raises(ValueError, match="max_half_order"):
+            coefficients(REFERENCE_POINT, max_half_order=-1)
+        with pytest.raises(ValueError, match="max_half_order"):
+            d2_eval(REFERENCE_POINT, 0.3, 1.0, max_half_order=-3)
+        with pytest.raises(ValueError, match="max_half_order"):
+            scan_omega1(REFERENCE_POINT, 1.0, 0.1, 0.9, 5, max_half_order=-3)
 
     def test_series_table_covers_all_quantities(self):
         table = coefficient_series(REFERENCE_POINT)
@@ -162,7 +191,7 @@ class TestStabilityVerdict:
 
 class TestScan:
     def test_two_point_scan_of_narrow_interval(self):
-        rows = scan_omega1(REFERENCE_POINT, 1.0, 0.3, 0.3 + 1e-9, 2)
+        rows = list(scan_omega1(REFERENCE_POINT, 1.0, 0.3, 0.3 + 1e-9, 2))
         assert len(rows) == 2
         assert rows[0].d2 == pytest.approx(rows[1].d2, rel=1e-5)
 
@@ -200,8 +229,8 @@ class TestScan:
     def test_rows_match_pointwise_evaluation(self, grid, max_half_order, d2_tolerance):
         # the scan evaluates the coefficients once per grid; every row must
         # still equal d2_eval, which evaluates them afresh at each point
-        rows = scan_omega1(REFERENCE_POINT, 1.0, *grid, d2_tolerance=d2_tolerance,
-                           max_half_order=max_half_order)
+        rows = list(scan_omega1(REFERENCE_POINT, 1.0, *grid, d2_tolerance=d2_tolerance,
+                                max_half_order=max_half_order))
         points = [d2_eval(REFERENCE_POINT, r.omega1, 1.0, max_half_order) for r in rows]
         tolerance = d2_tolerance
         if tolerance is None:
@@ -235,6 +264,32 @@ class TestScan:
                      "--d2-tolerance", "-1"]) == 3
         assert capsys.readouterr().out == ""
         assert calls == []
+
+    def test_scan_returns_an_iterator_of_rows(self):
+        rows = scan_omega1(REFERENCE_POINT, 1.0, 0.1, 0.9, 5)
+        assert iter(rows) is rows
+        first = next(rows)
+        assert first == (first.omega1, first.d2, first.flag)
+        assert first.omega1 == 0.1
+        assert len(list(rows)) == 4
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 16, 17, 100, 101])
+    def test_chunked_median_matches_statistics_median(self, monkeypatch, n):
+        # runs of 4 put chunk boundaries inside and right at the middle
+        monkeypatch.setattr(rtbpmodel, "MEDIAN_CHUNK", 4)
+        rng = random.Random(n)
+        values = [rng.choice((-1.0, 1.0)) * rng.choice((0.0, 1e-300, 0.1, 3.0, 7e33))
+                  * rng.uniform(0.5, 2.0) for _ in range(n)]
+        want = statistics.median(abs(v) for v in values)
+        got = rtbpmodel._median_abs(values)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize("n", [rtbpmodel.MEDIAN_CHUNK * 2 + 1,
+                                   rtbpmodel.MEDIAN_CHUNK * 2 + 2])
+    def test_chunked_median_across_full_size_chunks(self, n):
+        rng = random.Random(7)
+        values = array("d", (rng.gauss(0.0, 1e30) for _ in range(n)))
+        assert rtbpmodel._median_abs(values) == statistics.median(abs(v) for v in values)
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
