@@ -135,16 +135,16 @@ def d2_closed(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
     """-(k2200*w3^2 + k1111*w1*w3 + k0022*w1^2) from the tabulated coefficients.
 
     Raises DeterminantOverflowError (a ValueError) when the composed value,
-    or a power of a coefficient on the way to it, is not finite, so no nan or
-    inf reaches a caller.
+    or a power of a coefficient or frequency on the way to it, is not finite,
+    so no nan or inf reaches a caller.
     """
     try:
         value = d2_from_k(k2200(c, freqs), k1111(c, freqs), k0022(c, freqs), freqs)
     except OverflowError as err:
         raise DeterminantOverflowError(
             f"determinant overflows at omega1={freqs.omega1!r}, "
-            f"omega3={freqs.omega3!r} (a power of a coefficient is not "
-            f"a finite double)") from err
+            f"omega3={freqs.omega3!r} (an intermediate power is not a "
+            f"finite double)") from err
     if not math.isfinite(value):
         raise DeterminantOverflowError(
             f"determinant overflows at omega1={freqs.omega1!r}, "
