@@ -447,33 +447,30 @@ def d2_eval(params: ModelParams, omega1: float, omega3: float,
 def _median_abs(values) -> float:
     """statistics.median of the magnitudes of a non-empty sequence of floats.
 
-    The result is bit for bit that of statistics.median, but beyond
-    MEDIAN_CHUNK values no list of all the magnitudes is built: runs of
-    MEDIAN_CHUNK are sorted into arrays of doubles and merged up to the middle.
+    The result is bit for bit that of statistics.median, but no list of all
+    the magnitudes is built: runs of MEDIAN_CHUNK are sorted into arrays of
+    doubles and merged up to the middle.
     """
     n = len(values)
-    if n <= MEDIAN_CHUNK:
-        ordered = iter(sorted(map(abs, values)))
-    else:
-        runs = [array("d", sorted(map(abs, values[i:i + MEDIAN_CHUNK])))
-                for i in range(0, n, MEDIAN_CHUNK)]
-        ordered = heapq.merge(*runs)
+    runs = [array("d", sorted(map(abs, values[i:i + MEDIAN_CHUNK])))
+            for i in range(0, n, MEDIAN_CHUNK)]
+    ordered = heapq.merge(*runs)
     if n % 2:
         return next(itertools.islice(ordered, n // 2, None))
     below = next(itertools.islice(ordered, n // 2 - 1, None))
     return (below + next(ordered)) / 2
 
 
-def _degeneracy_cut(d2_tolerance: float | None, values) -> float:
+def _degeneracy_cut(d2_tolerance: float | None, scale) -> float:
     """The |D2| at or below which a value is degenerate.
 
-    None takes DEGENERACY_FRACTION of the median magnitude of the D2 values
-    (a tiny floor when that median is 0); an explicit tolerance that is not a
-    positive finite real raises ValueError.
+    None takes DEGENERACY_FRACTION of scale(), a typical |D2| (a tiny floor
+    when that is 0); scale is called only then.  An explicit tolerance that is
+    not a positive finite real raises ValueError.
     """
     if d2_tolerance is None:
-        scale = _median_abs(values)
-        return DEGENERACY_FRACTION * scale if scale > 0 else 1e-300
+        typical = scale()
+        return DEGENERACY_FRACTION * typical if typical > 0 else 1e-300
     if not (math.isfinite(d2_tolerance) and d2_tolerance > 0):
         raise ValueError(
             f"d2_tolerance must be a positive finite real, got {d2_tolerance!r}")
@@ -520,7 +517,7 @@ def verdict_from_d2(d2: float, omega1: float, omega3: float,
     uses normalize's default divisor tolerance, 1e-9 times the larger
     frequency.
     """
-    d2_tolerance = _degeneracy_cut(d2_tolerance, (d2,))
+    d2_tolerance = _degeneracy_cut(d2_tolerance, lambda: abs(d2))
     divisor_tolerance = _divisor_tolerance(omega1, omega3, None)
     notes = list(pole_flags)
     if pole_flags:
@@ -582,7 +579,7 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
         raise ValueError("grid needs at least 2 steps")
     if d2_tolerance is not None:
         # an invalid explicit tolerance fails before any grid point is evaluated
-        d2_tolerance = _degeneracy_cut(d2_tolerance, ())
+        d2_tolerance = _degeneracy_cut(d2_tolerance, None)
     last = steps - 1
     step = (hi - lo) / last
 
@@ -596,7 +593,7 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
         poles.append(bool(flags))
 
     # d2_closed never returns a non-finite value, and the grid is not empty
-    cut = _degeneracy_cut(d2_tolerance, values)
+    cut = _degeneracy_cut(d2_tolerance, lambda: _median_abs(values))
     return _scan_rows(values, poles, lo, step, hi, cut)
 
 
