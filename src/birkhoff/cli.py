@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 
 from .closedform import CubicQuarticCoefficients, PoleError, d2_closed, k0022, k1111, k2200
 from .normalform import ResonanceError, normalize
-from .polyalg import Frequencies, GradedHamiltonian, REAL_CHART
+from .polyalg import Frequencies, GradedHamiltonian
 from .rtbpmodel import ModelParams, d2_eval, scan_omega1, verdict_from_d2
 
 USAGE_ERROR = 2
@@ -99,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_norm = sub.add_parser("normalize", help="normalize a Hamiltonian JSON file")
     p_norm.add_argument("--input", required=True, help="Hamiltonian JSON path")
-    p_norm.add_argument("--divisor-tolerance", type=float, default=None)
     p_norm.add_argument("--output", default=None)
 
     p_cf = sub.add_parser("closed-form", help="tabulated K coefficients and D2")
@@ -141,10 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_normalize(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    ham = GradedHamiltonian.from_json_dict(payload)
-    if ham.chart == REAL_CHART:
-        ham = ham.complexify()
-    report = normalize(ham, divisor_tolerance=args.divisor_tolerance)
+    report = normalize(GradedHamiltonian.from_json_dict(payload))
     _emit(_json_text(report.to_json_dict()), args.output)
     return 0
 
@@ -154,11 +150,14 @@ def _run_closed_form(args) -> int:
                                       a4=args.a4, b1=args.b1, b3=args.b3,
                                       b5=args.b5)
     freqs = Frequencies(args.omega1, args.omega3)
+    # d2_closed first: it names an overflow of the forms, which the K
+    # functions alone would raise as a bare OverflowError
+    d2 = d2_closed(coeffs, freqs)
     values = {
         "K2200": k2200(coeffs, freqs),
         "K1111": k1111(coeffs, freqs),
         "K0022": k0022(coeffs, freqs),
-        "D2": d2_closed(coeffs, freqs),
+        "D2": d2,
     }
     if args.format == "csv":
         text = ("K2200,K1111,K0022,D2\n"

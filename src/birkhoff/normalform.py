@@ -15,7 +15,6 @@ frequencies avoid low-order resonances.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .closedform import d2_from_k
@@ -25,7 +24,6 @@ from .polyalg import (
     Exponents,
     Frequencies,
     GradedHamiltonian,
-    complexify,
     poisson_bracket,
 )
 
@@ -36,6 +34,10 @@ NEAR_RESONANCE_WINDOW = 1e-3
 #: the quadratic part may differ from i*omega1*X1*Y1 + i*omega3*X2*Y2 by this
 #: much, times the largest frequency
 QUADRATIC_REL_TOL = 1e-9
+
+#: a divisor below this, times the largest frequency, cannot be eliminated
+#: (ResonanceError); rtbpmodel's verdict applies the same rule to its gaps
+DIVISOR_REL_TOL = 1e-9
 
 
 class ResonanceError(ValueError):
@@ -62,29 +64,16 @@ def is_resonant(exponents) -> bool:
     return j == l and r == s
 
 
-def _divisor_tolerance(omega1: float, omega3: float,
-                       divisor_tolerance: float | None) -> float:
-    """1e-9 times the larger frequency for None; anything but a positive
-    finite real raises ValueError."""
-    if divisor_tolerance is None:
-        return 1e-9 * max(omega1, omega3)
-    if not (math.isfinite(divisor_tolerance) and divisor_tolerance > 0):
-        raise ValueError("divisor_tolerance must be a positive finite real, "
-                         f"got {divisor_tolerance!r}")
-    return divisor_tolerance
-
-
-def solve_homological_term(coefficient: complex, exponents, freqs: Frequencies,
-                           divisor_tolerance: float | None = None) -> complex:
+def solve_homological_term(coefficient: complex, exponents,
+                           freqs: Frequencies) -> complex:
     """Generator coefficient i*A/(omega1*(l-j) + omega3*(s-r)) for one monomial.
 
-    Raises ResonanceError when the denominator is below tolerance, which
-    includes every monomial with j = l and r = s.
+    Raises ResonanceError when the denominator is below DIVISOR_REL_TOL times
+    the largest frequency, which includes every monomial with j = l and r = s.
     """
     exponents = tuple(exponents)
-    divisor_tolerance = _divisor_tolerance(freqs.omega1, freqs.omega3, divisor_tolerance)
     d = divisor(exponents, freqs)
-    if is_resonant(exponents) or abs(d) < divisor_tolerance:
+    if is_resonant(exponents) or abs(d) < DIVISOR_REL_TOL * freqs.largest:
         raise ResonanceError(exponents, d)
     return 1j * coefficient / d
 
@@ -140,8 +129,7 @@ def _check_diagonal_quadratic(h2: CanonicalPolynomial, freqs: Frequencies):
                          f"with coefficient {want!r}")
 
 
-def _eliminate(source: CanonicalPolynomial, freqs: Frequencies, tol: float,
-               flag_window: float):
+def _eliminate(source: CanonicalPolynomial, freqs: Frequencies, flag_window: float):
     """Split a homogeneous source into (generator part, surviving resonant part)."""
     w_terms: dict[Exponents, complex] = {}
     kept: dict[Exponents, complex] = {}
@@ -150,7 +138,7 @@ def _eliminate(source: CanonicalPolynomial, freqs: Frequencies, tol: float,
         if is_resonant(e):
             kept[e] = c
             continue
-        w_terms[e] = solve_homological_term(c, e, freqs, tol)
+        w_terms[e] = solve_homological_term(c, e, freqs)
         d = divisor(e, freqs)
         if abs(d) < flag_window:
             flags.append((e, d))
@@ -159,36 +147,34 @@ def _eliminate(source: CanonicalPolynomial, freqs: Frequencies, tol: float,
             flags)
 
 
-def normalize(ham: GradedHamiltonian,
-              divisor_tolerance: float | None = None) -> NormalFormReport:
-    """Bring a complex-chart Hamiltonian to normal form through degree 4.
+def normalize(ham: GradedHamiltonian) -> NormalFormReport:
+    """Bring a Hamiltonian to normal form through degree 4.
 
-    The input quadratic part must already be diagonal, i*omega1*X1*Y1 +
-    i*omega3*X2*Y2.  All non-resonant degree-3 and degree-4 terms are
-    eliminated; resonant monomials (j = l, r = s) are retained and the
-    surviving (X1Y1)^2, X1Y1X2Y2, (X2Y2)^2 coefficients give the stability
-    determinant.  Parts of degree above 4 do not influence the result through
-    this order and are ignored.
+    A real-chart Hamiltonian is complexified first.  The complex-chart
+    quadratic part must be diagonal, i*omega1*X1*Y1 + i*omega3*X2*Y2.  All
+    non-resonant degree-3 and degree-4 terms are eliminated; resonant
+    monomials (j = l, r = s) are retained and the surviving (X1Y1)^2,
+    X1Y1X2Y2, (X2Y2)^2 coefficients give the stability determinant.  Parts
+    of degree above 4 do not influence the result through this order and
+    are ignored.
 
-    Raises ResonanceError when any required divisor is below tolerance
-    (default 1e-9 times the largest frequency), and ValueError for a
-    tolerance that is not a positive finite real.
+    Raises ResonanceError when any required divisor is below DIVISOR_REL_TOL
+    times the largest frequency.
     """
     if ham.chart != COMPLEX_CHART:
-        raise ValueError("normalize expects the complex chart; complexify first")
+        ham = ham.complexify()
     freqs = ham.frequencies
-    divisor_tolerance = _divisor_tolerance(freqs.omega1, freqs.omega3, divisor_tolerance)
     flag_window = NEAR_RESONANCE_WINDOW * freqs.largest
 
     h2 = ham.part(2)
     _check_diagonal_quadratic(h2, freqs)
 
     h3 = ham.part(3)
-    w_deg3, k3, flags3 = _eliminate(h3, freqs, divisor_tolerance, flag_window)
+    w_deg3, k3, flags3 = _eliminate(h3, freqs, flag_window)
 
     # standard second-order combination; k3 is empty (no cubic is resonant)
     source4 = ham.part(4) + 0.5 * poisson_bracket(h3 + k3, w_deg3)
-    w_deg4, k4, flags4 = _eliminate(source4, freqs, divisor_tolerance, flag_window)
+    w_deg4, k4, flags4 = _eliminate(source4, freqs, flag_window)
 
     targets = {(2, 2, 0, 0): None, (1, 1, 1, 1): None, (0, 0, 2, 2): None}
     values = {}
@@ -221,8 +207,7 @@ def frequency_shift_1dof(omega: float, a: float, b: float) -> float:
     dummy; no mixed terms exist).  The predicted orbital frequency at action J
     is omega + 2*c2*J + O(J^2) where c2 is the returned value.
     """
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError("omega must be positive")
+    freqs = Frequencies(omega, 1.0)
     q1_sq = CanonicalPolynomial({(2, 0, 0, 0): 1.0})
     p1_sq = CanonicalPolynomial({(0, 2, 0, 0): 1.0})
     q2_sq = CanonicalPolynomial({(0, 0, 2, 0): 1.0})
@@ -232,7 +217,6 @@ def frequency_shift_1dof(omega: float, a: float, b: float) -> float:
         parts[3] = CanonicalPolynomial({(3, 0, 0, 0): float(a)})
     if b:
         parts[4] = CanonicalPolynomial({(4, 0, 0, 0): float(b)})
-    ham = GradedHamiltonian(parts, Frequencies(omega, 1.0)).complexify()
-    report = normalize(ham)
+    report = normalize(GradedHamiltonian(parts, freqs))
     # K4 = k2200*(X1 Y1)^2 with X1 Y1 = -i J, so K(J) = omega*J - k2200*J^2
     return -report.k2200

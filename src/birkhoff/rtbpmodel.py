@@ -24,7 +24,7 @@ from enum import Enum
 from typing import Iterator, NamedTuple
 
 from .closedform import CubicQuarticCoefficients, PoleError, d2_closed
-from .normalform import _divisor_tolerance
+from .normalform import DIVISOR_REL_TOL
 from .polyalg import CanonicalPolynomial, Frequencies, GradedHamiltonian
 
 _SQRT3 = math.sqrt(3.0)
@@ -74,23 +74,17 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class CoefficientSet:
-    """Evaluated model constants and Hamiltonian coefficients."""
+class CoefficientSet(CubicQuarticCoefficients):
+    """Evaluated Hamiltonian coefficients and the model constants a and c.
 
-    a: float
-    c: float
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-    b1: float
-    b3: float
-    b5: float
+    Every field, a and c included, must be finite.
+    """
+
+    a: float = 0.0
+    c: float = 0.0
 
     def cubic_quartic(self) -> CubicQuarticCoefficients:
-        return CubicQuarticCoefficients(
-            a1=self.a1, a2=self.a2, a3=self.a3, a4=self.a4,
-            b1=self.b1, b3=self.b3, b5=self.b5)
+        return self
 
 
 # -- expansion term tables ----------------------------------------------------
@@ -440,7 +434,7 @@ def d2_eval(params: ModelParams, omega1: float, omega3: float,
     adjacent representable omega1 instead and the row carries the pole flag.
     """
     coeffs = coefficients(params, max_half_order)
-    value, flags = _d2_point(coeffs.cubic_quartic(), omega1, omega3)
+    value, flags = _d2_point(coeffs, omega1, omega3)
     return D2Result(value=value, flags=flags, coefficients=coeffs)
 
 
@@ -514,17 +508,17 @@ def verdict_from_d2(d2: float, omega1: float, omega3: float,
     is DEGENERACY_FRACTION of |D2| itself (a single point has no grid to take
     a median over), so only an exact zero is then reported degenerate; an
     explicit tolerance must be a positive finite real.  The resonance test
-    uses normalize's default divisor tolerance, 1e-9 times the larger
-    frequency.
+    uses normalize's small-divisor rule: a gap below DIVISOR_REL_TOL times the
+    larger frequency.
     """
     d2_tolerance = _degeneracy_cut(d2_tolerance, lambda: abs(d2))
-    divisor_tolerance = _divisor_tolerance(omega1, omega3, None)
+    gap_cut = DIVISOR_REL_TOL * max(omega1, omega3)
     notes = list(pole_flags)
     if pole_flags:
         status = StabilityStatus.POLE
     else:
         exact = [name for name, gap in _NONPOLE_RESONANCES + _POLE_RELATIONS
-                 if abs(gap(omega1, omega3)) < divisor_tolerance]
+                 if abs(gap(omega1, omega3)) < gap_cut]
         if exact:
             status = StabilityStatus.RESONANT
             notes.extend(f"resonance:{name}" for name in exact)
@@ -575,6 +569,8 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
     """
     if not (0.0 < lo < hi):
         raise ValueError("grid needs 0 < lo < hi")
+    if not math.isfinite(hi):
+        raise ValueError(f"grid bound hi must be finite, got {hi!r}")
     if steps < 2:
         raise ValueError("grid needs at least 2 steps")
     if d2_tolerance is not None:
@@ -583,7 +579,7 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
     last = steps - 1
     step = (hi - lo) / last
 
-    cq = coefficients(params, max_half_order).cubic_quartic()
+    cq = coefficients(params, max_half_order)
     values = array("d")
     poles = bytearray()
     for k in range(steps):

@@ -89,6 +89,17 @@ class TestClosedFormCommand:
         assert out == ""
         assert json.loads(err)["error"] == "domain"
 
+    def test_coefficient_overflow_names_the_determinant(self, capsys):
+        # a1**2 overflows inside k2200; the message must not be errno text
+        code, out, err = run(capsys, ["closed-form", "--a1", "1e200", "--omega1", "0.3",
+                                      "--omega3", "1"])
+        assert code == 3
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "domain"
+        assert "determinant overflows" in payload["message"]
+        assert "Numerical result out of range" not in payload["message"]
+
     def test_pole_exits_with_resonance_code(self, capsys):
         code, _, err = run(capsys, ["closed-form", "--a3", "1", "--omega1", "2",
                                     "--omega3", "1"])
@@ -187,18 +198,6 @@ class TestNormalizeCommand:
         code, out, _ = run(capsys, ["normalize", "--input", str(path)])
         assert code == 0
         assert sha256(out) == digest
-
-    @pytest.mark.parametrize("tolerance", NON_POSITIVE_OR_NON_FINITE)
-    def test_invalid_divisor_tolerance_is_domain_error(self, capsys, tmp_path, tolerance):
-        # omega1 = 2*omega3 exactly: the term X1*Y2^2 of q1*p2^2 has divisor 0
-        extra = [{"exponents": [1, 0, 0, 2], "re": 0.5, "im": 0.0}]
-        path = tmp_path / "h.json"
-        path.write_text(json.dumps(hamiltonian_payload((2.0, 1.0), extra)))
-        code, out, err = run(capsys, ["normalize", "--input", str(path),
-                                      "--divisor-tolerance", tolerance])
-        assert code == 3
-        assert out == ""
-        assert json.loads(err)["error"] == "domain"
 
     def test_written_reference_model_normalizes_as_in_memory(self, capsys, tmp_path):
         # the quadratic and cubic parts are below 1e-14 of the quartic one
@@ -404,6 +403,15 @@ class TestRtbpScanCommand:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("omega1,D2,flag")
+
+    def test_infinite_grid_bound_is_named(self, capsys):
+        code, out, err = run(capsys, ["rtbp-scan", *REF_FLAGS, "--omega3", "1",
+                                      "--grid", "0.1:inf:10"])
+        assert code == 3
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "domain"
+        assert payload["message"] == "grid bound hi must be finite, got inf"
 
     def test_bad_grid_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -88,12 +88,15 @@ class TestNormalize:
         w4 = report.generating.part(4)
         assert w4.terms == {(2, 0, 0, 2): pytest.approx(0.25j)}
 
-    def test_real_chart_rejected(self):
-        h2 = CanonicalPolynomial({(2, 0, 0, 0): 0.5, (0, 2, 0, 0): 0.5,
-                                  (0, 0, 2, 0): 0.5, (0, 0, 0, 2): 0.5})
-        ham = GradedHamiltonian({2: h2}, Frequencies(1.0, 1.0))
-        with pytest.raises(ValueError, match="complex chart"):
-            normalize(ham)
+    def test_real_chart_gives_the_report_of_its_complexified_form(self):
+        coeffs = CubicQuarticCoefficients(0.4, -1.0, 0.8, 0.3, 1.1, -0.6, 0.9)
+        ham = build_model_hamiltonian(coeffs, Frequencies(1.07, 0.41))
+        assert ham.chart == "real"
+        got = normalize(ham)
+        want = normalize(ham.complexify())
+        assert (got.k2200, got.k1111, got.k0022, got.d2) == (
+            want.k2200, want.k1111, want.k0022, want.d2)
+        assert got.to_json_dict() == want.to_json_dict()
 
     def test_offdiagonal_quadratic_rejected(self):
         h2 = CanonicalPolynomial({(1, 1, 0, 0): 1j, (0, 0, 1, 1): 1j,

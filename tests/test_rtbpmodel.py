@@ -55,6 +55,17 @@ class TestCoefficients:
         c = coefficients(ModelParams(mu=0.5, q=1.0, Q=1.0, A=0.04))
         assert c.c == pytest.approx(math.sqrt(3 * 0.04) - 9.0 * 0.04 ** 2, rel=1e-12)
 
+    def test_coefficient_set_is_the_cubic_quartic_set(self):
+        c = coefficients(REFERENCE_POINT)
+        assert isinstance(c, CubicQuarticCoefficients)
+        assert c.cubic_quartic() is c
+        assert d2_closed(c, Frequencies(0.3, 1.0)) == d2_eval(REFERENCE_POINT, 0.3, 1.0).value
+
+    @pytest.mark.parametrize("name", ["a", "c", "a1", "b5"])
+    def test_coefficient_set_fields_must_be_finite(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            rtbpmodel.CoefficientSet(**{name: math.inf})
+
     def test_domain_validation(self):
         with pytest.raises(ModelDomainError):
             ModelParams(mu=0.0, q=0.5, Q=0.5, A=0.0)
@@ -298,3 +309,11 @@ class TestScan:
             scan_omega1(REFERENCE_POINT, 1.0, 0.1, 0.9, 1)
         with pytest.raises(ValueError):
             scan_omega1(REFERENCE_POINT, 1.0, -0.5, 0.9, 10)
+
+    def test_infinite_grid_bound_rejected_by_name(self):
+        with pytest.raises(ValueError, match="grid bound hi must be finite, got inf"):
+            scan_omega1(REFERENCE_POINT, 1.0, 0.1, math.inf, 10)
+        # bounds out of order keep the ordering message
+        for lo, hi in [(math.inf, 0.9), (0.1, -math.inf), (math.nan, 0.9), (0.1, math.nan)]:
+            with pytest.raises(ValueError, match="grid needs 0 < lo < hi"):
+                scan_omega1(REFERENCE_POINT, 1.0, lo, hi, 10)
