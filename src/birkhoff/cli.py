@@ -10,6 +10,7 @@ CSV or JSON).  Exit codes: 0 success, 2 usage error, 3 domain error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -102,37 +103,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--output", default=None)
 
     p_cf = sub.add_parser("closed-form", help="tabulated K coefficients and D2")
-    for name in ("a1", "a2", "a3", "a4", "b1", "b3", "b5"):
-        p_cf.add_argument(f"--{name}", type=float, default=0.0)
+    for field in dataclasses.fields(CubicQuarticCoefficients):
+        p_cf.add_argument(f"--{field.name}", type=float, default=0.0)
     p_cf.add_argument("--omega1", type=float, required=True)
     p_cf.add_argument("--omega3", type=float, required=True)
     p_cf.add_argument("--format", choices=("json", "csv"), default="json")
     p_cf.add_argument("--output", default=None)
 
-    p_eval = sub.add_parser("rtbp-eval", help="model coefficients and stability verdict")
-    p_eval.add_argument("--mu", type=float, required=True)
-    p_eval.add_argument("--q", type=float, required=True)
-    p_eval.add_argument("--Q", type=float, required=True)
-    p_eval.add_argument("--A", type=float, required=True)
-    p_eval.add_argument("--omega1", type=float, required=True)
-    p_eval.add_argument("--omega3", type=float, default=1.0)
-    p_eval.add_argument("--d2-tolerance", type=float, default=None)
-    p_eval.add_argument("--max-half-order", type=int, default=None,
-                        help="truncate the expansions after A**(h/2)")
-    p_eval.add_argument("--output", default=None)
+    # the flags rtbp-eval and rtbp-scan share
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--mu", type=float, required=True)
+    model.add_argument("--q", type=float, required=True)
+    model.add_argument("--Q", type=float, required=True)
+    model.add_argument("--A", type=float, required=True)
+    model.add_argument("--omega3", type=float, default=1.0)
+    model.add_argument("--d2-tolerance", type=float, default=None)
+    model.add_argument("--max-half-order", type=int, default=None,
+                       help="truncate the expansions after A**(h/2)")
+    model.add_argument("--output", default=None)
 
-    p_scan = sub.add_parser("rtbp-scan", help="determinant over an omega1 grid")
-    p_scan.add_argument("--mu", type=float, required=True)
-    p_scan.add_argument("--q", type=float, required=True)
-    p_scan.add_argument("--Q", type=float, required=True)
-    p_scan.add_argument("--A", type=float, required=True)
-    p_scan.add_argument("--omega3", type=float, default=1.0)
+    p_eval = sub.add_parser("rtbp-eval", parents=[model],
+                            help="model coefficients and stability verdict")
+    p_eval.add_argument("--omega1", type=float, required=True)
+
+    p_scan = sub.add_parser("rtbp-scan", parents=[model],
+                            help="determinant over an omega1 grid")
     p_scan.add_argument("--grid", type=_parse_grid, required=True,
                         metavar="LO:HI:STEPS")
     p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_scan.add_argument("--d2-tolerance", type=float, default=None)
-    p_scan.add_argument("--max-half-order", type=int, default=None)
-    p_scan.add_argument("--output", default=None)
 
     return parser
 
@@ -146,9 +144,9 @@ def _run_normalize(args) -> int:
 
 
 def _run_closed_form(args) -> int:
-    coeffs = CubicQuarticCoefficients(a1=args.a1, a2=args.a2, a3=args.a3,
-                                      a4=args.a4, b1=args.b1, b3=args.b3,
-                                      b5=args.b5)
+    coeffs = CubicQuarticCoefficients(**{
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(CubicQuarticCoefficients)})
     freqs = Frequencies(args.omega1, args.omega3)
     # d2_closed first: it names an overflow of the forms, which the K
     # functions alone would raise as a bare OverflowError
@@ -174,14 +172,9 @@ def _run_rtbp_eval(args) -> int:
     result = d2_eval(params, args.omega1, args.omega3, args.max_half_order)
     verdict = verdict_from_d2(result.value, args.omega1, args.omega3,
                               args.d2_tolerance, pole_flags=result.flags)
-    coeffs = result.coefficients
     payload = {
-        "params": {"mu": params.mu, "q": params.q, "Q": params.Q, "A": params.A},
-        "coefficients": {
-            "a": coeffs.a, "c": coeffs.c,
-            "a1": coeffs.a1, "a2": coeffs.a2, "a3": coeffs.a3, "a4": coeffs.a4,
-            "b1": coeffs.b1, "b3": coeffs.b3, "b5": coeffs.b5,
-        },
+        "params": dataclasses.asdict(params),
+        "coefficients": dataclasses.asdict(result.coefficients),
         "verdict": verdict.to_json_dict(),
     }
     _emit(_json_text(payload), args.output)
@@ -222,31 +215,25 @@ _HANDLERS = {
 }
 
 
+def _fail(code: int, document: dict) -> int:
+    """Write an error document to stderr and return its exit code."""
+    sys.stderr.write(_json_text(document) + "\n")
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except ResonanceError as err:
-        sys.stderr.write(_json_text({
-            "error": "resonance",
-            "message": str(err),
-            "exponents": list(err.exponents),
-            "divisor": err.divisor,
-        }) + "\n")
-        return RESONANCE_ERROR
+        return _fail(RESONANCE_ERROR, {"error": "resonance", "message": str(err),
+                                       "exponents": list(err.exponents),
+                                       "divisor": err.divisor})
     except PoleError as err:
-        sys.stderr.write(_json_text({
-            "error": "resonance",
-            "message": str(err),
-            "relation": err.relation,
-        }) + "\n")
-        return RESONANCE_ERROR
+        return _fail(RESONANCE_ERROR, {"error": "resonance", "message": str(err),
+                                       "relation": err.relation})
     except (ValueError, OverflowError, OSError) as err:
-        sys.stderr.write(_json_text({
-            "error": "domain",
-            "message": str(err),
-        }) + "\n")
-        return DOMAIN_ERROR
+        return _fail(DOMAIN_ERROR, {"error": "domain", "message": str(err)})
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
-"""Tabulated degree-4 normal-form coefficients for the cubic/quartic model.
+"""The cubic/quartic model: its coefficients, its Hamiltonian and the
+tabulated degree-4 normal-form coefficients.
 
-These are the closed forms tabulated for a Hamiltonian whose cubic part is
-a1*u^3 + a2*u^2*v + a3*u*v^2 + a4*v^3 and whose quartic part is
-b1*u^4 + b3*u^2*v^2 + b5*v^4 on top of two harmonic modes.  They are kept
-verbatim as the fast path for parameter scans and as the compatibility target
-for reproducing historical stability curves.
+The model Hamiltonian has the cubic part a1*u^3 + a2*u^2*v + a3*u*v^2 + a4*v^3
+and the quartic part b1*u^4 + b3*u^2*v^2 + b5*v^4 on top of two harmonic
+modes; :func:`build_model_hamiltonian` writes it out for the engine.  The
+closed forms tabulated for it are kept verbatim as the fast path for
+parameter scans and as the compatibility target for reproducing historical
+stability curves.
 
 The quadratic-in-cubic sectors of these forms disagree with the Lie-transform
 engine in :mod:`birkhoff.normalform`; see DISCREPANCIES.md for the term-by-term
@@ -22,7 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .polyalg import Frequencies
+from .polyalg import CanonicalPolynomial, Frequencies, GradedHamiltonian
+
 
 class DeterminantOverflowError(ValueError):
     """The determinant is not representable as a finite double at this point."""
@@ -61,12 +64,51 @@ class CubicQuarticCoefficients:
             b1=lam * lam * self.b1, b3=lam * lam * self.b3, b5=lam * lam * self.b5)
 
 
+def build_model_hamiltonian(coeffs: CubicQuarticCoefficients,
+                            freqs: Frequencies) -> GradedHamiltonian:
+    """Real-chart Hamiltonian for the cubic/quartic model.
+
+    H2 = (w1/2)(u^2 + pu^2) + (w3/2)(v^2 + pv^2), H3 = a1 u^3 + a2 u^2 v
+    + a3 u v^2 + a4 v^3, H4 = b1 u^4 + b3 u^2 v^2 + b5 v^4, with u, v the
+    position-like variables of the planar and vertical modes.  Accepts any
+    object carrying a1..a4, b1, b3, b5 attributes.
+    """
+    w1, w3 = freqs.omega1, freqs.omega3
+    h2 = CanonicalPolynomial({
+        (2, 0, 0, 0): 0.5 * w1, (0, 2, 0, 0): 0.5 * w1,
+        (0, 0, 2, 0): 0.5 * w3, (0, 0, 0, 2): 0.5 * w3,
+    })
+    h3 = CanonicalPolynomial({
+        (3, 0, 0, 0): float(coeffs.a1),
+        (2, 0, 1, 0): float(coeffs.a2),
+        (1, 0, 2, 0): float(coeffs.a3),
+        (0, 0, 3, 0): float(coeffs.a4),
+    })
+    h4 = CanonicalPolynomial({
+        (4, 0, 0, 0): float(coeffs.b1),
+        (2, 0, 2, 0): float(coeffs.b3),
+        (0, 0, 4, 0): float(coeffs.b5),
+    })
+    return GradedHamiltonian({2: h2, 3: h3, 4: h4}, freqs)
+
+
+def _raise_pole(name: str, lead: float, relation: str, freqs: Frequencies):
+    """A zero denominator whose two terms cancel is a pole on relation; one
+    whose terms both underflow to 0 is a DeterminantOverflowError."""
+    if lead == 0.0:
+        raise DeterminantOverflowError(
+            f"the denominator of {name} underflows at omega1={freqs.omega1!r}, "
+            f"omega3={freqs.omega3!r}")
+    raise PoleError(relation)
+
+
 def k2200(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
     """Coefficient of (X1 Y1)^2; pole on omega3 = 2*omega1."""
     w1, w3 = freqs.omega1, freqs.omega3
-    den = 16.0 * w1 ** 3 * w3 - 4.0 * w1 * w3 ** 3
+    lead = 16.0 * w1 ** 3 * w3
+    den = lead - 4.0 * w1 * w3 ** 3
     if den == 0.0:
-        raise PoleError("omega3 = 2*omega1")
+        _raise_pole("K2200", lead, "omega3 = 2*omega1", freqs)
     num = ((5.0 * c.a1 ** 2 - 6.0 * c.b1 * w1) * w3 * (4.0 * w1 ** 2 - w3 ** 2)
            + 2.0 * c.a2 ** 2 * w1 * (4.0 * w1 ** 2 + w1 * w3 - w3 ** 2))
     return num / den
@@ -91,9 +133,10 @@ def k1111(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
 def k0022(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
     """Coefficient of (X2 Y2)^2; pole on omega1 = 2*omega3."""
     w1, w3 = freqs.omega1, freqs.omega3
-    den = w1 ** 2 - 4.0 * w3 ** 2
+    lead = w1 ** 2
+    den = lead - 4.0 * w3 ** 2
     if den == 0.0:
-        raise PoleError("omega1 = 2*omega3")
+        _raise_pole("K0022", lead, "omega1 = 2*omega3", freqs)
     return 0.125 * (-12.0 * c.b5
                     + 10.0 * c.a4 ** 2 / w3
                     + c.a3 ** 2 * (4.0 / w1 + 2.0 * w1 / den))
@@ -124,29 +167,38 @@ def d2_expanded(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
                    / (-4.0 * w1 ** 2 + w3 ** 2))
 
 
+def _overflow(freqs: Frequencies, why: str = "an intermediate power is not a "
+              "finite double") -> DeterminantOverflowError:
+    return DeterminantOverflowError(
+        f"determinant overflows at omega1={freqs.omega1!r}, "
+        f"omega3={freqs.omega3!r} ({why})")
+
+
 def d2_from_k(k2200: float, k1111: float, k0022: float, freqs: Frequencies) -> float:
-    """Arnold determinant from the three resonant degree-4 coefficients."""
-    return -(k2200 * freqs.omega3 ** 2
-             + k1111 * freqs.omega1 * freqs.omega3
-             + k0022 * freqs.omega1 ** 2)
+    """Arnold determinant from the three resonant degree-4 coefficients.
+
+    Raises DeterminantOverflowError (a ValueError) when the value, or a power
+    of a frequency on the way to it, is not finite, so no nan or inf reaches
+    a caller.
+    """
+    try:
+        value = -(k2200 * freqs.omega3 ** 2
+                  + k1111 * freqs.omega1 * freqs.omega3
+                  + k0022 * freqs.omega1 ** 2)
+    except OverflowError as err:
+        raise _overflow(freqs) from err
+    if not math.isfinite(value):
+        raise _overflow(freqs, f"got {value!r}")
+    return value
 
 
 def d2_closed(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
     """-(k2200*w3^2 + k1111*w1*w3 + k0022*w1^2) from the tabulated coefficients.
 
-    Raises DeterminantOverflowError (a ValueError) when the composed value,
-    or a power of a coefficient or frequency on the way to it, is not finite,
-    so no nan or inf reaches a caller.
+    Raises DeterminantOverflowError as d2_from_k does, and also when a power
+    of a coefficient inside the tabulated forms overflows.
     """
     try:
-        value = d2_from_k(k2200(c, freqs), k1111(c, freqs), k0022(c, freqs), freqs)
+        return d2_from_k(k2200(c, freqs), k1111(c, freqs), k0022(c, freqs), freqs)
     except OverflowError as err:
-        raise DeterminantOverflowError(
-            f"determinant overflows at omega1={freqs.omega1!r}, "
-            f"omega3={freqs.omega3!r} (an intermediate power is not a "
-            f"finite double)") from err
-    if not math.isfinite(value):
-        raise DeterminantOverflowError(
-            f"determinant overflows at omega1={freqs.omega1!r}, "
-            f"omega3={freqs.omega3!r} (got {value!r})")
-    return value
+        raise _overflow(freqs) from err

@@ -4,8 +4,9 @@ The generator is built term by term from the homological rule: a monomial
 X1^j Y1^l X2^r Y2^s with coefficient A is cancelled by a generator term with
 coefficient i*A / (omega1*(l - j) + omega3*(s - r)).  Monomials with j = l and
 r = s have a vanishing denominator, cannot be cancelled, and survive into the
-normal form.  The degree-4 stage uses the standard second-order combination
-K4 = H4 + (1/2){H3 + K3, w3deg} + {H2, w4deg}, with the w4deg contribution
+normal form.  No cubic monomial is resonant (its degree is odd), so K3 = 0
+and the degree-4 stage uses the standard second-order combination
+K4 = H4 + (1/2){H3, w3deg} + {H2, w4deg}, with the w4deg contribution
 realized implicitly by discarding the cancelled terms.
 
 The stability determinant is D2 = -(K2200*omega3^2 + K1111*omega1*omega3
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .closedform import d2_from_k
+from .closedform import CubicQuarticCoefficients, build_model_hamiltonian, d2_from_k
 from .polyalg import (
     COMPLEX_CHART,
     CanonicalPolynomial,
@@ -170,10 +171,9 @@ def normalize(ham: GradedHamiltonian) -> NormalFormReport:
     _check_diagonal_quadratic(h2, freqs)
 
     h3 = ham.part(3)
-    w_deg3, k3, flags3 = _eliminate(h3, freqs, flag_window)
+    w_deg3, _, flags3 = _eliminate(h3, freqs, flag_window)  # nothing of h3 survives
 
-    # standard second-order combination; k3 is empty (no cubic is resonant)
-    source4 = ham.part(4) + 0.5 * poisson_bracket(h3 + k3, w_deg3)
+    source4 = ham.part(4) + 0.5 * poisson_bracket(h3, w_deg3)
     w_deg4, k4, flags4 = _eliminate(source4, freqs, flag_window)
 
     targets = {(2, 2, 0, 0): None, (1, 1, 1, 1): None, (0, 0, 2, 2): None}
@@ -195,7 +195,7 @@ def normalize(ham: GradedHamiltonian) -> NormalFormReport:
         d2=d2_from_k(k2200, k1111, k0022, freqs),
         resonance_flags=tuple(flags3 + flags4),
         generating=GradedHamiltonian({3: w_deg3, 4: w_deg4}, freqs),
-        kamiltonian=GradedHamiltonian({2: h2, 3: k3, 4: k4}, freqs),
+        kamiltonian=GradedHamiltonian({2: h2, 4: k4}, freqs),
         max_imag_residual=worst_imag,
     )
 
@@ -203,20 +203,13 @@ def normalize(ham: GradedHamiltonian) -> NormalFormReport:
 def frequency_shift_1dof(omega: float, a: float, b: float) -> float:
     """Action-squared coefficient of the normal form of (w/2)(q^2+p^2) + a q^3 + b q^4.
 
-    Runs the engine with the second mode switched off (its frequency is a
-    dummy; no mixed terms exist).  The predicted orbital frequency at action J
-    is omega + 2*c2*J + O(J^2) where c2 is the returned value.
+    Runs the engine on the cubic/quartic model with a1 = a, b1 = b and the
+    second mode switched off (its frequency is a dummy; no mixed terms
+    exist); a and b must be finite.  The predicted orbital frequency at
+    action J is omega + 2*c2*J + O(J^2) where c2 is the returned value.
     """
-    freqs = Frequencies(omega, 1.0)
-    q1_sq = CanonicalPolynomial({(2, 0, 0, 0): 1.0})
-    p1_sq = CanonicalPolynomial({(0, 2, 0, 0): 1.0})
-    q2_sq = CanonicalPolynomial({(0, 0, 2, 0): 1.0})
-    p2_sq = CanonicalPolynomial({(0, 0, 0, 2): 1.0})
-    parts = {2: 0.5 * omega * (q1_sq + p1_sq) + 0.5 * (q2_sq + p2_sq)}
-    if a:
-        parts[3] = CanonicalPolynomial({(3, 0, 0, 0): float(a)})
-    if b:
-        parts[4] = CanonicalPolynomial({(4, 0, 0, 0): float(b)})
-    report = normalize(GradedHamiltonian(parts, freqs))
+    ham = build_model_hamiltonian(CubicQuarticCoefficients(a1=a, b1=b),
+                                  Frequencies(omega, 1.0))
+    report = normalize(ham)
     # K4 = k2200*(X1 Y1)^2 with X1 Y1 = -i J, so K(J) = omega*J - k2200*J^2
     return -report.k2200

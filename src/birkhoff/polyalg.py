@@ -45,11 +45,20 @@ def _validate_exponents(exponents) -> Exponents:
 
 
 def _clean_terms(terms: Mapping[Exponents, complex]) -> dict[Exponents, complex]:
+    """The nonzero terms, floating-point ones purged below ZERO_TOLERANCE of the
+    largest; an infinite or nan floating-point coefficient raises ValueError."""
     nonzero = {e: c for e, c in terms.items() if c != 0}
     if not nonzero:
         return {}
     if any(isinstance(c, (float, complex)) for c in nonzero.values()):
-        cutoff = ZERO_TOLERANCE * max(abs(c) for c in nonzero.values())
+        largest = 0.0
+        for e, c in nonzero.items():
+            size = abs(c)
+            if not size < math.inf:  # inf or nan
+                raise ValueError(f"coefficient {c!r} of the monomial {e} is not finite")
+            if size > largest:
+                largest = size
+        cutoff = ZERO_TOLERANCE * largest
         nonzero = {e: c for e, c in nonzero.items() if abs(c) > cutoff}
     return nonzero
 

@@ -2,9 +2,9 @@
 
 Evaluates the truncated expansions of the model constants (a, c) and of the
 cubic/quartic Hamiltonian coefficients (a1..a4, b1, b3, b5) in powers of
-sqrt(A), builds the model Hamiltonian for the normal-form engine, evaluates
-the stability determinant over frequency grids, and issues the stability
-verdict.
+sqrt(A), evaluates the stability determinant over frequency grids, and issues
+the stability verdict.  The model Hamiltonian itself is built by
+:func:`birkhoff.closedform.build_model_hamiltonian`.
 
 The expansions are transcribed literally, term by term, from their tabulated
 form; square roots of squares are simplified with sqrt(x^2) = |x| while the
@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple
 
 from .closedform import CubicQuarticCoefficients, PoleError, d2_closed
 from .normalform import DIVISOR_REL_TOL
-from .polyalg import CanonicalPolynomial, Frequencies, GradedHamiltonian
+from .polyalg import Frequencies
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -89,28 +89,27 @@ class CoefficientSet(CubicQuarticCoefficients):
 
 # -- expansion term tables ----------------------------------------------------
 # Each _series_* returns {half_order: coefficient of A**(half_order/2)}.
-# s1m stands for sqrt((1-mu)^2) == sqrt((-1+mu)^2) == |1-mu| and am for
-# sqrt(mu^2) == |mu|; odd powers of (mu - 1) stay negative as printed.
+# Every one takes the same arguments, computed once by coefficient_series:
+# s1m stands for sqrt((1-mu)^2) == sqrt((-1+mu)^2) == |1-mu|, am for
+# sqrt(mu^2) == |mu| and m1 for mu - 1, whose odd powers stay negative as
+# printed.
 
 
-def _series_a(mu, q, Q):
+def _series_a(mu, q, Q, s1m, am, m1):
     return {
         0: 1.0 - mu,
         3: 6.0 * _SQRT3 * (1.0 - mu) * (1.0 - q) / (mu * Q),
     }
 
 
-def _series_c(mu, q, Q):
+def _series_c(mu, q, Q, s1m, am, m1):
     return {
         1: _SQRT3,
         4: -9.0 * (1.0 - mu) * q / (mu * Q),
     }
 
 
-def _series_a1(mu, q, Q):
-    s1m = abs(1.0 - mu)
-    am = abs(mu)
-    m1 = mu - 1.0
+def _series_a1(mu, q, Q, s1m, am, m1):
     h0 = ((-q * mu ** 4 + Q * s1m * am - 2.0 * Q * s1m * mu * am
            + Q * s1m * am ** 3)
           / (m1 ** 2 * s1m * mu ** 4))
@@ -135,10 +134,7 @@ def _series_a1(mu, q, Q):
     return {0: h0, 2: h2, 3: h3, 4: h4}
 
 
-def _series_a2(mu, q, Q):
-    s1m = abs(1.0 - mu)
-    am = abs(mu)
-    m1 = mu - 1.0
+def _series_a2(mu, q, Q, s1m, am, m1):
     h1 = (-6.0 * _SQRT3 * q / s1m ** 5
           + 15.0 * _SQRT3 * q * mu / (2.0 * s1m ** 5)
           - 3.0 * _SQRT3 * q * s1m * mu / (2.0 * (1.0 - mu) ** 6)
@@ -155,9 +151,7 @@ def _series_a2(mu, q, Q):
     return {1: h1, 3: h3, 4: h4}
 
 
-def _series_a3(mu, q, Q):
-    s1m = abs(1.0 - mu)
-    am = abs(mu)
+def _series_a3(mu, q, Q, s1m, am, m1):
     h0 = (3.0 * q * (1.0 - mu) / (2.0 * s1m ** 5)
           - 3.0 * q * (1.0 - mu) * mu / (2.0 * s1m ** 5)
           - 3.0 * Q * am / (2.0 * mu ** 4))
@@ -180,10 +174,7 @@ def _series_a3(mu, q, Q):
     return {0: h0, 2: h2, 3: h3, 4: h4}
 
 
-def _series_a4(mu, q, Q):
-    s1m = abs(1.0 - mu)
-    am = abs(mu)
-    m1 = mu - 1.0
+def _series_a4(mu, q, Q, s1m, am, m1):
     h1 = (3.0 * _SQRT3 * q / (2.0 * s1m ** 5)
           - 3.0 * _SQRT3 * q * s1m * mu / (2.0 * (1.0 - mu) ** 6)
           + 3.0 * _SQRT3 * Q * am / (2.0 * mu ** 5))
@@ -220,10 +211,7 @@ def _mixed_inner_quartic(mu, q, Q, s1m, am):
             + Q * s1m * mu ** 7 * am - 21.0 * Q * s1m * am ** 3)
 
 
-def _series_b1(mu, q, Q):
-    s1m = abs(1.0 - mu)
-    am = abs(mu)
-    m1 = mu - 1.0
+def _series_b1(mu, q, Q, s1m, am, m1):
     h0 = ((-q * mu ** 5 - Q * s1m * am + 3.0 * Q * s1m * mu * am
            + Q * s1m * mu ** 3 * am - 3.0 * Q * s1m * am ** 3)
           / (m1 ** 3 * s1m * mu ** 5))
@@ -237,10 +225,7 @@ def _series_b1(mu, q, Q):
     return {0: h0, 2: h2, 3: h3, 4: h4}
 
 
-def _series_b3(mu, q, Q):
-    s1m = abs(1.0 - mu)
-    am = abs(mu)
-    m1 = mu - 1.0
+def _series_b3(mu, q, Q, s1m, am, m1):
     h0 = (-3.0 * q / s1m ** 5
           + 3.0 * q * mu / s1m ** 5
           + 15.0 * Q * am / (4.0 * mu ** 7)
@@ -260,9 +245,7 @@ def _series_b3(mu, q, Q):
     return {0: h0, 2: h2, 3: h3, 4: h4}
 
 
-def _series_b5(mu, q, Q):
-    s1m = abs(1.0 - mu)
-    am = abs(mu)
+def _series_b5(mu, q, Q, s1m, am, m1):
     h0 = (3.0 * q / (8.0 * s1m ** 5)
           - 3.0 * q * mu / (8.0 * s1m ** 5)
           + 3.0 * Q * am / (8.0 * mu ** 5))
@@ -307,8 +290,9 @@ def coefficient_series(params: ModelParams) -> dict[str, dict[int, float]]:
     quotient overflows, raises ModelDomainError.
     """
     mu, q, Q = params.mu, params.q, params.Q
+    shared = (abs(1.0 - mu), abs(mu), mu - 1.0)
     try:
-        return {name: fn(mu, q, Q) for name, fn in _SERIES.items()}
+        return {name: fn(mu, q, Q, *shared) for name, fn in _SERIES.items()}
     except (ZeroDivisionError, OverflowError) as err:
         raise ModelDomainError(
             f"the expansions are not representable as doubles at "
@@ -338,33 +322,6 @@ def coefficients(params: ModelParams,
         raise ModelDomainError(
             f"a power of A = {params.A!r} is not a finite double") from err
     return CoefficientSet(**values)
-
-
-def build_model_hamiltonian(coeffs, freqs: Frequencies) -> GradedHamiltonian:
-    """Real-chart Hamiltonian for the cubic/quartic model.
-
-    H2 = (w1/2)(u^2 + pu^2) + (w3/2)(v^2 + pv^2), H3 = a1 u^3 + a2 u^2 v
-    + a3 u v^2 + a4 v^3, H4 = b1 u^4 + b3 u^2 v^2 + b5 v^4, with u, v the
-    position-like variables of the planar and vertical modes.  Accepts any
-    object carrying a1..a4, b1, b3, b5 attributes.
-    """
-    w1, w3 = freqs.omega1, freqs.omega3
-    h2 = CanonicalPolynomial({
-        (2, 0, 0, 0): 0.5 * w1, (0, 2, 0, 0): 0.5 * w1,
-        (0, 0, 2, 0): 0.5 * w3, (0, 0, 0, 2): 0.5 * w3,
-    })
-    h3 = CanonicalPolynomial({
-        (3, 0, 0, 0): float(coeffs.a1),
-        (2, 0, 1, 0): float(coeffs.a2),
-        (1, 0, 2, 0): float(coeffs.a3),
-        (0, 0, 3, 0): float(coeffs.a4),
-    })
-    h4 = CanonicalPolynomial({
-        (4, 0, 0, 0): float(coeffs.b1),
-        (2, 0, 2, 0): float(coeffs.b3),
-        (0, 0, 4, 0): float(coeffs.b5),
-    })
-    return GradedHamiltonian({2: h2, 3: h3, 4: h4}, freqs)
 
 
 # -- determinant evaluation and verdicts --------------------------------------

@@ -108,6 +108,15 @@ class TestClosedFormCommand:
         assert payload["error"] == "resonance"
         assert "omega1 = 2*omega3" in payload["relation"]
 
+    def test_underflowing_denominator_is_domain_error(self, capsys):
+        # omega3 = 2*omega1 does not hold; both terms of the K2200 denominator are 0
+        code, out, err = run(capsys, ["closed-form", "--a1", "1", "--omega1", "1e-100",
+                                      "--omega3", "1e-100"])
+        assert (code, out) == (3, "")
+        payload = json.loads(err)
+        assert payload["error"] == "domain"
+        assert "underflows" in payload["message"]
+
 
 class TestNormalizeCommand:
     def test_quadratic_only_hamiltonian(self, capsys, tmp_path):
@@ -224,6 +233,21 @@ class TestNormalizeCommand:
         assert [1, 0, 0, 2] in [r["exponents"] for r in report["resonances"]]
         assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
+    def test_overflow_inside_the_engine_is_domain_error(self, capsys, tmp_path):
+        # the degree-4 source overflows; it used to vanish and the run exit 0
+        # with only the b1 term left in K2200
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(hamiltonian_payload((1.07, 0.41), [
+            {"exponents": [3, 0, 0, 0], "re": 1e200, "im": 0.0},
+            {"exponents": [1, 0, 2, 0], "re": 1e200, "im": 0.0},
+            {"exponents": [4, 0, 0, 0], "re": 1.0, "im": 0.0},
+        ])))
+        code, out, err = run(capsys, ["normalize", "--input", str(path)])
+        assert (code, out) == (3, "")
+        payload = json.loads(err)
+        assert payload["error"] == "domain"
+        assert "of the monomial (" in payload["message"]
+
     def test_missing_input_is_domain_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["normalize", "--input",
                                     str(tmp_path / "missing.json")])
@@ -274,6 +298,14 @@ class TestRtbpEvalCommand:
         with pytest.raises(SystemExit) as exc:
             main(["rtbp-eval", "--mu", "0.1"])
         assert exc.value.code == 2
+
+    def test_underflowing_denominator_is_domain_error(self, capsys):
+        code, out, err = run(capsys, ["rtbp-eval", *REF_FLAGS, "--omega1", "1e-100",
+                                      "--omega3", "1e-100"])
+        assert (code, out) == (3, "")
+        payload = json.loads(err)
+        assert payload["error"] == "domain"
+        assert "underflows" in payload["message"]
 
 
 class TestRtbpScanCommand:
@@ -330,6 +362,14 @@ class TestRtbpScanCommand:
         assert code == 3
         assert out == ""
         assert json.loads(err)["error"] == "domain"
+
+    def test_underflowing_denominator_is_domain_error(self, capsys):
+        code, out, err = run(capsys, ["rtbp-scan", *REF_FLAGS, "--omega3", "1e-100",
+                                      "--grid", "1e-101:2e-100:3"])
+        assert (code, out) == (3, "")
+        payload = json.loads(err)
+        assert payload["error"] == "domain"
+        assert "underflows" in payload["message"]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_overflowing_scan_writes_nothing(self, capsys, tmp_path, fmt):

@@ -1,4 +1,5 @@
-"""Property tests of the CLI's exit-code contract over extreme numeric flags.
+"""Property tests of the CLI's exit-code contract over extreme numeric flags
+and over arbitrary Hamiltonian files.
 
 Every run ends with exit 0, 2, 3 or 4.  Exit 0 writes no NaN or Infinity
 token; exits 3 and 4 write a JSON error document whose kind matches the code,
@@ -7,6 +8,7 @@ and no domain message is a bare errno tuple.
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import re
@@ -14,7 +16,7 @@ import re
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from birkhoff.cli import main  # noqa: E402
 
@@ -64,16 +66,24 @@ def check_contract(argv, fmt="json"):
         assert isinstance(payload, dict)
         assert payload["error"] == ERROR_KINDS[code], (argv, payload)
         assert not ERRNO_TUPLE.fullmatch(payload["message"]), (argv, payload)
+    return code, err
 
 
 @CONTRACT
 @given(st.dictionaries(st.sampled_from(["a1", "a2", "a3", "a4", "b1", "b3", "b5"]),
                        NUMBERS, max_size=7),
        NUMBERS, NUMBERS, FORMATS)
+@example({"a1": 1.0}, 1e-100, 1e-100, "json")  # both denominator terms underflow
 def test_closed_form(coefficients, omega1, omega3, fmt):
     argv = ["closed-form", *(flag(k, v) for k, v in coefficients.items()),
             flag("omega1", omega1), flag("omega3", omega3), f"--format={fmt}"]
-    check_contract(argv, fmt)
+    code, err = check_contract(argv, fmt)
+    if code == 4:
+        # the named relation holds for the given floats, up to the few ulps
+        # within which the K2200 denominator can cancel
+        lhs, rhs = {"omega3 = 2*omega1": (omega3, 2.0 * omega1),
+                    "omega1 = 2*omega3": (omega1, 2.0 * omega3)}[json.loads(err)["relation"]]
+        assert math.isclose(lhs, rhs, rel_tol=1e-15), (argv, err)
 
 
 @CONTRACT
@@ -91,6 +101,89 @@ def test_rtbp_scan(lo, hi, steps, omega3, fmt):
     argv = ["rtbp-scan", *MODEL, f"--grid={lo!r}:{hi!r}:{steps}",
             flag("omega3", omega3), f"--format={fmt}"]
     check_contract(argv, fmt)
+
+
+# -- Hamiltonian files through `birkhoff normalize` ---------------------------
+
+NICE_FREQUENCY = st.floats(min_value=0.05, max_value=3.0)
+FREQUENCY_PAIRS = (st.tuples(NICE_FREQUENCY, NICE_FREQUENCY)
+                   # exact low-order resonances: some divisor vanishes
+                   | st.sampled_from([(1.0, 2.0), (2.0, 1.0), (1.0, 1.0), (3.0, 1.0)])
+                   | st.tuples(EXTREMES | NICE_FREQUENCY, EXTREMES | NICE_FREQUENCY))
+COEFFICIENTS = EXTREMES | st.floats() | st.floats(min_value=-2.0, max_value=2.0)
+WRONG_TYPES = st.sampled_from([None, True, "2.0", [1.0], {"re": 1.0}])
+CUBIC_AND_QUARTIC = [list(e) for e in itertools.product(range(5), repeat=4)
+                     if sum(e) in (3, 4)]
+WELL_FORMED_TERMS = st.fixed_dictionaries(
+    {"exponents": st.sampled_from(CUBIC_AND_QUARTIC),
+     "re": st.floats(min_value=-2.0, max_value=2.0)},
+    optional={"im": st.floats(min_value=-2.0, max_value=2.0)})
+ANY_TERMS = st.fixed_dictionaries({}, optional={
+    "exponents": st.lists(st.integers(min_value=-1, max_value=5) | WRONG_TYPES
+                          | st.just(3.9), max_size=5),
+    "re": COEFFICIENTS | WRONG_TYPES,
+    "im": COEFFICIENTS | WRONG_TYPES,
+})
+
+
+def harmonic_terms(chart, w1, w3):
+    """The quadratic part normalize requires, in the file's chart."""
+    if chart == "complex":
+        return [{"exponents": [1, 1, 0, 0], "im": w1},
+                {"exponents": [0, 0, 1, 1], "im": w3}]
+    return [{"exponents": [2, 0, 0, 0], "re": w1 / 2},
+            {"exponents": [0, 2, 0, 0], "re": w1 / 2},
+            {"exponents": [0, 0, 2, 0], "re": w3 / 2},
+            {"exponents": [0, 0, 0, 2], "re": w3 / 2}]
+
+
+@st.composite
+def hamiltonian_files(draw):
+    """Mostly valid files of either chart, some with one bad term or field."""
+    chart = draw(st.sampled_from(["real", "complex"]))
+    w1, w3 = draw(FREQUENCY_PAIRS)
+    terms = harmonic_terms(chart, w1, w3) if draw(st.integers(0, 3)) else []
+    terms += draw(st.lists(WELL_FORMED_TERMS, max_size=8))
+    if draw(st.integers(0, 3)) == 0:
+        terms.insert(draw(st.integers(0, len(terms))), draw(ANY_TERMS))
+    payload = {"dof": 2, "chart": chart, "frequencies": [w1, w3], "terms": terms}
+    field = draw(st.sampled_from([None] * 8 + ["dof", "chart", "frequencies", "terms"]))
+    if field is not None:
+        if draw(st.booleans()):
+            del payload[field]
+        else:
+            payload[field] = draw(WRONG_TYPES | st.just([w1]) | st.just([]))
+    if draw(st.integers(0, 19)) == 0:
+        payload = draw(WRONG_TYPES)
+    return payload
+
+
+def model_file(w1, w3, *terms):
+    return {"dof": 2, "chart": "real", "frequencies": [w1, w3],
+            "terms": [*harmonic_terms("real", w1, w3),
+                      *({"exponents": e, "re": re} for e, re in terms)]}
+
+
+@pytest.fixture(scope="module")
+def hamiltonian_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("normalize") / "h.json"
+
+
+@CONTRACT
+@given(hamiltonian_files(), st.just(True))
+# the degree-4 source overflows a double: this used to exit 0, with the b1
+# term alone in K2200
+@example(model_file(1.07, 0.41, ([3, 0, 0, 0], 1e200), ([1, 0, 2, 0], 1e200),
+                    ([4, 0, 0, 0], 1.0)), False)
+# omega3**2 overflows in D2: this used to exit 3 with a bare errno tuple
+@example(model_file(1e308, 1e308), True)
+@example({"dof": 2, "chart": "complex", "frequencies": [1.0, 3.0], "terms": []}, True)
+def test_normalize(hamiltonian_path, payload, may_succeed):
+    # json.dumps writes nan and infinities as NaN and Infinity, which json.load reads
+    hamiltonian_path.write_text(json.dumps(payload))
+    code, _ = check_contract(["normalize", "--input", str(hamiltonian_path)])
+    assert code != 2
+    assert may_succeed or code != 0, payload
 
 
 def test_errno_text_is_recognised():

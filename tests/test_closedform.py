@@ -49,6 +49,12 @@ class TestK2200:
         assert err.value.relation == "omega3 = 2*omega1"
 
 
+    def test_underflowing_denominator_is_not_a_pole(self):
+        # both terms of 16*w1^3*w3 - 4*w1*w3^3 are 0, and omega3 != 2*omega1
+        with pytest.raises(DeterminantOverflowError, match="K2200 underflows"):
+            k2200(coeffs(a1=1.0), Frequencies(1e-100, 1e-100))
+
+
 class TestK1111:
     def test_pure_quartic_value(self):
         assert k1111(coeffs(b3=1.0), Frequencies(1.3, 0.6)) == pytest.approx(-1.0)
@@ -80,6 +86,11 @@ class TestK0022:
     def test_pole(self):
         with pytest.raises(PoleError):
             k0022(coeffs(a3=1.0), Frequencies(2.0, 1.0))
+
+    def test_underflowing_denominator_is_not_a_pole(self):
+        # w1^2 and 4*w3^2 are both 0, and omega1 != 2*omega3
+        with pytest.raises(DeterminantOverflowError, match="K0022 underflows"):
+            k0022(coeffs(b5=1.0), Frequencies(1e-200, 1e-200))
 
 
 class TestDeterminant:
@@ -181,3 +192,12 @@ class TestDeterminant:
         with pytest.raises(DeterminantOverflowError):
             d2_closed(coeffs(a1=1.0), Frequencies(1e-320, 1.0))
         assert issubclass(DeterminantOverflowError, ValueError)
+
+    @pytest.mark.parametrize("ks, freqs", [
+        ((1.0, 0.0, 0.0), (1.0, 1e200)),  # omega3**2 overflows: it raised errno text
+        ((1e300, 0.0, 0.0), (1.0, 1e10)),  # the product is inf
+    ])
+    def test_overflowing_composition_raises_domain_error(self, ks, freqs):
+        # d2_from_k is the engine's route too, so normalize cannot report an inf D2
+        with pytest.raises(DeterminantOverflowError, match="determinant overflows"):
+            d2_from_k(*ks, Frequencies(*freqs))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -210,6 +211,12 @@ class TestNormalize:
         report = normalize(build_model_hamiltonian(coeffs, freqs).complexify())
         assert report.d2 == d2_from_k(report.k2200, report.k1111, report.k0022, freqs)
 
+    def test_overflow_inside_the_engine_raises(self):
+        # {H3, w3deg} overflows a double; it used to vanish, leaving the b1 term
+        coeffs = CubicQuarticCoefficients(a1=1e200, a3=1e200, b1=1.0)
+        with pytest.raises(ValueError, match="not finite"):
+            normalize(build_model_hamiltonian(coeffs, Frequencies(1.07, 0.41)))
+
     def test_degrees_above_four_are_ignored(self):
         h5 = CanonicalPolynomial({(5, 0, 0, 0): 1.0}, "complex")
         h4 = CanonicalPolynomial({(2, 2, 0, 0): 1.0}, "complex")
@@ -233,3 +240,19 @@ class TestFrequencyShift:
     def test_omega_must_be_positive(self):
         with pytest.raises(ValueError):
             frequency_shift_1dof(-1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("args, bits", [
+        ((1.3, 0.3, 0.7), "0x1.94ad4ad4ad4acp-1"),
+        ((1.3, 0.0, 0.7), "0x1.0ccccccccccccp+0"),
+        ((1.3, 0.3, 0.0), "-0x1.09d89d89d89d8p-2"),
+        ((1.3, 1e-3, 2.0), "0x1.7fffe7cd55ebep+1"),
+    ])
+    def test_values_are_those_of_the_hand_built_hamiltonian(self, args, bits):
+        # the floats the function returned when it built its squares by hand
+        assert frequency_shift_1dof(*args) == float.fromhex(bits)
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 0.7), (0.3, math.inf)], ids=repr)
+    def test_non_finite_coefficient_rejected(self, a, b):
+        # a nan a used to be skipped and the a = 0 value returned
+        with pytest.raises(ValueError, match="must be finite"):
+            frequency_shift_1dof(1.3, a, b)

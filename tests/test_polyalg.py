@@ -65,6 +65,19 @@ class TestArithmetic:
         f = poly({(1, 0, 0, 0): Fraction(1, 10 ** 20), (0, 1, 0, 0): Fraction(1)})
         assert len(f) == 2
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan,
+                                       complex(1.0, math.nan), complex(math.inf, 0.0)],
+                             ids=repr)
+    def test_non_finite_coefficient_raises_naming_its_monomial(self, value):
+        # an inf used to purge every term (the cutoff became inf), a nan itself
+        with pytest.raises(ValueError, match=r"monomial \(4, 0, 0, 0\)"):
+            poly({(4, 0, 0, 0): value, (2, 0, 0, 0): 1.0})
+
+    def test_overflowing_product_raises(self):
+        f = poly({(2, 0, 0, 0): 1e200, (0, 2, 0, 0): 1.0})
+        with pytest.raises(ValueError, match="not finite"):
+            f * f
+
     def test_chart_mismatch_rejected(self):
         f = poly({(1, 0, 0, 0): 1}, "real")
         g = poly({(1, 0, 0, 0): 1}, "complex")
