@@ -170,8 +170,7 @@ def _run_rtbp_eval(args) -> int:
     params = ModelParams(mu=args.mu, q=args.q, Q=args.Q, A=args.A)
     # one evaluation of the series serves both the verdict and the report
     result = d2_eval(params, args.omega1, args.omega3, args.max_half_order)
-    verdict = verdict_from_d2(result.value, args.omega1, args.omega3,
-                              args.d2_tolerance, pole_flags=result.flags)
+    verdict = verdict_from_d2(result.value, args.omega1, args.omega3, args.d2_tolerance)
     payload = {
         "params": dataclasses.asdict(params),
         "coefficients": dataclasses.asdict(result.coefficients),

@@ -22,6 +22,7 @@ expression; it is the reference that the tests and the benchmark check
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 from .polyalg import CanonicalPolynomial, Frequencies, GradedHamiltonian
@@ -94,8 +95,10 @@ def build_model_hamiltonian(coeffs: CubicQuarticCoefficients,
 
 def _raise_pole(name: str, lead: float, relation: str, freqs: Frequencies):
     """A zero denominator whose two terms cancel is a pole on relation; one
-    whose terms both underflow to 0 is a DeterminantOverflowError."""
-    if lead == 0.0:
+    whose leading term is 0 or subnormal is a DeterminantOverflowError, since
+    two terms that underflowed that far can round to the same value off the
+    relation."""
+    if abs(lead) < sys.float_info.min:
         raise DeterminantOverflowError(
             f"the denominator of {name} underflows at omega1={freqs.omega1!r}, "
             f"omega3={freqs.omega3!r}")

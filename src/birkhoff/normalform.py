@@ -84,8 +84,7 @@ class NormalFormReport:
     """Outcome of a degree-4 normalization.
 
     k2200/k1111/k0022 are the real parts of the surviving action-product
-    coefficients; max_imag_residual records the largest imaginary part seen
-    relative to the coefficient scale (it vanishes for Hamiltonians that come
+    coefficients (their imaginary parts vanish for Hamiltonians that come
     from a real chart).  generating holds the generator pieces of degree 3
     and 4, kamiltonian the normal form through degree 4.
     """
@@ -97,7 +96,6 @@ class NormalFormReport:
     resonance_flags: tuple[tuple[Exponents, float], ...]
     generating: GradedHamiltonian
     kamiltonian: GradedHamiltonian
-    max_imag_residual: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -176,17 +174,8 @@ def normalize(ham: GradedHamiltonian) -> NormalFormReport:
     source4 = ham.part(4) + 0.5 * poisson_bracket(h3, w_deg3)
     w_deg4, k4, flags4 = _eliminate(source4, freqs, flag_window)
 
-    targets = {(2, 2, 0, 0): None, (1, 1, 1, 1): None, (0, 0, 2, 2): None}
-    values = {}
-    scale = max(k4.max_abs_coefficient(), 1e-300)
-    worst_imag = 0.0
-    for e in targets:
-        c = complex(k4.coefficient(e))
-        values[e] = c.real
-        worst_imag = max(worst_imag, abs(c.imag) / scale)
-    k2200 = values[(2, 2, 0, 0)]
-    k1111 = values[(1, 1, 1, 1)]
-    k0022 = values[(0, 0, 2, 2)]
+    k2200, k1111, k0022 = (complex(k4.coefficient(e)).real
+                           for e in ((2, 2, 0, 0), (1, 1, 1, 1), (0, 0, 2, 2)))
 
     return NormalFormReport(
         k2200=k2200,
@@ -196,7 +185,6 @@ def normalize(ham: GradedHamiltonian) -> NormalFormReport:
         resonance_flags=tuple(flags3 + flags4),
         generating=GradedHamiltonian({3: w_deg3, 4: w_deg4}, freqs),
         kamiltonian=GradedHamiltonian({2: h2, 4: k4}, freqs),
-        max_imag_residual=worst_imag,
     )
 
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple
 
-from .closedform import CubicQuarticCoefficients, PoleError, d2_closed
+from .closedform import (CubicQuarticCoefficients, DeterminantOverflowError,
+                         PoleError, d2_closed)
 from .normalform import DIVISOR_REL_TOL
 from .polyalg import Frequencies
 
@@ -326,73 +327,48 @@ def coefficients(params: ModelParams,
 
 # -- determinant evaluation and verdicts --------------------------------------
 
-_POLE_RELATIONS = (
-    ("omega3 = 2*omega1", lambda w1, w3: 2.0 * w1 - w3),
-    ("omega1 = 2*omega3", lambda w1, w3: w1 - 2.0 * w3),
-)
-
-# low-order resonances that do not produce determinant poles but void the
-# stability criterion's hypotheses when hit essentially exactly
-_NONPOLE_RESONANCES = (
-    ("omega1 = omega3", lambda w1, w3: w1 - w3),
-    ("omega3 = 3*omega1", lambda w1, w3: 3.0 * w1 - w3),
-    ("omega1 = 3*omega3", lambda w1, w3: w1 - 3.0 * w3),
-)
+#: one-ulp steps up in omega1 that _d2_point takes at most to leave an exact
+#: pole of the closed forms
+POLE_NUDGE_STEPS = 4
 
 
 @dataclass(frozen=True)
 class D2Result:
-    """Determinant value with pole-proximity metadata."""
+    """Determinant value and the coefficients it was evaluated from."""
 
     value: float
-    flags: tuple[str, ...]
     coefficients: CoefficientSet
 
-    @property
-    def near_pole(self) -> bool:
-        return any(f.startswith("pole:") for f in self.flags)
 
-
-def _pole_flags(omega1: float, omega3: float) -> tuple[str, ...]:
-    guard = RESONANCE_GUARD * omega3
-    flags = []
-    for name, gap in _POLE_RELATIONS:
-        if abs(gap(omega1, omega3)) < guard:
-            flags.append(f"pole:{name}")
-    if omega1 < guard:
-        flags.append("pole:omega1 = 0")
-    return tuple(flags)
-
-
-def _d2_point(cq: CubicQuarticCoefficients, omega1: float,
-              omega3: float) -> tuple[float, tuple[str, ...]]:
-    """Determinant and pole flags at one frequency pair from evaluated coefficients.
+def _d2_point(cq: CubicQuarticCoefficients, omega1: float, omega3: float) -> float:
+    """Determinant at one frequency pair from evaluated coefficients.
 
     An exactly-on-pole pair does not raise: the value is computed at the
-    adjacent representable omega1 instead and the pair carries the pole flag.
+    nearest omega1 above it, at most POLE_NUDGE_STEPS ulps up, where no
+    denominator of the closed forms rounds to 0; past that it raises
+    DeterminantOverflowError.  _band names the pole.
     """
-    freqs = Frequencies(omega1, omega3)
-    flags = _pole_flags(omega1, omega3)
-    try:
-        value = d2_closed(cq, freqs)
-    except PoleError as err:
-        nudged = Frequencies(math.nextafter(omega1, math.inf), omega3)
-        value = d2_closed(cq, nudged)
-        if not flags:
-            flags = (f"pole:{err.relation}",)
-    return value, flags
+    w1, steps = omega1, 0
+    while True:
+        try:
+            return d2_closed(cq, Frequencies(w1, omega3))
+        except PoleError:
+            if steps == POLE_NUDGE_STEPS:
+                raise DeterminantOverflowError(
+                    f"a denominator of the closed forms is 0 at omega1={omega1!r} and "
+                    f"at the next {steps} doubles above it, omega3={omega3!r}") from None
+            w1, steps = math.nextafter(w1, math.inf), steps + 1
 
 
 def d2_eval(params: ModelParams, omega1: float, omega3: float,
             max_half_order: int | None = None) -> D2Result:
-    """Evaluate the determinant at one frequency pair, flagging pole proximity.
+    """Evaluate the determinant at one frequency pair.
 
-    An exactly-on-pole pair does not raise: the value is computed at the
-    adjacent representable omega1 instead and the row carries the pole flag.
+    An exactly-on-pole pair does not raise: the value is computed a few ulps
+    above omega1 instead, as _d2_point does.
     """
     coeffs = coefficients(params, max_half_order)
-    value, flags = _d2_point(coeffs, omega1, omega3)
-    return D2Result(value=value, flags=flags, coefficients=coeffs)
+    return D2Result(value=_d2_point(coeffs, omega1, omega3), coefficients=coeffs)
 
 
 def _median_abs(values) -> float:
@@ -435,6 +411,38 @@ class StabilityStatus(str, Enum):
     POLE = "pole"
 
 
+#: where Arnold's criterion is void, in the order _band tests them: the
+#: three pole guard bands, then the three exact low-order resonances that
+#: are not poles (an exact pole is inside its band)
+_VOID_RELATIONS = ("omega3 = 2*omega1", "omega1 = 2*omega3", "omega1 = 0",
+                   "omega1 = omega3", "omega3 = 3*omega1", "omega1 = 3*omega3")
+
+
+def _band(omega1: float, omega3: float) -> tuple[StabilityStatus, tuple[str, ...]] | None:
+    """(POLE or RESONANT, notes naming each relation hit), or None off them all.
+
+    A pair is in a pole guard band when it lies within RESONANCE_GUARD *
+    omega3 of a pole of D2, and on an exact resonance when the gap is below
+    normalize's small-divisor rule, DIVISOR_REL_TOL times the larger
+    frequency.  Plain comparisons decide, since a scan runs this per row;
+    notes are built only on a hit.
+    """
+    guard = RESONANCE_GUARD * omega3
+    half, double = abs(2.0 * omega1 - omega3), abs(omega1 - 2.0 * omega3)
+    if half < guard or double < guard or omega1 < guard:
+        status, kind, cut, gaps = StabilityStatus.POLE, "pole", guard, (half, double, omega1)
+        names = _VOID_RELATIONS[:3]
+    else:
+        cut = DIVISOR_REL_TOL * (omega1 if omega1 > omega3 else omega3)
+        one, third, triple = (abs(omega1 - omega3), abs(3.0 * omega1 - omega3),
+                              abs(omega1 - 3.0 * omega3))
+        if not (one < cut or third < cut or triple < cut):
+            return None
+        status, kind, gaps = StabilityStatus.RESONANT, "resonance", (one, third, triple)
+        names = _VOID_RELATIONS[3:]
+    return status, tuple(f"{kind}:{name}" for name, gap in zip(names, gaps) if gap < cut)
+
+
 @dataclass(frozen=True)
 class StabilityVerdict:
     """Outcome of the determinant-based stability test at one frequency pair."""
@@ -456,37 +464,28 @@ class StabilityVerdict:
 
 
 def verdict_from_d2(d2: float, omega1: float, omega3: float,
-                    d2_tolerance: float | None,
-                    pole_flags: tuple[str, ...] = ()) -> StabilityVerdict:
+                    d2_tolerance: float | None) -> StabilityVerdict:
     """Classify one evaluated determinant value.
 
-    stable requires |D2| above tolerance, frequencies outside the pole guard
-    bands, and no essentially exact low-order resonance.  A tolerance of None
-    is DEGENERACY_FRACTION of |D2| itself (a single point has no grid to take
-    a median over), so only an exact zero is then reported degenerate; an
-    explicit tolerance must be a positive finite real.  The resonance test
-    uses normalize's small-divisor rule: a gap below DIVISOR_REL_TOL times the
-    larger frequency.
+    stable requires frequencies outside the pole guard bands and off the
+    exact low-order resonances (both decided by _band), and |D2| above
+    tolerance.  A tolerance of None is DEGENERACY_FRACTION of |D2| itself (a
+    single point has no grid to take a median over), so only an exact zero
+    is then reported degenerate; an explicit tolerance must be a positive
+    finite real.
     """
     d2_tolerance = _degeneracy_cut(d2_tolerance, lambda: abs(d2))
-    gap_cut = DIVISOR_REL_TOL * max(omega1, omega3)
-    notes = list(pole_flags)
-    if pole_flags:
-        status = StabilityStatus.POLE
+    band = _band(omega1, omega3)
+    if band:
+        status, notes = band
+    elif abs(d2) <= d2_tolerance:
+        status = StabilityStatus.DEGENERATE
+        notes = (f"abs(D2)={abs(d2):.6g} <= tolerance={d2_tolerance:.6g}",)
     else:
-        exact = [name for name, gap in _NONPOLE_RESONANCES + _POLE_RELATIONS
-                 if abs(gap(omega1, omega3)) < gap_cut]
-        if exact:
-            status = StabilityStatus.RESONANT
-            notes.extend(f"resonance:{name}" for name in exact)
-        elif abs(d2) <= d2_tolerance:
-            status = StabilityStatus.DEGENERATE
-            notes.append(f"abs(D2)={abs(d2):.6g} <= tolerance={d2_tolerance:.6g}")
-        else:
-            status = StabilityStatus.STABLE
-            notes.append(f"abs(D2)={abs(d2):.6g} > tolerance={d2_tolerance:.6g}")
+        status = StabilityStatus.STABLE
+        notes = (f"abs(D2)={abs(d2):.6g} > tolerance={d2_tolerance:.6g}",)
     return StabilityVerdict(status=status, d2=d2, omega1=omega1, omega3=omega3,
-                            notes=tuple(notes))
+                            notes=notes)
 
 
 def stability_verdict(params: ModelParams, omega1: float, omega3: float,
@@ -498,14 +497,13 @@ def stability_verdict(params: ModelParams, omega1: float, omega3: float,
     of verdict_from_d2.
     """
     result = d2_eval(params, omega1, omega3, max_half_order)
-    return verdict_from_d2(result.value, omega1, omega3, d2_tolerance,
-                           pole_flags=result.flags)
+    return verdict_from_d2(result.value, omega1, omega3, d2_tolerance)
 
 
 class ScanRow(NamedTuple):
     omega1: float
     d2: float
-    flag: str  # "ok" | "pole" | "degenerate"
+    flag: str  # "ok" | "pole" | "resonant" | "degenerate"
 
 
 def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
@@ -513,16 +511,17 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
                 max_half_order: int | None = None) -> Iterator[ScanRow]:
     """Uniform scan of the determinant over omega1 in [lo, hi], endpoints included.
 
-    Rows inside the pole guard bands are flagged rather than dropped; rows with
-    |D2| at or below the degeneracy tolerance (default: DEGENERACY_FRACTION of
-    the scan's median |D2|; an explicit one must be a positive finite real)
-    are flagged degenerate.  The model coefficients do not depend on omega1,
-    so they are evaluated once for the whole grid; each row then matches
-    d2_eval at the same omega1.
+    Each row's flag is the status verdict_from_d2 gives it at the scan's
+    degeneracy tolerance, with stable written "ok": rows in the pole guard
+    bands or on an exact resonance are flagged rather than dropped.  The
+    tolerance defaults to DEGENERACY_FRACTION of the scan's median |D2|; an
+    explicit one must be a positive finite real.  The model coefficients do
+    not depend on omega1, so they are evaluated once for the whole grid; each
+    row then matches d2_eval at the same omega1.
 
     Every grid point is evaluated before this returns, so any error is raised
-    here; only D2 (8 bytes) and a pole bit (1 byte) are kept per row.  The
-    rows are returned as an iterator that builds each one as it is taken.
+    here; only D2 (8 bytes) is kept per row.  The rows are returned as an
+    iterator that builds each one as it is taken.
     """
     if not (0.0 < lo < hi):
         raise ValueError("grid needs 0 < lo < hi")
@@ -537,28 +536,25 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
     step = (hi - lo) / last
 
     cq = coefficients(params, max_half_order)
-    values = array("d")
-    poles = bytearray()
-    for k in range(steps):
-        # _d2_point returns pole flags only
-        value, flags = _d2_point(cq, hi if k == last else lo + k * step, omega3)
-        values.append(value)
-        poles.append(bool(flags))
+    values = array("d", (_d2_point(cq, hi if k == last else lo + k * step, omega3)
+                         for k in range(steps)))
 
     # d2_closed never returns a non-finite value, and the grid is not empty
     cut = _degeneracy_cut(d2_tolerance, lambda: _median_abs(values))
-    return _scan_rows(values, poles, lo, step, hi, cut)
+    return _scan_rows(values, omega3, lo, step, hi, cut)
 
 
-def _scan_rows(values: array, poles: bytearray, lo: float, step: float,
+def _scan_rows(values: array, omega3: float, lo: float, step: float,
                hi: float, cut: float) -> Iterator[ScanRow]:
     """Rows of an evaluated scan, the grid point recomputed from its index."""
     last = len(values) - 1
     for k, value in enumerate(values):
-        if poles[k]:
-            flag = "pole"
+        omega1 = hi if k == last else lo + k * step
+        band = _band(omega1, omega3)
+        if band:
+            flag = band[0].value
         elif abs(value) <= cut:
             flag = "degenerate"
         else:
             flag = "ok"
-        yield ScanRow(hi if k == last else lo + k * step, value, flag)
+        yield ScanRow(omega1, value, flag)

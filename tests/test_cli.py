@@ -19,6 +19,12 @@ from conftest import CANCELLATION_POINT, reference_model_hamiltonian
 
 
 REF_FLAGS = ["--mu", "0.00025", "--q", "0.025", "--Q", "0.00025", "--A", "0.00025"]
+# omega3 = 2*omega1 exactly; the K2200 denominator is 0 there and one ulp up
+DOUBLE_ZERO_POLE = ["--omega1", "0.0007807924243102605", "--omega3", "0.001561584848620521"]
+# omega3/omega1 = 1.945, off every pole, but both terms of the K2200
+# denominator round to the same subnormal
+SUBNORMAL_DENOMINATOR = ["--omega1", "5.412331930599114e-82",
+                         "--omega3", "1.0528646526423265e-81"]
 REFERENCE_POINT = ModelParams(mu=0.00025, q=0.025, Q=0.00025, A=0.00025)
 
 NON_POSITIVE_OR_NON_FINITE = ["0", "-1", "nan", "inf"]
@@ -109,13 +115,17 @@ class TestClosedFormCommand:
         assert "omega1 = 2*omega3" in payload["relation"]
 
     def test_underflowing_denominator_is_domain_error(self, capsys):
-        # omega3 = 2*omega1 does not hold; both terms of the K2200 denominator are 0
-        code, out, err = run(capsys, ["closed-form", "--a1", "1", "--omega1", "1e-100",
-                                      "--omega3", "1e-100"])
-        assert (code, out) == (3, "")
-        payload = json.loads(err)
-        assert payload["error"] == "domain"
-        assert "underflows" in payload["message"]
+        for argv in (
+                # omega3 = 2*omega1 does not hold; both terms of the K2200
+                # denominator are 0
+                ["--a1", "1", "--omega1", "1e-100", "--omega3", "1e-100"],
+                # omega3/omega1 = 1.945; both terms round to the same subnormal
+                ["--a2", "1", "--a3", "1", *SUBNORMAL_DENOMINATOR]):
+            code, out, err = run(capsys, ["closed-form", *argv])
+            assert (code, out) == (3, ""), argv
+            payload = json.loads(err)
+            assert payload["error"] == "domain"
+            assert "underflows" in payload["message"]
 
 
 class TestNormalizeCommand:
@@ -300,12 +310,22 @@ class TestRtbpEvalCommand:
         assert exc.value.code == 2
 
     def test_underflowing_denominator_is_domain_error(self, capsys):
-        code, out, err = run(capsys, ["rtbp-eval", *REF_FLAGS, "--omega1", "1e-100",
-                                      "--omega3", "1e-100"])
-        assert (code, out) == (3, "")
-        payload = json.loads(err)
-        assert payload["error"] == "domain"
-        assert "underflows" in payload["message"]
+        for frequencies in (["--omega1", "1e-100", "--omega3", "1e-100"],
+                            SUBNORMAL_DENOMINATOR):
+            code, out, err = run(capsys, ["rtbp-eval", *REF_FLAGS, *frequencies])
+            assert (code, out) == (3, ""), frequencies
+            payload = json.loads(err)
+            assert payload["error"] == "domain"
+            assert "underflows" in payload["message"]
+
+    def test_exact_pole_with_a_zero_denominator_one_ulp_up(self, capsys):
+        # omega3 = 2*omega1 exactly, and the K2200 denominator still rounds to
+        # 0 at the next omega1 up; the point is a pole, not an error
+        code, out, _ = run(capsys, ["rtbp-eval", *REF_FLAGS, *DOUBLE_ZERO_POLE])
+        assert code == 0
+        verdict = json.loads(out)["verdict"]
+        assert verdict["status"] == "pole"
+        assert verdict["notes"] == ["pole:omega3 = 2*omega1"]
 
 
 class TestRtbpScanCommand:
@@ -347,11 +367,13 @@ class TestRtbpScanCommand:
         (["--grid", "0.05:4.0:10000", "--format", "json"],
          "d3f2902a20dd299b69d9ae546d98ddc41a4c03323160203c6fffcd044f06b072"),
         (["--grid", "0.25:2.25:9", "--max-half-order", "2", "--format", "csv"],
-         "0ef287509a7379cf822846f237b0c993c9b0fd444ee75d4cc528e9065e4e533f"),
+         "316be61b057ef9352fb8dfd644ae47b2bce3dc74e18971a2adde759cfad54ac2"),
     ])
     def test_golden_output_bytes(self, capsys, extra, digest):
         # SHA-256 of the output of the per-row scan that evaluated the
-        # coefficient series at every grid point (CPython 3.11)
+        # coefficient series at every grid point (CPython 3.11); the 9-point
+        # grid's row at omega1 = 1 has been flagged resonant, as rtbp-eval
+        # reports it, since the scan and the verdict share one band rule
         code, out, _ = run(capsys, ["rtbp-scan", *REF_FLAGS, "--omega3", "1", *extra])
         assert code == 0
         assert sha256(out) == digest
@@ -370,6 +392,15 @@ class TestRtbpScanCommand:
         payload = json.loads(err)
         assert payload["error"] == "domain"
         assert "underflows" in payload["message"]
+
+    def test_grid_starting_on_an_exact_pole_with_a_zero_denominator_one_ulp_up(self, capsys):
+        omega1, omega3 = DOUBLE_ZERO_POLE[1], DOUBLE_ZERO_POLE[3]
+        code, out, _ = run(capsys, ["rtbp-scan", *REF_FLAGS, "--omega3", omega3,
+                                    "--grid", f"{omega1}:0.003:3"])
+        assert code == 0
+        first = out.splitlines()[1].split(",")
+        assert float(first[0]) == float(omega1)
+        assert first[2] == "pole"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_overflowing_scan_writes_nothing(self, capsys, tmp_path, fmt):

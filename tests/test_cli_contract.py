@@ -23,6 +23,8 @@ from birkhoff.cli import main  # noqa: E402
 MODEL = ["--mu=0.00025", "--q=0.025", "--Q=0.00025", "--A=0.00025"]
 ERROR_KINDS = {3: "domain", 4: "resonance"}
 ERRNO_TUPLE = re.compile(r"\(\d+, '[^']*'\)")
+SCAN_FLAGS = {"ok", "pole", "degenerate", "resonant"}
+NON_FINITE_TOKENS = {"nan", "inf", "-inf"}
 
 # nan, infinities, zeros, subnormals and the largest doubles, next to any float
 EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
@@ -52,6 +54,26 @@ def refuse_constant(name):
     raise AssertionError(f"non-finite JSON constant {name}")
 
 
+def check_csv(out, argv):
+    """Every numeric field a finite float, no non-finite token, every flag known.
+
+    Token by token: a substring test would reject the flag resonant, which
+    contains "nan".
+    """
+    header, *rows = out.splitlines()
+    columns = header.split(",")
+    assert rows, argv
+    for row in rows:
+        fields = row.split(",")
+        assert len(fields) == len(columns), (argv, row)
+        for column, field in zip(columns, fields):
+            assert field.lower() not in NON_FINITE_TOKENS, (argv, row)
+            if column == "flag":
+                assert field in SCAN_FLAGS, (argv, row)
+            else:
+                assert math.isfinite(float(field)), (argv, row)
+
+
 def check_contract(argv, fmt="json"):
     code, out, err = run(argv)
     assert code in (0, 2, 3, 4), (argv, code, err)
@@ -59,7 +81,7 @@ def check_contract(argv, fmt="json"):
         if fmt == "json":
             json.loads(out, parse_constant=refuse_constant)
         else:
-            assert "nan" not in out.lower() and "inf" not in out.lower(), argv
+            check_csv(out, argv)
     elif code in ERROR_KINDS:
         assert out == ""
         payload = json.loads(err)
@@ -97,6 +119,7 @@ def test_rtbp_eval(omega1, omega3, d2_tolerance):
 
 @CONTRACT
 @given(NUMBERS, NUMBERS, st.integers(min_value=-3, max_value=40), NUMBERS, FORMATS)
+@example(0.5, 1.5, 3, 1.0, "csv")  # rows flagged pole, resonant and ok
 def test_rtbp_scan(lo, hi, steps, omega3, fmt):
     argv = ["rtbp-scan", *MODEL, f"--grid={lo!r}:{hi!r}:{steps}",
             flag("omega3", omega3), f"--format={fmt}"]

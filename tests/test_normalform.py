@@ -158,8 +158,10 @@ class TestNormalize:
             coeffs = CubicQuarticCoefficients(*[rng.uniform(-2, 2) for _ in range(7)])
             w1, w3 = draw_nonresonant_frequencies(rng)
             ham = build_model_hamiltonian(coeffs, Frequencies(w1, w3)).complexify()
-            report = normalize(ham)
-            assert report.max_imag_residual <= 1e-9
+            k4 = normalize(ham).kamiltonian.part(4)
+            scale = k4.max_abs_coefficient()
+            assert k4.terms
+            assert all(abs(c.imag) <= 1e-9 * scale for c in k4.terms.values())
 
     def test_engine_matches_first_principles_closed_forms(self):
         rng = random.Random(7)

@@ -23,7 +23,7 @@ from birkhoff import (
 )
 
 from birkhoff import rtbpmodel
-from birkhoff.closedform import DeterminantOverflowError
+from birkhoff.closedform import DeterminantOverflowError, PoleError
 from birkhoff.cli import main
 from birkhoff.rtbpmodel import DEGENERACY_FRACTION
 
@@ -155,17 +155,37 @@ class TestD2Eval:
         res = d2_eval(REFERENCE_POINT, 0.3, 1.0)
         assert math.isfinite(res.value)
         assert abs(res.value) > 1e25
-        assert res.flags == ()
+        assert stability_verdict(REFERENCE_POINT, 0.3, 1.0).status is StabilityStatus.STABLE
 
     def test_guard_band_flags_near_half(self):
-        res = d2_eval(REFERENCE_POINT, 0.503, 1.0)
-        assert res.near_pole
-        assert any("omega3 = 2*omega1" in f for f in res.flags)
+        verdict = stability_verdict(REFERENCE_POINT, 0.503, 1.0)
+        assert verdict.status is StabilityStatus.POLE
+        assert verdict.notes == ("pole:omega3 = 2*omega1",)
 
     def test_exact_pole_is_flagged_not_raised(self):
-        res = d2_eval(REFERENCE_POINT, 0.5, 1.0)
-        assert res.near_pole
-        assert math.isfinite(res.value)
+        # omega3 = 2*omega1 exactly at both; at the second the K2200
+        # denominator is still 0 one ulp up, so the nudge takes two steps
+        for w1, w3 in ((0.5, 1.0), (0.0007807924243102605, 0.001561584848620521)):
+            res = d2_eval(REFERENCE_POINT, w1, w3)
+            assert math.isfinite(res.value)
+            verdict = stability_verdict(REFERENCE_POINT, w1, w3)
+            assert verdict.status is StabilityStatus.POLE
+            assert verdict.d2 == res.value
+            assert verdict.notes == ("pole:omega3 = 2*omega1",)
+
+    def test_nudge_gives_up_after_a_fixed_number_of_steps(self, monkeypatch):
+        tried = []
+
+        def always_pole(cq, freqs):
+            tried.append(freqs.omega1)
+            raise PoleError("omega3 = 2*omega1")
+
+        monkeypatch.setattr(rtbpmodel, "d2_closed", always_pole)
+        with pytest.raises(DeterminantOverflowError, match="denominator"):
+            d2_eval(REFERENCE_POINT, 0.5, 1.0)
+        assert len(tried) == rtbpmodel.POLE_NUDGE_STEPS + 1
+        assert tried[0] == 0.5
+        assert all(math.nextafter(a, math.inf) == b for a, b in zip(tried, tried[1:]))
 
     def test_synthetic_zero_coefficients(self):
         value = d2_closed(CubicQuarticCoefficients(), Frequencies(0.37, 1.0))
@@ -215,7 +235,7 @@ class TestScan:
 
     def test_flag_vocabulary(self):
         rows = scan_omega1(REFERENCE_POINT, 1.0, 0.05, 0.95, 181)
-        assert set(r.flag for r in rows) <= {"ok", "pole", "degenerate"}
+        assert set(r.flag for r in rows) <= {"ok", "pole", "resonant", "degenerate"}
 
     def test_pole_window_around_doubled_vertical_frequency(self):
         rows = scan_omega1(REFERENCE_POINT, 1.0, 1.5, 2.5, 101)
@@ -234,12 +254,14 @@ class TestScan:
                 assert min(abs(r.omega1 - 0.5), abs(r.omega1 - 2.0)) < 0.02 \
                     or r.omega1 < 0.011
 
-    @pytest.mark.parametrize("grid", [(0.25, 2.25, 9), (0.05, 4.0, 2001)])
+    @pytest.mark.parametrize("grid", [(0.25, 2.25, 9), (0.05, 4.0, 2001),
+                                      (1.0 / 3.0, 3.0, 9)])
     @pytest.mark.parametrize("max_half_order", [0, 2, None])
     @pytest.mark.parametrize("d2_tolerance", [None, 1e24])
     def test_rows_match_pointwise_evaluation(self, grid, max_half_order, d2_tolerance):
         # the scan evaluates the coefficients once per grid; every row must
-        # still equal d2_eval, which evaluates them afresh at each point
+        # still equal d2_eval, which evaluates them afresh at each point, and
+        # carry the verdict's status at the scan's cut, stable written ok
         rows = list(scan_omega1(REFERENCE_POINT, 1.0, *grid, d2_tolerance=d2_tolerance,
                                 max_half_order=max_half_order))
         points = [d2_eval(REFERENCE_POINT, r.omega1, 1.0, max_half_order) for r in rows]
@@ -249,12 +271,18 @@ class TestScan:
         assert len(rows) == grid[2]
         for row, point in zip(rows, points):
             assert row.d2 == point.value
-            expected = ("pole" if point.near_pole
-                        else "degenerate" if abs(point.value) <= tolerance else "ok")
-            assert row.flag == expected
-        # the coarse grid puts the exact poles omega1 = 0.5 and 2.0 on grid points
-        if grid[2] == 9:
-            assert {r.omega1 for r in rows if r.flag == "pole"} == {0.5, 2.0}
+            status = verdict_from_d2(point.value, row.omega1, 1.0, tolerance).status
+            assert row.flag == ("ok" if status is StabilityStatus.STABLE else status.value)
+        flagged = {flag: {r.omega1 for r in rows if r.flag == flag}
+                   for flag in ("pole", "resonant")}
+        if grid == (0.25, 2.25, 9):
+            # the exact poles omega1 = 0.5 and 2.0 and the 1:1 resonance are grid points
+            assert flagged == {"pole": {0.5, 2.0}, "resonant": {1.0}}
+        elif grid[0] == 1.0 / 3.0:
+            # omega1 = 1/3, 1 and 3 are the three exact resonances; the grid
+            # point next to the pole omega1 = 2 is two ulps below it
+            assert flagged["resonant"] == {1.0 / 3.0, 1.0, 3.0}
+            assert list(flagged["pole"]) == [pytest.approx(2.0, rel=1e-15)]
 
     def test_invalid_tolerance_fails_before_any_evaluation(self, monkeypatch, capsys):
         calls = []
