@@ -189,19 +189,28 @@ def _run_rtbp_scan(args) -> int:
                        max_half_order=args.max_half_order)
     # row by row, so neither the rows nor the text of a long scan are held
     if args.format == "csv":
-        lines = (f"{_fmt(w)},{_fmt(d2)},{flag}\n" for w, d2, flag in rows)
+        # "%.16e" is _fmt's format; rows hold floats already
+        lines = ("%.16e,%.16e,%s\n" % row for row in rows)
         _write(itertools.chain(("omega1,D2,flag\n",), lines), args.output)
     else:
         _write(_json_rows(rows), args.output)
     return 0
 
 
+#: _json_text of one scan row's object inside the list, keys sorted
+_JSON_ROW = '{\n    "D2": %s,\n    "flag": "%s",\n    "omega1": %s\n  }'
+
+
 def _json_rows(rows):
-    """The text of _json_text(list of row objects) and its final newline, row by row."""
+    """The text of _json_text(list of row objects) and its final newline, row by row.
+
+    A row's floats are finite and its flag needs no escaping, so each object
+    is the fixed template _JSON_ROW.
+    """
     separator = "\n  "
     yield "["
     for w, d2, flag in rows:
-        yield separator + _json_text({"omega1": w, "D2": d2, "flag": flag}, "\n  ")
+        yield separator + _JSON_ROW % (float.__repr__(d2), flag, float.__repr__(w))
         separator = ",\n  "
     yield "\n]\n"
 

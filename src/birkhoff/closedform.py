@@ -12,8 +12,13 @@ The quadratic-in-cubic sectors of these forms disagree with the Lie-transform
 engine in :mod:`birkhoff.normalform`; see DISCREPANCIES.md for the term-by-term
 comparison.  The linear-in-quartic sectors agree exactly.
 
-The determinant is composed from the three coefficients by :func:`d2_from_k`,
-the one spelling of that formula, which the engine uses as well.
+The tabulated K2200, K1111 and K0022 are transcribed once, in
+:func:`tabulated_kernel`, which takes the coefficients and omega3 and returns
+them and D2 as functions of omega1.  :func:`k2200`, :func:`k1111`,
+:func:`k0022` and :func:`d2_closed` are that kernel applied at one point;
+scans build one kernel per grid.  The determinant is composed from the three
+coefficients by :func:`d2_from_k`, the one spelling of that formula, which
+the kernel and the engine share.
 :func:`d2_expanded` writes the same determinant out as one rational
 expression; it is the reference that the tests and the benchmark check
 :func:`d2_closed` against, and the program never calls it at run time.
@@ -24,8 +29,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
+from typing import Callable
 
-from .polyalg import CanonicalPolynomial, Frequencies, GradedHamiltonian
+from .polyalg import CanonicalPolynomial, Frequencies, GradedHamiltonian, check_frequency
 
 
 class DeterminantOverflowError(ValueError):
@@ -93,56 +99,153 @@ def build_model_hamiltonian(coeffs: CubicQuarticCoefficients,
     return GradedHamiltonian({2: h2, 3: h3, 4: h4}, freqs)
 
 
-def _raise_pole(name: str, lead: float, relation: str, freqs: Frequencies):
+def _raise_pole(name: str, lead: float, relation: str, omega1: float, omega3: float):
     """A zero denominator whose two terms cancel is a pole on relation; one
     whose leading term is 0 or subnormal is a DeterminantOverflowError, since
     two terms that underflowed that far can round to the same value off the
     relation."""
     if abs(lead) < sys.float_info.min:
         raise DeterminantOverflowError(
-            f"the denominator of {name} underflows at omega1={freqs.omega1!r}, "
-            f"omega3={freqs.omega3!r}")
+            f"the denominator of {name} underflows at omega1={omega1!r}, "
+            f"omega3={omega3!r}")
     raise PoleError(relation)
+
+
+class _Overflowed:
+    """Stands for a hoisted product that is not a finite double.
+
+    Any arithmetic on it raises the OverflowError that computing the product
+    raised, so the error comes where the product is first used, after the
+    denominator checks that come before that use.
+    """
+
+    __slots__ = ("args",)
+
+    def __init__(self, err: OverflowError):
+        self.args = err.args
+
+    def _raise(self, *_):
+        raise OverflowError(*self.args)
+
+    __add__ = __radd__ = __sub__ = __rsub__ = _raise
+    __mul__ = __rmul__ = __truediv__ = __rtruediv__ = _raise
+
+
+def tabulated_kernel(c: CubicQuarticCoefficients,
+                     omega3: float) -> tuple[Callable[[float], float], ...]:
+    """(k2200, k1111, k0022, d2) of the tabulated forms, each a function of omega1.
+
+    Every product that does not depend on omega1 is taken here, once; each
+    function does the rest of the arithmetic in the order of the tabulated
+    expressions, so a value is the same double whether one kernel serves one
+    point or a whole scan.  omega3 must be a positive finite real (ValueError
+    otherwise).  Each function is called with omega1 alone, which is taken to
+    be a positive finite real and not checked; its other parameters hold the
+    hoisted products.
+
+    Each K raises PoleError on an exact pole of its own denominators,
+    DeterminantOverflowError when a denominator is 0 because both its terms
+    underflowed, and OverflowError when a power overflows.  d2 checks K2200,
+    K1111 and K0022 in that order and raises DeterminantOverflowError for an
+    overflowing power or a value that is not a finite double.
+    """
+    check_frequency("omega3", omega3)
+    w3 = omega3
+    # products without a power cannot raise; each power can, so each has its
+    # own try, and a product that overflows is an _Overflowed
+    w3x2, b1x6, b3x8 = 2.0 * w3, 6.0 * c.b1, -8.0 * c.b3
+    a1a3x12, a2a4x6 = 12.0 * c.a1 * c.a3, 6.0 * c.a2 * c.a4 / w3
+    try:
+        w3_2 = w3 ** 2
+        w3_2x4 = 4.0 * w3_2
+    except OverflowError as err:
+        w3_2 = w3_2x4 = _Overflowed(err)
+    try:
+        w3_3 = w3 ** 3
+    except OverflowError as err:
+        w3_3 = _Overflowed(err)
+    try:
+        a1_2x5 = 5.0 * c.a1 ** 2
+    except OverflowError as err:
+        a1_2x5 = _Overflowed(err)
+    try:
+        a2_2 = c.a2 ** 2
+        a2_2x2 = 2.0 * a2_2
+    except OverflowError as err:
+        a2_2 = a2_2x2 = _Overflowed(err)
+    try:
+        a3_2 = c.a3 ** 2
+    except OverflowError as err:
+        a3_2 = _Overflowed(err)
+    try:
+        b5_a4 = -12.0 * c.b5 + 10.0 * c.a4 ** 2 / w3
+    except OverflowError as err:
+        b5_a4 = _Overflowed(err)
+
+    # the products are bound as defaults, which are locals: four closures over
+    # seventeen cells made a one-point evaluation slower than the unhoisted forms
+    def k2200(w1, w3=w3, w3_3=w3_3, w3_2=w3_2, a1_2x5=a1_2x5, b1x6=b1x6, a2_2x2=a2_2x2):
+        """Coefficient of (X1 Y1)^2; pole on omega3 = 2*omega1."""
+        lead = 16.0 * w1 ** 3 * w3
+        den = lead - 4.0 * w1 * w3_3
+        if den == 0.0:
+            _raise_pole("K2200", lead, "omega3 = 2*omega1", w1, w3)
+        w1_2x4 = 4.0 * w1 ** 2
+        return ((a1_2x5 - b1x6 * w1) * w3 * (w1_2x4 - w3_2)
+                + a2_2x2 * w1 * (w1_2x4 + w1 * w3 - w3_2)) / den
+
+    def k1111(w1, w3=w3, w3x2=w3x2, b3x8=b3x8, a1a3x12=a1a3x12, a3_2=a3_2, a2_2=a2_2,
+              a2a4x6=a2a4x6):
+        """Coefficient of X1 Y1 X2 Y2; poles on omega1 = 2*omega3 and omega3 = 2*omega1."""
+        double = w1 - w3x2
+        if double == 0.0:
+            raise PoleError("omega1 = 2*omega3")
+        w1x2 = 2.0 * w1
+        half = w1x2 - w3
+        if half == 0.0:
+            raise PoleError("omega3 = 2*omega1")
+        return 0.125 * (b3x8
+                        + a1a3x12 / w1
+                        + a3_2 / double
+                        + a2_2 / half
+                        + a2a4x6
+                        + a2_2 / (w1x2 + w3)
+                        + a3_2 / (w1 + w3x2))
+
+    def k0022(w1, w3=w3, w3_2x4=w3_2x4, b5_a4=b5_a4, a3_2=a3_2):
+        """Coefficient of (X2 Y2)^2; pole on omega1 = 2*omega3."""
+        lead = w1 ** 2
+        den = lead - w3_2x4
+        if den == 0.0:
+            _raise_pole("K0022", lead, "omega1 = 2*omega3", w1, w3)
+        return 0.125 * (b5_a4 + a3_2 * (4.0 / w1 + 2.0 * w1 / den))
+
+    def d2(w1, w3=w3, k2200=k2200, k1111=k1111, k0022=k0022):
+        """-(K2200*w3^2 + K1111*w1*w3 + K0022*w1^2)."""
+        try:
+            return _determinant(k2200(w1), k1111(w1), k0022(w1), w1, w3)
+        except OverflowError as err:
+            raise _overflow(w1, w3) from err
+
+    return k2200, k1111, k0022, d2
 
 
 def k2200(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
     """Coefficient of (X1 Y1)^2; pole on omega3 = 2*omega1."""
-    w1, w3 = freqs.omega1, freqs.omega3
-    lead = 16.0 * w1 ** 3 * w3
-    den = lead - 4.0 * w1 * w3 ** 3
-    if den == 0.0:
-        _raise_pole("K2200", lead, "omega3 = 2*omega1", freqs)
-    num = ((5.0 * c.a1 ** 2 - 6.0 * c.b1 * w1) * w3 * (4.0 * w1 ** 2 - w3 ** 2)
-           + 2.0 * c.a2 ** 2 * w1 * (4.0 * w1 ** 2 + w1 * w3 - w3 ** 2))
-    return num / den
+    k2200_at, _, _, _ = tabulated_kernel(c, freqs.omega3)
+    return k2200_at(freqs.omega1)
 
 
 def k1111(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
     """Coefficient of X1 Y1 X2 Y2; poles on omega1 = 2*omega3 and omega3 = 2*omega1."""
-    w1, w3 = freqs.omega1, freqs.omega3
-    if w1 - 2.0 * w3 == 0.0:
-        raise PoleError("omega1 = 2*omega3")
-    if 2.0 * w1 - w3 == 0.0:
-        raise PoleError("omega3 = 2*omega1")
-    return 0.125 * (-8.0 * c.b3
-                    + 12.0 * c.a1 * c.a3 / w1
-                    + c.a3 ** 2 / (w1 - 2.0 * w3)
-                    + c.a2 ** 2 / (2.0 * w1 - w3)
-                    + 6.0 * c.a2 * c.a4 / w3
-                    + c.a2 ** 2 / (2.0 * w1 + w3)
-                    + c.a3 ** 2 / (w1 + 2.0 * w3))
+    _, k1111_at, _, _ = tabulated_kernel(c, freqs.omega3)
+    return k1111_at(freqs.omega1)
 
 
 def k0022(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
     """Coefficient of (X2 Y2)^2; pole on omega1 = 2*omega3."""
-    w1, w3 = freqs.omega1, freqs.omega3
-    lead = w1 ** 2
-    den = lead - 4.0 * w3 ** 2
-    if den == 0.0:
-        _raise_pole("K0022", lead, "omega1 = 2*omega3", freqs)
-    return 0.125 * (-12.0 * c.b5
-                    + 10.0 * c.a4 ** 2 / w3
-                    + c.a3 ** 2 * (4.0 / w1 + 2.0 * w1 / den))
+    _, _, k0022_at, _ = tabulated_kernel(c, freqs.omega3)
+    return k0022_at(freqs.omega1)
 
 
 def d2_expanded(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
@@ -170,11 +273,22 @@ def d2_expanded(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
                    / (-4.0 * w1 ** 2 + w3 ** 2))
 
 
-def _overflow(freqs: Frequencies, why: str = "an intermediate power is not a "
-              "finite double") -> DeterminantOverflowError:
+def _overflow(omega1: float, omega3: float, why: str = "an intermediate power is "
+              "not a finite double") -> DeterminantOverflowError:
     return DeterminantOverflowError(
-        f"determinant overflows at omega1={freqs.omega1!r}, "
-        f"omega3={freqs.omega3!r} ({why})")
+        f"determinant overflows at omega1={omega1!r}, omega3={omega3!r} ({why})")
+
+
+def _determinant(k2200: float, k1111: float, k0022: float,
+                 omega1: float, omega3: float) -> float:
+    """The body of d2_from_k, on the two frequencies as floats."""
+    try:
+        value = -(k2200 * omega3 ** 2 + k1111 * omega1 * omega3 + k0022 * omega1 ** 2)
+    except OverflowError as err:
+        raise _overflow(omega1, omega3) from err
+    if not math.isfinite(value):
+        raise _overflow(omega1, omega3, f"got {value!r}")
+    return value
 
 
 def d2_from_k(k2200: float, k1111: float, k0022: float, freqs: Frequencies) -> float:
@@ -184,15 +298,7 @@ def d2_from_k(k2200: float, k1111: float, k0022: float, freqs: Frequencies) -> f
     of a frequency on the way to it, is not finite, so no nan or inf reaches
     a caller.
     """
-    try:
-        value = -(k2200 * freqs.omega3 ** 2
-                  + k1111 * freqs.omega1 * freqs.omega3
-                  + k0022 * freqs.omega1 ** 2)
-    except OverflowError as err:
-        raise _overflow(freqs) from err
-    if not math.isfinite(value):
-        raise _overflow(freqs, f"got {value!r}")
-    return value
+    return _determinant(k2200, k1111, k0022, freqs.omega1, freqs.omega3)
 
 
 def d2_closed(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
@@ -201,7 +307,5 @@ def d2_closed(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
     Raises DeterminantOverflowError as d2_from_k does, and also when a power
     of a coefficient inside the tabulated forms overflows.
     """
-    try:
-        return d2_from_k(k2200(c, freqs), k1111(c, freqs), k0022(c, freqs), freqs)
-    except OverflowError as err:
-        raise _overflow(freqs) from err
+    _, _, _, d2 = tabulated_kernel(c, freqs.omega3)
+    return d2(freqs.omega1)

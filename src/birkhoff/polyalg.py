@@ -268,6 +268,18 @@ def realify(f: CanonicalPolynomial) -> CanonicalPolynomial:
     return _substitute(f, (1, -1j), (-1j, 1), REAL_CHART)
 
 
+def check_frequency(name: str, v) -> None:
+    """Raise ValueError naming the frequency unless v is a positive finite real."""
+    try:
+        # the exact-type test spares plain floats and ints the ABC check
+        ok = ((type(v) in (float, int) or isinstance(v, Number))
+              and math.isfinite(v) and v > 0)
+    except TypeError:  # complex
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a positive finite real, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Frequencies:
     """The pair of basic frequencies (planar omega1, vertical omega3)."""
@@ -276,16 +288,8 @@ class Frequencies:
     omega3: float
 
     def __post_init__(self):
-        for name in ("omega1", "omega3"):
-            v = getattr(self, name)
-            try:
-                # the exact-type test spares plain floats and ints the ABC check
-                ok = ((type(v) in (float, int) or isinstance(v, Number))
-                      and math.isfinite(v) and v > 0)
-            except TypeError:  # complex
-                ok = False
-            if not ok:
-                raise ValueError(f"{name} must be a positive finite real, got {v!r}")
+        check_frequency("omega1", self.omega1)
+        check_frequency("omega3", self.omega3)
 
     @property
     def largest(self) -> float:

@@ -21,12 +21,12 @@ import math
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .closedform import (CubicQuarticCoefficients, DeterminantOverflowError,
-                         PoleError, d2_closed)
+                         PoleError, tabulated_kernel)
 from .normalform import DIVISOR_REL_TOL
-from .polyalg import Frequencies
+from .polyalg import check_frequency
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -340,8 +340,8 @@ class D2Result:
     coefficients: CoefficientSet
 
 
-def _d2_point(cq: CubicQuarticCoefficients, omega1: float, omega3: float) -> float:
-    """Determinant at one frequency pair from evaluated coefficients.
+def _d2_point(d2: Callable[[float], float], omega1: float, omega3: float) -> float:
+    """Determinant at omega1 from the d2 of a tabulated kernel built at omega3.
 
     An exactly-on-pole pair does not raise: the value is computed at the
     nearest omega1 above it, at most POLE_NUDGE_STEPS ulps up, where no
@@ -351,7 +351,7 @@ def _d2_point(cq: CubicQuarticCoefficients, omega1: float, omega3: float) -> flo
     w1, steps = omega1, 0
     while True:
         try:
-            return d2_closed(cq, Frequencies(w1, omega3))
+            return d2(w1)
         except PoleError:
             if steps == POLE_NUDGE_STEPS:
                 raise DeterminantOverflowError(
@@ -368,7 +368,9 @@ def d2_eval(params: ModelParams, omega1: float, omega3: float,
     above omega1 instead, as _d2_point does.
     """
     coeffs = coefficients(params, max_half_order)
-    return D2Result(value=_d2_point(coeffs, omega1, omega3), coefficients=coeffs)
+    check_frequency("omega1", omega1)
+    _, _, _, d2 = tabulated_kernel(coeffs, omega3)
+    return D2Result(value=_d2_point(d2, omega1, omega3), coefficients=coeffs)
 
 
 def _median_abs(values) -> float:
@@ -515,9 +517,10 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
     degeneracy tolerance, with stable written "ok": rows in the pole guard
     bands or on an exact resonance are flagged rather than dropped.  The
     tolerance defaults to DEGENERACY_FRACTION of the scan's median |D2|; an
-    explicit one must be a positive finite real.  The model coefficients do
-    not depend on omega1, so they are evaluated once for the whole grid; each
-    row then matches d2_eval at the same omega1.
+    explicit one must be a positive finite real.  Neither the model
+    coefficients nor the products of the tabulated forms that leave out
+    omega1 depend on it, so one kernel serves the whole grid; each row
+    matches d2_eval at the same omega1 bit for bit.
 
     Every grid point is evaluated before this returns, so any error is raised
     here; only D2 (8 bytes) is kept per row.  The rows are returned as an
@@ -535,11 +538,11 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
     last = steps - 1
     step = (hi - lo) / last
 
-    cq = coefficients(params, max_half_order)
-    values = array("d", (_d2_point(cq, hi if k == last else lo + k * step, omega3)
+    _, _, _, d2 = tabulated_kernel(coefficients(params, max_half_order), omega3)
+    values = array("d", (_d2_point(d2, hi if k == last else lo + k * step, omega3)
                          for k in range(steps)))
 
-    # d2_closed never returns a non-finite value, and the grid is not empty
+    # the kernel never returns a non-finite value, and the grid is not empty
     cut = _degeneracy_cut(d2_tolerance, lambda: _median_abs(values))
     return _scan_rows(values, omega3, lo, step, hi, cut)
 

@@ -208,7 +208,7 @@ class TestNormalizeCommand:
     @pytest.mark.parametrize("seed, chart, digest", [
         (11, "real", "ada7ab1d061fe88a695d13a2a9d716a77557248657530985b8039133f8a772a3"),
         (12, "complex", "e50d77cd6a99e37df4a4f2a2876f65bb840134c4882e14faf813a99714983f38"),
-    ])
+    ], ids=["seed-11-real", "seed-12-complex"])
     def test_golden_output_bytes(self, capsys, tmp_path, seed, chart, digest):
         # SHA-256 of the report of the engine that re-checked the exponents
         # of every intermediate polynomial (CPython 3.11)
@@ -368,7 +368,7 @@ class TestRtbpScanCommand:
          "d3f2902a20dd299b69d9ae546d98ddc41a4c03323160203c6fffcd044f06b072"),
         (["--grid", "0.25:2.25:9", "--max-half-order", "2", "--format", "csv"],
          "316be61b057ef9352fb8dfd644ae47b2bce3dc74e18971a2adde759cfad54ac2"),
-    ])
+    ], ids=["csv-181-rows", "json-10000-rows", "csv-9-rows-half-order-2"])
     def test_golden_output_bytes(self, capsys, extra, digest):
         # SHA-256 of the output of the per-row scan that evaluated the
         # coefficient series at every grid point (CPython 3.11); the 9-point

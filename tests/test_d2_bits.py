@@ -1,0 +1,119 @@
+"""Bit pin of the tabulated determinant and its three coefficients.
+
+Every outcome over a seeded set of (coefficients, omega1, omega3) points --
+the repr of the value, or the type and message of the exception -- is hashed
+and compared with a digest recorded from the per-call forms that evaluated
+every product at every point.  The set covers exact poles, the pair whose
+K2200 denominator is 0 two ulps running, coefficients whose squares
+overflow, powers of omega3 that overflow, subnormal denominators and omega1
+near 1e308 and 1e-320.
+"""
+
+import hashlib
+import math
+import random
+
+from birkhoff import (
+    CubicQuarticCoefficients,
+    Frequencies,
+    ModelParams,
+    d2_closed,
+    d2_eval,
+    k0022,
+    k1111,
+    k2200,
+)
+from birkhoff.closedform import tabulated_kernel
+
+#: SHA-256 of the lines of outcomes(); recorded before the kernel was hoisted
+DIGEST = "ff9779098006e44b3c2a87b75fd87ab856d4dd046d1324788ecdfc514500c259"
+
+REFERENCE = ModelParams(mu=0.00025, q=0.025, Q=0.00025, A=0.00025)
+#: a1..b5 whose squares leave the double range
+SQUARE_OVERFLOW = ModelParams(mu=1e-32, q=0.5, Q=0.5, A=0.001)
+#: omega3 = 2*omega1; the K2200 denominator is 0 there and one ulp up
+TWO_ULP_POLE = (0.0007807924243102605, 0.001561584848620521)
+#: omega3/omega1 = 1.945; both terms of the K2200 denominator round to the
+#: same subnormal
+SUBNORMAL_PAIR = (5.412331930599114e-82, 1.0528646526423265e-81)
+
+_RARE_COEFFICIENTS = (0.0, 1e160, -1e200, 1e-170, 5e-324, 3e153, -1.0)
+_RARE_OMEGA3 = (1.0, 1e-100, 1e-160, 6e102, 1e200, 1e-320, TWO_ULP_POLE[1])
+
+
+def _coefficient(rng):
+    return (rng.choice(_RARE_COEFFICIENTS) if rng.random() < 0.06
+            else rng.uniform(-2.0, 2.0))
+
+
+def _omega1s(rng, w3):
+    """Planar frequencies for one (coefficients, omega3) group."""
+    up, down = math.inf, 0.0
+    special = [w3 / 2.0, 2.0 * w3, w3, 3.0 * w3, w3 / 3.0,
+               math.nextafter(w3 / 2.0, up), math.nextafter(w3 / 2.0, down),
+               math.nextafter(2.0 * w3, up), 1e308, 1.7976931348623157e308,
+               1e-320, 5e-324, 1e-100]
+    picks = rng.sample(special, 4)
+    return picks + [rng.uniform(0.05, 4.0) * w3 for _ in range(6)]
+
+
+def groups():
+    """[(coefficients, omega3, [omega1, ...]), ...], about 2000 points in all."""
+    rng = random.Random(20261018)
+    out = []
+    for _ in range(190):
+        c = CubicQuarticCoefficients(*[_coefficient(rng) for _ in range(7)])
+        w3 = (rng.choice(_RARE_OMEGA3) if rng.random() < 0.2
+              else rng.uniform(0.1, 4.0))
+        out.append((c, w3, _omega1s(rng, w3)))
+    poles = [0.5, 2.0, 1.0, 1.0 / 3.0, 3.0, 0.3, 1e308, 1e-320]
+    for field in ("a1", "a2", "a3", "a4"):
+        out.append((CubicQuarticCoefficients(**{field: 1e200, "b3": 1.0}), 1.0, poles))
+    out.append((CubicQuarticCoefficients(a2=1.0, a3=1.0), SUBNORMAL_PAIR[1],
+                [SUBNORMAL_PAIR[0], 2.0 * SUBNORMAL_PAIR[1]]))
+    out.append((CubicQuarticCoefficients(a1=1.0, b5=1.0), 1e-100, [1e-100, 1e-200]))
+    out.append((CubicQuarticCoefficients(b5=1.0), 1e-200, [1e-200]))
+    out.append((CubicQuarticCoefficients(a1=1.0, a3=0.5, b1=2.0), TWO_ULP_POLE[1],
+                [TWO_ULP_POLE[0], math.nextafter(TWO_ULP_POLE[0], math.inf)]))
+    return out
+
+
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except Exception as err:  # every exception is an outcome to pin
+        return f"{type(err).__name__}: {err}"
+
+
+def outcomes():
+    """One line per point: D2 and K2200, K1111, K0022 from the tabulated forms,
+    then D2 of d2_eval, which steps off exact poles, at model points."""
+    lines = []
+    for c, w3, omega1s in groups():
+        for w1 in omega1s:
+            freqs = Frequencies(w1, w3)
+            lines.append(" ".join(_outcome(f, c, freqs)
+                                  for f in (d2_closed, k2200, k1111, k0022)))
+    for params in (REFERENCE, SQUARE_OVERFLOW):
+        for w1, w3 in ((0.5, 1.0), (2.0, 1.0), (0.3, 1.0), TWO_ULP_POLE,
+                       SUBNORMAL_PAIR, (1e308, 1.0), (1e-320, 1.0), (1.0, 6e102)):
+            lines.append(_outcome(lambda: d2_eval(params, w1, w3).value))
+    return lines
+
+
+def test_outcomes_match_the_recorded_digest():
+    lines = outcomes()
+    assert len(lines) > 1900
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == DIGEST
+
+
+def test_one_kernel_per_group_gives_the_per_point_outcomes():
+    # a scan builds one kernel and calls it at every omega1 of its grid
+    for c, w3, omega1s in groups():
+        k2200_at, k1111_at, k0022_at, d2_at = tabulated_kernel(c, w3)
+        for w1 in omega1s:
+            freqs = Frequencies(w1, w3)
+            for per_point, reused in ((d2_closed, d2_at), (k2200, k2200_at),
+                                      (k1111, k1111_at), (k0022, k0022_at)):
+                assert _outcome(reused, w1) == _outcome(per_point, c, freqs)

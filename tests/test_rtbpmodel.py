@@ -23,7 +23,7 @@ from birkhoff import (
 )
 
 from birkhoff import rtbpmodel
-from birkhoff.closedform import DeterminantOverflowError, PoleError
+from birkhoff.closedform import DeterminantOverflowError, PoleError, tabulated_kernel
 from birkhoff.cli import main
 from birkhoff.rtbpmodel import DEGENERACY_FRACTION
 
@@ -176,11 +176,14 @@ class TestD2Eval:
     def test_nudge_gives_up_after_a_fixed_number_of_steps(self, monkeypatch):
         tried = []
 
-        def always_pole(cq, freqs):
-            tried.append(freqs.omega1)
+        def always_pole(w1):
+            tried.append(w1)
             raise PoleError("omega3 = 2*omega1")
 
-        monkeypatch.setattr(rtbpmodel, "d2_closed", always_pole)
+        def kernel(cq, omega3):
+            return (*tabulated_kernel(cq, omega3)[:3], always_pole)
+
+        monkeypatch.setattr(rtbpmodel, "tabulated_kernel", kernel)
         with pytest.raises(DeterminantOverflowError, match="denominator"):
             d2_eval(REFERENCE_POINT, 0.5, 1.0)
         assert len(tried) == rtbpmodel.POLE_NUDGE_STEPS + 1
@@ -286,13 +289,17 @@ class TestScan:
 
     def test_invalid_tolerance_fails_before_any_evaluation(self, monkeypatch, capsys):
         calls = []
-        point = rtbpmodel._d2_point
 
-        def counted(*args):
-            calls.append(args)
-            return point(*args)
+        def kernel(cq, omega3):
+            *ks, d2 = tabulated_kernel(cq, omega3)
 
-        monkeypatch.setattr(rtbpmodel, "_d2_point", counted)
+            def counted(w1):
+                calls.append(w1)
+                return d2(w1)
+
+            return (*ks, counted)
+
+        monkeypatch.setattr(rtbpmodel, "tabulated_kernel", kernel)
         scan_omega1(REFERENCE_POINT, 1.0, 0.05, 0.95, 7, d2_tolerance=1.0)
         assert len(calls) == 7
         calls.clear()
