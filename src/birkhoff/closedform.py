@@ -26,6 +26,7 @@ expression; it is the reference that the tests and the benchmark check
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -46,6 +47,12 @@ class PoleError(ZeroDivisionError):
         super().__init__(f"closed form has a pole on the resonance {relation}")
 
 
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    """Names of a dataclass's fields in declaration order, taken once per class."""
+    return tuple(f.name for f in fields(cls))
+
+
 @dataclass(frozen=True)
 class CubicQuarticCoefficients:
     """Cubic (a1..a4) and quartic (b1, b3, b5) model coefficients."""
@@ -59,10 +66,10 @@ class CubicQuarticCoefficients:
     b5: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
+        for name in _field_names(type(self)):
+            v = getattr(self, name)
             if not math.isfinite(v):
-                raise ValueError(f"{f.name} must be finite, got {v!r}")
+                raise ValueError(f"{name} must be finite, got {v!r}")
 
     def scaled(self, lam: float) -> "CubicQuarticCoefficients":
         """Cubic terms scaled by lam and quartic terms by lam**2."""

@@ -10,7 +10,11 @@ The expansions are transcribed literally, term by term, from their tabulated
 form; square roots of squares are simplified with sqrt(x^2) = |x| while the
 sign structure of odd powers of (mu - 1) is kept as printed.  Each expansion
 stops after the A^2 term.  a2 and a4 vanish at A = 0 (their expansions begin
-at sqrt(A)).
+at sqrt(A)).  All nine are written in the one body of coefficient_series,
+which takes each distinct power once and the two numerators that b1 and b3
+share once; nothing else is regrouped, so every term keeps the value it has
+as printed, bit for bit.  coefficients takes each power of sqrt(A) it needs
+once.
 """
 
 from __future__ import annotations
@@ -89,212 +93,181 @@ class CoefficientSet(CubicQuarticCoefficients):
 
 
 # -- expansion term tables ----------------------------------------------------
-# Each _series_* returns {half_order: coefficient of A**(half_order/2)}.
-# Every one takes the same arguments, computed once by coefficient_series:
-# s1m stands for sqrt((1-mu)^2) == sqrt((-1+mu)^2) == |1-mu|, am for
-# sqrt(mu^2) == |mu| and m1 for mu - 1, whose odd powers stay negative as
-# printed.
-
-
-def _series_a(mu, q, Q, s1m, am, m1):
-    return {
-        0: 1.0 - mu,
-        3: 6.0 * _SQRT3 * (1.0 - mu) * (1.0 - q) / (mu * Q),
-    }
-
-
-def _series_c(mu, q, Q, s1m, am, m1):
-    return {
-        1: _SQRT3,
-        4: -9.0 * (1.0 - mu) * q / (mu * Q),
-    }
-
-
-def _series_a1(mu, q, Q, s1m, am, m1):
-    h0 = ((-q * mu ** 4 + Q * s1m * am - 2.0 * Q * s1m * mu * am
-           + Q * s1m * am ** 3)
-          / (m1 ** 2 * s1m * mu ** 4))
-    h2 = -(5.0 * (-3.0 * q * mu ** 6 + 2.0 * Q * s1m * am - 8.0 * Q * s1m * mu * am
-                  - 8.0 * Q * s1m * mu ** 3 * am + 2.0 * Q * s1m * mu ** 4 * am
-                  + 12.0 * Q * s1m * am ** 3)
-           / (m1 ** 4 * s1m * mu ** 6))
-    h3 = (24.0 * (_SQRT3 * q * mu ** 5 - _SQRT3 * q ** 2 * mu ** 5
-                  + _SQRT3 * Q * s1m * am - _SQRT3 * q * Q * s1m * am
-                  - 3.0 * _SQRT3 * Q * s1m * mu * am
-                  + 3.0 * _SQRT3 * q * Q * s1m * mu * am
-                  - _SQRT3 * Q * s1m * mu ** 3 * am
-                  + _SQRT3 * q * Q * s1m * mu ** 3 * am
-                  + 3.0 * _SQRT3 * Q * s1m * am ** 3
-                  - 3.0 * _SQRT3 * q * Q * s1m * am ** 3)
-          / (Q * m1 ** 2 * s1m * mu ** 6))
-    h4 = -(945.0 * (q * mu ** 8 + Q * s1m * am - 6.0 * Q * s1m * mu * am
-                    - 20.0 * Q * s1m * mu ** 3 * am + 15.0 * Q * s1m * mu ** 4 * am
-                    - 6.0 * Q * s1m * mu ** 5 * am + Q * s1m * mu ** 6 * am
-                    + 15.0 * Q * s1m * am ** 3)
-           / (8.0 * m1 ** 6 * s1m * mu ** 8))
-    return {0: h0, 2: h2, 3: h3, 4: h4}
-
-
-def _series_a2(mu, q, Q, s1m, am, m1):
-    h1 = (-6.0 * _SQRT3 * q / s1m ** 5
-          + 15.0 * _SQRT3 * q * mu / (2.0 * s1m ** 5)
-          - 3.0 * _SQRT3 * q * s1m * mu / (2.0 * (1.0 - mu) ** 6)
-          - 6.0 * _SQRT3 * Q * am / mu ** 5)
-    h3 = -135.0 * _SQRT3 * q / (2.0 * m1 ** 5 * s1m)
-    h4 = (54.0 * (-10.0 * q * mu ** 6 + 9.0 * q ** 2 * mu ** 6 + q ** 2 * mu ** 7
-                  + 10.0 * Q * s1m * am - 10.0 * q * Q * s1m * am
-                  - 40.0 * Q * s1m * mu * am + 39.0 * q * Q * s1m * mu * am
-                  - 40.0 * Q * s1m * mu ** 3 * am + 34.0 * q * Q * s1m * mu ** 3 * am
-                  + 10.0 * Q * s1m * mu ** 4 * am - 6.0 * q * Q * s1m * mu ** 4 * am
-                  - q * Q * s1m * mu ** 5 * am
-                  + 60.0 * Q * s1m * am ** 3 - 56.0 * q * Q * s1m * am ** 3)
-          / (Q * m1 ** 3 * s1m * mu ** 7))
-    return {1: h1, 3: h3, 4: h4}
-
-
-def _series_a3(mu, q, Q, s1m, am, m1):
-    h0 = (3.0 * q * (1.0 - mu) / (2.0 * s1m ** 5)
-          - 3.0 * q * (1.0 - mu) * mu / (2.0 * s1m ** 5)
-          - 3.0 * Q * am / (2.0 * mu ** 4))
-    h2 = (-45.0 * q * (1.0 - mu) / (2.0 * s1m ** 7)
-          - 45.0 * q / (4.0 * (1.0 - mu) * s1m ** 5)
-          + 45.0 * q * (1.0 - mu) * mu / (2.0 * s1m ** 7)
-          + 45.0 * q * mu / (4.0 * (1.0 - mu) * s1m ** 5)
-          + 45.0 * Q * am / (2.0 * mu ** 6))
-    h3 = (36.0 * _SQRT3 * (1.0 - q) * q * (1.0 - mu) / (Q * s1m ** 5)
-          - 36.0 * _SQRT3 * (1.0 - q) * q * (1.0 - mu) / (Q * s1m ** 5 * mu)
-          - 36.0 * _SQRT3 * am / mu ** 6
-          + 36.0 * _SQRT3 * q * am / mu ** 6
-          + 36.0 * _SQRT3 * am / mu ** 5
-          - 36.0 * _SQRT3 * q * am / mu ** 5)
-    h4 = (945.0 * q / (4.0 * (1.0 - mu) * s1m ** 7)
-          + 945.0 * q / (16.0 * (1.0 - mu) ** 3 * s1m ** 5)
-          - 945.0 * q * mu / (4.0 * (1.0 - mu) * s1m ** 7)
-          - 945.0 * q * mu / (16.0 * (1.0 - mu) ** 3 * s1m ** 5)
-          + 4725.0 * Q * am / (16.0 * mu ** 8))
-    return {0: h0, 2: h2, 3: h3, 4: h4}
-
-
-def _series_a4(mu, q, Q, s1m, am, m1):
-    h1 = (3.0 * _SQRT3 * q / (2.0 * s1m ** 5)
-          - 3.0 * _SQRT3 * q * s1m * mu / (2.0 * (1.0 - mu) ** 6)
-          + 3.0 * _SQRT3 * Q * am / (2.0 * mu ** 5))
-    h3 = 75.0 * _SQRT3 * q / (4.0 * m1 ** 5 * s1m)
-    h4 = (1.5 * q * ((9.0 * q / Q - 9.0 * q / (Q * mu)) / s1m ** 5
-                     - 90.0 * (1.0 - q) / (Q * s1m ** 5 * mu))
-          + 135.0 * q * s1m / (Q * (1.0 - mu) ** 6)
-          - 243.0 * q ** 2 * s1m / (2.0 * Q * (1.0 - mu) ** 6)
-          - 27.0 * q ** 2 * s1m * mu / (2.0 * Q * (1.0 - mu) ** 6)
-          + 135.0 * am / mu ** 7
-          - 135.0 * q * am / mu ** 7
-          - 135.0 * am / mu ** 6
-          + 243.0 * q * am / (2.0 * mu ** 6)
-          + 27.0 * q * am / (2.0 * mu ** 5))
-    return {1: h1, 3: h3, 4: h4}
-
-
-def _mixed_inner_cubic(mu, q, Q, s1m, am):
-    # shared numerator of the sqrt(A)^3 corrections of b1 and b3
-    return (_SQRT3 * q * mu ** 6 - _SQRT3 * q ** 2 * mu ** 6
-            - _SQRT3 * Q * s1m * am + _SQRT3 * q * Q * s1m * am
-            + 4.0 * _SQRT3 * Q * s1m * mu * am - 4.0 * _SQRT3 * q * Q * s1m * mu * am
-            + 4.0 * _SQRT3 * Q * s1m * mu ** 3 * am
-            - 4.0 * _SQRT3 * q * Q * s1m * mu ** 3 * am
-            - _SQRT3 * Q * s1m * mu ** 4 * am + _SQRT3 * q * Q * s1m * mu ** 4 * am
-            - 6.0 * _SQRT3 * Q * s1m * am ** 3 + 6.0 * _SQRT3 * q * Q * s1m * am ** 3)
-
-
-def _mixed_inner_quartic(mu, q, Q, s1m, am):
-    # shared numerator of the A^2 corrections of b1 and b3
-    return (q * mu ** 9 - Q * s1m * am + 7.0 * Q * s1m * mu * am
-            + 35.0 * Q * s1m * mu ** 3 * am - 35.0 * Q * s1m * mu ** 4 * am
-            + 21.0 * Q * s1m * mu ** 5 * am - 7.0 * Q * s1m * mu ** 6 * am
-            + Q * s1m * mu ** 7 * am - 21.0 * Q * s1m * am ** 3)
-
-
-def _series_b1(mu, q, Q, s1m, am, m1):
-    h0 = ((-q * mu ** 5 - Q * s1m * am + 3.0 * Q * s1m * mu * am
-           + Q * s1m * mu ** 3 * am - 3.0 * Q * s1m * am ** 3)
-          / (m1 ** 3 * s1m * mu ** 5))
-    h2 = -(15.0 * (-3.0 * q * mu ** 7 - 2.0 * Q * s1m * am + 10.0 * Q * s1m * mu * am
-                   + 20.0 * Q * s1m * mu ** 3 * am - 10.0 * Q * s1m * mu ** 4 * am
-                   + 2.0 * Q * s1m * mu ** 5 * am - 20.0 * Q * s1m * am ** 3)
-           / (2.0 * m1 ** 5 * s1m * mu ** 7))
-    h3 = 30.0 * _mixed_inner_cubic(mu, q, Q, s1m, am) / (Q * m1 ** 3 * s1m * mu ** 7)
-    h4 = -(945.0 * _mixed_inner_quartic(mu, q, Q, s1m, am)
-           / (4.0 * m1 ** 7 * s1m * mu ** 9))
-    return {0: h0, 2: h2, 3: h3, 4: h4}
-
-
-def _series_b3(mu, q, Q, s1m, am, m1):
-    h0 = (-3.0 * q / s1m ** 5
-          + 3.0 * q * mu / s1m ** 5
-          + 15.0 * Q * am / (4.0 * mu ** 7)
-          - 15.0 * Q * (1.0 - mu) ** 2 * am / (4.0 * mu ** 7)
-          - 15.0 * Q * am / (2.0 * mu ** 6)
-          + 3.0 * Q * am / (4.0 * mu ** 5))
-    h2 = (945.0 * q / (8.0 * s1m ** 7)
-          - 45.0 * q / (8.0 * (1.0 - mu) ** 2 * s1m ** 5)
-          - 45.0 * q * s1m / (4.0 * (1.0 - mu) ** 8)
-          - 945.0 * q * mu / (8.0 * s1m ** 7)
-          + 45.0 * q * mu / (8.0 * (1.0 - mu) ** 2 * s1m ** 5)
-          + 45.0 * q * s1m * mu / (4.0 * (1.0 - mu) ** 8)
-          + 135.0 * Q * am / (2.0 * mu ** 7))
-    h3 = -90.0 * _mixed_inner_cubic(mu, q, Q, s1m, am) / (Q * m1 ** 3 * s1m * mu ** 7)
-    h4 = (4725.0 * _mixed_inner_quartic(mu, q, Q, s1m, am)
-          / (4.0 * m1 ** 7 * s1m * mu ** 9))
-    return {0: h0, 2: h2, 3: h3, 4: h4}
-
-
-def _series_b5(mu, q, Q, s1m, am, m1):
-    h0 = (3.0 * q / (8.0 * s1m ** 5)
-          - 3.0 * q * mu / (8.0 * s1m ** 5)
-          + 3.0 * Q * am / (8.0 * mu ** 5))
-    h2 = (-45.0 * q / (16.0 * (1.0 - mu) ** 2 * s1m ** 5)
-          - 45.0 * q * s1m / (4.0 * (1.0 - mu) ** 8)
-          + 45.0 * q * mu / (16.0 * (1.0 - mu) ** 2 * s1m ** 5)
-          + 45.0 * q * s1m * mu / (4.0 * (1.0 - mu) ** 8)
-          - 75.0 * Q * am / (8.0 * mu ** 7))
-    h3 = (45.0 * _SQRT3 * (1.0 - q) * q / (4.0 * Q * s1m ** 5)
-          - 45.0 * _SQRT3 * (1.0 - q) * q / (4.0 * Q * s1m ** 5 * mu)
-          + 45.0 * _SQRT3 * am / (4.0 * mu ** 7)
-          - 45.0 * _SQRT3 * q * am / (4.0 * mu ** 7)
-          - 45.0 * _SQRT3 * am / (4.0 * mu ** 6)
-          + 45.0 * _SQRT3 * q * am / (4.0 * mu ** 6))
-    h4 = (945.0 * q / (64.0 * (1.0 - mu) ** 4 * s1m ** 5)
-          + 315.0 * q * s1m / (2.0 * (1.0 - mu) ** 10)
-          - 945.0 * q * mu / (64.0 * (1.0 - mu) ** 4 * s1m ** 5)
-          - 315.0 * q * s1m * mu / (2.0 * (1.0 - mu) ** 10)
-          - 11025.0 * Q * am / (64.0 * mu ** 9))
-    return {0: h0, 2: h2, 3: h3, 4: h4}
-
-
-_SERIES = {
-    "a": _series_a,
-    "c": _series_c,
-    "a1": _series_a1,
-    "a2": _series_a2,
-    "a3": _series_a3,
-    "a4": _series_a4,
-    "b1": _series_b1,
-    "b3": _series_b3,
-    "b5": _series_b5,
-}
-
 
 def coefficient_series(params: ModelParams) -> dict[str, dict[int, float]]:
     """Per-half-order expansion coefficients for every model quantity.
 
     The returned inner mappings give the coefficient of A**(h/2) for each
-    half-order h present in the corresponding expansion.  A mass ratio or
-    radiation factor so small that a power of it underflows to 0, or a
-    quotient overflows, raises ModelDomainError.
+    half-order h present in the corresponding expansion, in ascending h.  A
+    mass ratio or radiation factor so small that a denominator underflows to
+    0 raises ModelDomainError; a quotient that overflows is left infinite,
+    and coefficients rejects any sum it enters.
     """
     mu, q, Q = params.mu, params.q, params.Q
-    shared = (abs(1.0 - mu), abs(mu), mu - 1.0)
+    # s1m stands for sqrt((1-mu)^2) == sqrt((-1+mu)^2) == |1-mu|, am for
+    # sqrt(mu^2) == |mu| and m1 for mu - 1, whose odd powers stay negative as
+    # printed.  Each power the tables use is taken once, here, and named by
+    # base and exponent (one_mu6 is (1 - mu)**6, kept apart from s1m as
+    # printed); every base lies in (-1, 1], so none of them can overflow.
+    s1m, am, m1 = abs(1.0 - mu), abs(mu), mu - 1.0
+    mu3, mu4, mu5, mu6, mu7, mu8, mu9 = (
+        mu ** 3, mu ** 4, mu ** 5, mu ** 6, mu ** 7, mu ** 8, mu ** 9)
+    s1m5, s1m7, am3, q2 = s1m ** 5, s1m ** 7, am ** 3, q ** 2
+    m1_2, m1_3, m1_4, m1_5, m1_6, m1_7 = (
+        m1 ** 2, m1 ** 3, m1 ** 4, m1 ** 5, m1 ** 6, m1 ** 7)
+    one_mu2, one_mu3, one_mu4, one_mu6, one_mu8, one_mu10 = (
+        (1.0 - mu) ** 2, (1.0 - mu) ** 3, (1.0 - mu) ** 4,
+        (1.0 - mu) ** 6, (1.0 - mu) ** 8, (1.0 - mu) ** 10)
+    # shared numerator of the sqrt(A)^3 corrections of b1 and b3
+    mixed_cubic = (_SQRT3 * q * mu6 - _SQRT3 * q2 * mu6
+                   - _SQRT3 * Q * s1m * am + _SQRT3 * q * Q * s1m * am
+                   + 4.0 * _SQRT3 * Q * s1m * mu * am
+                   - 4.0 * _SQRT3 * q * Q * s1m * mu * am
+                   + 4.0 * _SQRT3 * Q * s1m * mu3 * am
+                   - 4.0 * _SQRT3 * q * Q * s1m * mu3 * am
+                   - _SQRT3 * Q * s1m * mu4 * am + _SQRT3 * q * Q * s1m * mu4 * am
+                   - 6.0 * _SQRT3 * Q * s1m * am3 + 6.0 * _SQRT3 * q * Q * s1m * am3)
+    # shared numerator of the A^2 corrections of b1 and b3
+    mixed_quartic = (q * mu9 - Q * s1m * am + 7.0 * Q * s1m * mu * am
+                     + 35.0 * Q * s1m * mu3 * am - 35.0 * Q * s1m * mu4 * am
+                     + 21.0 * Q * s1m * mu5 * am - 7.0 * Q * s1m * mu6 * am
+                     + Q * s1m * mu7 * am - 21.0 * Q * s1m * am3)
     try:
-        return {name: fn(mu, q, Q, *shared) for name, fn in _SERIES.items()}
-    except (ZeroDivisionError, OverflowError) as err:
+        return {
+            "a": {
+                0: 1.0 - mu,
+                3: 6.0 * _SQRT3 * (1.0 - mu) * (1.0 - q) / (mu * Q),
+            },
+            "c": {
+                1: _SQRT3,
+                4: -9.0 * (1.0 - mu) * q / (mu * Q),
+            },
+            "a1": {
+                0: ((-q * mu4 + Q * s1m * am - 2.0 * Q * s1m * mu * am
+                     + Q * s1m * am3)
+                    / (m1_2 * s1m * mu4)),
+                2: -(5.0 * (-3.0 * q * mu6 + 2.0 * Q * s1m * am - 8.0 * Q * s1m * mu * am
+                            - 8.0 * Q * s1m * mu3 * am + 2.0 * Q * s1m * mu4 * am
+                            + 12.0 * Q * s1m * am3)
+                     / (m1_4 * s1m * mu6)),
+                3: (24.0 * (_SQRT3 * q * mu5 - _SQRT3 * q2 * mu5
+                            + _SQRT3 * Q * s1m * am - _SQRT3 * q * Q * s1m * am
+                            - 3.0 * _SQRT3 * Q * s1m * mu * am
+                            + 3.0 * _SQRT3 * q * Q * s1m * mu * am
+                            - _SQRT3 * Q * s1m * mu3 * am
+                            + _SQRT3 * q * Q * s1m * mu3 * am
+                            + 3.0 * _SQRT3 * Q * s1m * am3
+                            - 3.0 * _SQRT3 * q * Q * s1m * am3)
+                    / (Q * m1_2 * s1m * mu6)),
+                4: -(945.0 * (q * mu8 + Q * s1m * am - 6.0 * Q * s1m * mu * am
+                              - 20.0 * Q * s1m * mu3 * am + 15.0 * Q * s1m * mu4 * am
+                              - 6.0 * Q * s1m * mu5 * am + Q * s1m * mu6 * am
+                              + 15.0 * Q * s1m * am3)
+                     / (8.0 * m1_6 * s1m * mu8)),
+            },
+            "a2": {
+                1: (-6.0 * _SQRT3 * q / s1m5
+                    + 15.0 * _SQRT3 * q * mu / (2.0 * s1m5)
+                    - 3.0 * _SQRT3 * q * s1m * mu / (2.0 * one_mu6)
+                    - 6.0 * _SQRT3 * Q * am / mu5),
+                3: -135.0 * _SQRT3 * q / (2.0 * m1_5 * s1m),
+                4: (54.0 * (-10.0 * q * mu6 + 9.0 * q2 * mu6 + q2 * mu7
+                            + 10.0 * Q * s1m * am - 10.0 * q * Q * s1m * am
+                            - 40.0 * Q * s1m * mu * am + 39.0 * q * Q * s1m * mu * am
+                            - 40.0 * Q * s1m * mu3 * am + 34.0 * q * Q * s1m * mu3 * am
+                            + 10.0 * Q * s1m * mu4 * am - 6.0 * q * Q * s1m * mu4 * am
+                            - q * Q * s1m * mu5 * am
+                            + 60.0 * Q * s1m * am3 - 56.0 * q * Q * s1m * am3)
+                    / (Q * m1_3 * s1m * mu7)),
+            },
+            "a3": {
+                0: (3.0 * q * (1.0 - mu) / (2.0 * s1m5)
+                    - 3.0 * q * (1.0 - mu) * mu / (2.0 * s1m5)
+                    - 3.0 * Q * am / (2.0 * mu4)),
+                2: (-45.0 * q * (1.0 - mu) / (2.0 * s1m7)
+                    - 45.0 * q / (4.0 * (1.0 - mu) * s1m5)
+                    + 45.0 * q * (1.0 - mu) * mu / (2.0 * s1m7)
+                    + 45.0 * q * mu / (4.0 * (1.0 - mu) * s1m5)
+                    + 45.0 * Q * am / (2.0 * mu6)),
+                3: (36.0 * _SQRT3 * (1.0 - q) * q * (1.0 - mu) / (Q * s1m5)
+                    - 36.0 * _SQRT3 * (1.0 - q) * q * (1.0 - mu) / (Q * s1m5 * mu)
+                    - 36.0 * _SQRT3 * am / mu6
+                    + 36.0 * _SQRT3 * q * am / mu6
+                    + 36.0 * _SQRT3 * am / mu5
+                    - 36.0 * _SQRT3 * q * am / mu5),
+                4: (945.0 * q / (4.0 * (1.0 - mu) * s1m7)
+                    + 945.0 * q / (16.0 * one_mu3 * s1m5)
+                    - 945.0 * q * mu / (4.0 * (1.0 - mu) * s1m7)
+                    - 945.0 * q * mu / (16.0 * one_mu3 * s1m5)
+                    + 4725.0 * Q * am / (16.0 * mu8)),
+            },
+            "a4": {
+                1: (3.0 * _SQRT3 * q / (2.0 * s1m5)
+                    - 3.0 * _SQRT3 * q * s1m * mu / (2.0 * one_mu6)
+                    + 3.0 * _SQRT3 * Q * am / (2.0 * mu5)),
+                3: 75.0 * _SQRT3 * q / (4.0 * m1_5 * s1m),
+                4: (1.5 * q * ((9.0 * q / Q - 9.0 * q / (Q * mu)) / s1m5
+                               - 90.0 * (1.0 - q) / (Q * s1m5 * mu))
+                    + 135.0 * q * s1m / (Q * one_mu6)
+                    - 243.0 * q2 * s1m / (2.0 * Q * one_mu6)
+                    - 27.0 * q2 * s1m * mu / (2.0 * Q * one_mu6)
+                    + 135.0 * am / mu7
+                    - 135.0 * q * am / mu7
+                    - 135.0 * am / mu6
+                    + 243.0 * q * am / (2.0 * mu6)
+                    + 27.0 * q * am / (2.0 * mu5)),
+            },
+            "b1": {
+                0: ((-q * mu5 - Q * s1m * am + 3.0 * Q * s1m * mu * am
+                     + Q * s1m * mu3 * am - 3.0 * Q * s1m * am3)
+                    / (m1_3 * s1m * mu5)),
+                2: -(15.0 * (-3.0 * q * mu7 - 2.0 * Q * s1m * am + 10.0 * Q * s1m * mu * am
+                             + 20.0 * Q * s1m * mu3 * am - 10.0 * Q * s1m * mu4 * am
+                             + 2.0 * Q * s1m * mu5 * am - 20.0 * Q * s1m * am3)
+                     / (2.0 * m1_5 * s1m * mu7)),
+                3: 30.0 * mixed_cubic / (Q * m1_3 * s1m * mu7),
+                4: -(945.0 * mixed_quartic / (4.0 * m1_7 * s1m * mu9)),
+            },
+            "b3": {
+                0: (-3.0 * q / s1m5
+                    + 3.0 * q * mu / s1m5
+                    + 15.0 * Q * am / (4.0 * mu7)
+                    - 15.0 * Q * one_mu2 * am / (4.0 * mu7)
+                    - 15.0 * Q * am / (2.0 * mu6)
+                    + 3.0 * Q * am / (4.0 * mu5)),
+                2: (945.0 * q / (8.0 * s1m7)
+                    - 45.0 * q / (8.0 * one_mu2 * s1m5)
+                    - 45.0 * q * s1m / (4.0 * one_mu8)
+                    - 945.0 * q * mu / (8.0 * s1m7)
+                    + 45.0 * q * mu / (8.0 * one_mu2 * s1m5)
+                    + 45.0 * q * s1m * mu / (4.0 * one_mu8)
+                    + 135.0 * Q * am / (2.0 * mu7)),
+                3: -90.0 * mixed_cubic / (Q * m1_3 * s1m * mu7),
+                4: 4725.0 * mixed_quartic / (4.0 * m1_7 * s1m * mu9),
+            },
+            "b5": {
+                0: (3.0 * q / (8.0 * s1m5)
+                    - 3.0 * q * mu / (8.0 * s1m5)
+                    + 3.0 * Q * am / (8.0 * mu5)),
+                2: (-45.0 * q / (16.0 * one_mu2 * s1m5)
+                    - 45.0 * q * s1m / (4.0 * one_mu8)
+                    + 45.0 * q * mu / (16.0 * one_mu2 * s1m5)
+                    + 45.0 * q * s1m * mu / (4.0 * one_mu8)
+                    - 75.0 * Q * am / (8.0 * mu7)),
+                3: (45.0 * _SQRT3 * (1.0 - q) * q / (4.0 * Q * s1m5)
+                    - 45.0 * _SQRT3 * (1.0 - q) * q / (4.0 * Q * s1m5 * mu)
+                    + 45.0 * _SQRT3 * am / (4.0 * mu7)
+                    - 45.0 * _SQRT3 * q * am / (4.0 * mu7)
+                    - 45.0 * _SQRT3 * am / (4.0 * mu6)
+                    + 45.0 * _SQRT3 * q * am / (4.0 * mu6)),
+                4: (945.0 * q / (64.0 * one_mu4 * s1m5)
+                    + 315.0 * q * s1m / (2.0 * one_mu10)
+                    - 945.0 * q * mu / (64.0 * one_mu4 * s1m5)
+                    - 315.0 * q * s1m * mu / (2.0 * one_mu10)
+                    - 11025.0 * Q * am / (64.0 * mu9)),
+            },
+        }
+    except ZeroDivisionError as err:
         raise ModelDomainError(
             f"the expansions are not representable as doubles at "
             f"(mu, q, Q) = ({mu!r}, {q!r}, {Q!r}): {err}") from err
@@ -313,16 +286,17 @@ def coefficients(params: ModelParams,
     elif max_half_order < 0:
         raise ValueError(f"max_half_order must be >= 0, got {max_half_order!r}")
     table = coefficient_series(params)
-    values = {}
     try:
-        for name, orders in table.items():
-            values[name] = sum(
-                coeff * params.A ** (h / 2.0)
-                for h, coeff in sorted(orders.items()) if h <= max_half_order)
+        # powers[h] is A**(h/2), HALF_ORDERS counting up from 0; only the
+        # powers a kept term multiplies, so truncation still avoids overflow
+        powers = [params.A ** (h / 2.0) for h in HALF_ORDERS if h <= max_half_order]
     except OverflowError as err:
         raise ModelDomainError(
             f"a power of A = {params.A!r} is not a finite double") from err
-    return CoefficientSet(**values)
+    # each table is summed in ascending h, the order coefficient_series writes
+    return CoefficientSet(**{
+        name: sum(coeff * powers[h] for h, coeff in orders.items() if h <= max_half_order)
+        for name, orders in table.items()})
 
 
 # -- determinant evaluation and verdicts --------------------------------------

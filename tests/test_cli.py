@@ -129,6 +129,22 @@ class TestClosedFormCommand:
 
 
 class TestNormalizeCommand:
+    def test_readme_hamiltonian_file_example_normalizes(self, capsys, tmp_path):
+        # the first json block under "Hamiltonian file format" in README.md
+        readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+        with open(readme, encoding="utf-8") as f:
+            text = f.read()
+        section = text[text.index("### Hamiltonian file format"):]
+        start = section.index("```json\n") + len("```json\n")
+        path = tmp_path / "h.json"
+        path.write_text(section[start:section.index("```", start)])
+        code, out, err = run(capsys, ["normalize", "--input", str(path)])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        for key in ("K2200", "K1111", "K0022", "D2"):
+            assert math.isfinite(payload[key])
+        assert payload["K2200"] != 0.0 and payload["K0022"] != 0.0
+
     def test_quadratic_only_hamiltonian(self, capsys, tmp_path):
         path = tmp_path / "h.json"
         path.write_text(json.dumps(hamiltonian_payload()))

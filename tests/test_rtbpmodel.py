@@ -66,6 +66,39 @@ class TestCoefficients:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             rtbpmodel.CoefficientSet(**{name: math.inf})
 
+    @pytest.mark.parametrize("cls, bad, named", [
+        (CubicQuarticCoefficients, {"b5": math.nan, "a2": -math.inf, "b1": math.inf},
+         "a2 must be finite, got -inf"),
+        (rtbpmodel.CoefficientSet, {"c": math.inf, "a": math.nan, "b3": -math.inf},
+         "b3 must be finite, got -inf"),
+        (rtbpmodel.CoefficientSet, {"c": math.inf, "a": math.nan},
+         "a must be finite, got nan"),
+    ])
+    def test_first_non_finite_field_in_declaration_order_is_named(self, cls, bad, named):
+        # a1..b5, then a and c, whatever the order of the keywords
+        with pytest.raises(ValueError) as err:
+            cls(**bad)
+        assert str(err.value) == named
+
+    @pytest.mark.parametrize("max_half_order", [None, 0, 2, 7])
+    def test_coefficients_evaluate_the_series_once_through_the_module(
+            self, monkeypatch, max_half_order):
+        calls = []
+        series = rtbpmodel.coefficient_series
+
+        def counting(params):
+            calls.append(params)
+            return series(params)
+
+        monkeypatch.setattr(rtbpmodel, "coefficient_series", counting)
+        expected = coefficients(REFERENCE_POINT, max_half_order)
+        assert calls == [REFERENCE_POINT]
+        stability_verdict(REFERENCE_POINT, 0.3, 1.0, max_half_order=max_half_order)
+        list(scan_omega1(REFERENCE_POINT, 1.0, 0.1, 0.9, 9, max_half_order=max_half_order))
+        assert calls == [REFERENCE_POINT] * 3
+        monkeypatch.undo()
+        assert coefficients(REFERENCE_POINT, max_half_order) == expected
+
     def test_domain_validation(self):
         with pytest.raises(ModelDomainError):
             ModelParams(mu=0.0, q=0.5, Q=0.5, A=0.0)
