@@ -18,7 +18,7 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .closedform import CubicQuarticCoefficients, PoleError, d2_closed, k0022, k1111, k2200
+from .closedform import CubicQuarticCoefficients, PoleError, tabulated_kernel
 from .normalform import ResonanceError, normalize
 from .polyalg import Frequencies, GradedHamiltonian
 from .rtbpmodel import ModelParams, d2_eval, scan_omega1, verdict_from_d2
@@ -28,9 +28,8 @@ DOMAIN_ERROR = 3
 RESONANCE_ERROR = 4
 
 
-def _fmt(v: float) -> str:
-    # 17 significant digits; round-trips any double exactly
-    return format(float(v), ".16e")
+#: CSV float format: 17 significant digits, which round-trip any double
+_CSV_FLOAT = "%.16e"
 
 
 def _write(chunks, path: str | None):
@@ -147,19 +146,16 @@ def _run_closed_form(args) -> int:
     coeffs = CubicQuarticCoefficients(**{
         field.name: getattr(args, field.name)
         for field in dataclasses.fields(CubicQuarticCoefficients)})
+    # Frequencies checks omega1, then omega3, before the kernel is built
     freqs = Frequencies(args.omega1, args.omega3)
-    # d2_closed first: it names an overflow of the forms, which the K
-    # functions alone would raise as a bare OverflowError
-    d2 = d2_closed(coeffs, freqs)
-    values = {
-        "K2200": k2200(coeffs, freqs),
-        "K1111": k1111(coeffs, freqs),
-        "K0022": k0022(coeffs, freqs),
-        "D2": d2,
-    }
+    k2200, k1111, k0022, d2 = tabulated_kernel(coeffs, freqs.omega3)
+    w1 = freqs.omega1
+    # d2 first: it names an overflow of the forms, which the K functions
+    # alone would raise as a bare OverflowError
+    values = {"D2": d2(w1), "K2200": k2200(w1), "K1111": k1111(w1), "K0022": k0022(w1)}
     if args.format == "csv":
         text = ("K2200,K1111,K0022,D2\n"
-                + ",".join(_fmt(values[k]) for k in ("K2200", "K1111", "K0022", "D2")))
+                + ",".join(_CSV_FLOAT % values[k] for k in ("K2200", "K1111", "K0022", "D2")))
     else:
         text = _json_text(values)
     _emit(text, args.output)
@@ -189,8 +185,8 @@ def _run_rtbp_scan(args) -> int:
                        max_half_order=args.max_half_order)
     # row by row, so neither the rows nor the text of a long scan are held
     if args.format == "csv":
-        # "%.16e" is _fmt's format; rows hold floats already
-        lines = ("%.16e,%.16e,%s\n" % row for row in rows)
+        row_format = f"{_CSV_FLOAT},{_CSV_FLOAT},%s\n"
+        lines = (row_format % row for row in rows)
         _write(itertools.chain(("omega1,D2,flag\n",), lines), args.output)
     else:
         _write(_json_rows(rows), args.output)

@@ -44,13 +44,11 @@ DIVISOR_REL_TOL = 1e-9
 class ResonanceError(ValueError):
     """A divisor fell below tolerance for a term that must be eliminated."""
 
-    def __init__(self, exponents: Exponents, divisor: float, message: str | None = None):
+    def __init__(self, exponents: Exponents, divisor: float):
         self.exponents = tuple(exponents)
         self.divisor = divisor
-        if message is None:
-            message = (f"divisor {divisor!r} below tolerance for monomial "
-                       f"{self.exponents}; the generator coefficient would blow up")
-        super().__init__(message)
+        super().__init__(f"divisor {divisor!r} below tolerance for monomial "
+                         f"{self.exponents}; the generator coefficient would blow up")
 
 
 def divisor(exponents, freqs: Frequencies) -> float:
@@ -149,19 +147,20 @@ def _eliminate(source: CanonicalPolynomial, freqs: Frequencies, flag_window: flo
 def normalize(ham: GradedHamiltonian) -> NormalFormReport:
     """Bring a Hamiltonian to normal form through degree 4.
 
-    A real-chart Hamiltonian is complexified first.  The complex-chart
-    quadratic part must be diagonal, i*omega1*X1*Y1 + i*omega3*X2*Y2.  All
+    Parts of degree above 4 do not influence the result through this order
+    and are ignored, in either chart: of a real-chart Hamiltonian only the
+    parts of degree 2 to 4 are complexified.  The complex-chart quadratic
+    part must be diagonal, i*omega1*X1*Y1 + i*omega3*X2*Y2.  All
     non-resonant degree-3 and degree-4 terms are eliminated; resonant
     monomials (j = l, r = s) are retained and the surviving (X1Y1)^2,
-    X1Y1X2Y2, (X2Y2)^2 coefficients give the stability determinant.  Parts
-    of degree above 4 do not influence the result through this order and
-    are ignored.
+    X1Y1X2Y2, (X2Y2)^2 coefficients give the stability determinant.
 
     Raises ResonanceError when any required divisor is below DIVISOR_REL_TOL
     times the largest frequency.
     """
     if ham.chart != COMPLEX_CHART:
-        ham = ham.complexify()
+        ham = GradedHamiltonian({d: ham.part(d) for d in (2, 3, 4)},
+                                ham.frequencies).complexify()
     freqs = ham.frequencies
     flag_window = NEAR_RESONANCE_WINDOW * freqs.largest
 

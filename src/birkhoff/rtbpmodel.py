@@ -3,7 +3,9 @@
 Evaluates the truncated expansions of the model constants (a, c) and of the
 cubic/quartic Hamiltonian coefficients (a1..a4, b1, b3, b5) in powers of
 sqrt(A), evaluates the stability determinant over frequency grids, and issues
-the stability verdict.  The model Hamiltonian itself is built by
+the stability verdict.  A verdict and a scan row are classified by one
+rule, in _status: pole guard band, exact low-order resonance, then |D2|
+against the degeneracy cut.  The model Hamiltonian itself is built by
 :func:`birkhoff.closedform.build_model_hamiltonian`.
 
 The expansions are transcribed literally, term by term, from their tabulated
@@ -279,7 +281,8 @@ def coefficients(params: ModelParams,
 
     max_half_order keeps only terms A**(h/2) with h up to the given bound
     (0 keeps the oblateness-independent sector, 2 truncates after the A term,
-    None keeps everything tabulated); a negative bound raises ValueError.
+    None keeps everything tabulated); a negative bound raises ValueError.  A
+    sum that is not finite raises ModelDomainError naming the model point.
     """
     if max_half_order is None:
         max_half_order = HALF_ORDERS[-1]
@@ -293,10 +296,16 @@ def coefficients(params: ModelParams,
     except OverflowError as err:
         raise ModelDomainError(
             f"a power of A = {params.A!r} is not a finite double") from err
-    # each table is summed in ascending h, the order coefficient_series writes
-    return CoefficientSet(**{
-        name: sum(coeff * powers[h] for h, coeff in orders.items() if h <= max_half_order)
-        for name, orders in table.items()})
+    try:
+        # each table is summed in ascending h, the order coefficient_series writes
+        return CoefficientSet(**{
+            name: sum(coeff * powers[h] for h, coeff in orders.items() if h <= max_half_order)
+            for name, orders in table.items()})
+    except ValueError as err:  # a sum that is not finite
+        raise ModelDomainError(
+            f"the expansions summed through half-order {max_half_order} at "
+            f"(mu, q, Q, A) = ({params.mu!r}, {params.q!r}, {params.Q!r}, {params.A!r}) "
+            f"are not finite: {err}") from err
 
 
 # -- determinant evaluation and verdicts --------------------------------------
@@ -320,7 +329,7 @@ def _d2_point(d2: Callable[[float], float], omega1: float, omega3: float) -> flo
     An exactly-on-pole pair does not raise: the value is computed at the
     nearest omega1 above it, at most POLE_NUDGE_STEPS ulps up, where no
     denominator of the closed forms rounds to 0; past that it raises
-    DeterminantOverflowError.  _band names the pole.
+    DeterminantOverflowError.  _status names the pole.
     """
     w1, steps = omega1, 0
     while True:
@@ -387,36 +396,44 @@ class StabilityStatus(str, Enum):
     POLE = "pole"
 
 
-#: where Arnold's criterion is void, in the order _band tests them: the
+#: where Arnold's criterion is void, in the order _status tests them: the
 #: three pole guard bands, then the three exact low-order resonances that
 #: are not poles (an exact pole is inside its band)
 _VOID_RELATIONS = ("omega3 = 2*omega1", "omega1 = 2*omega3", "omega1 = 0",
                    "omega1 = omega3", "omega3 = 3*omega1", "omega1 = 3*omega3")
 
+#: (status, scan flag, notes) of a point off every void relation, by |D2|;
+#: a scan writes stable as "ok"
+_DEGENERATE = (StabilityStatus.DEGENERATE, StabilityStatus.DEGENERATE.value, ())
+_STABLE = (StabilityStatus.STABLE, "ok", ())
 
-def _band(omega1: float, omega3: float) -> tuple[StabilityStatus, tuple[str, ...]] | None:
-    """(POLE or RESONANT, notes naming each relation hit), or None off them all.
 
-    A pair is in a pole guard band when it lies within RESONANCE_GUARD *
-    omega3 of a pole of D2, and on an exact resonance when the gap is below
-    normalize's small-divisor rule, DIVISOR_REL_TOL times the larger
-    frequency.  Plain comparisons decide, since a scan runs this per row;
-    notes are built only on a hit.
+def _status(d2: float, omega1: float, omega3: float,
+            cut: float) -> tuple[StabilityStatus, str, tuple[str, ...]]:
+    """(status, scan flag, notes naming each void relation hit) of one point.
+
+    The first rule that applies decides: a pole guard band (within
+    RESONANCE_GUARD * omega3 of a pole of D2), an exact low-order resonance
+    (a gap below normalize's small-divisor rule, DIVISOR_REL_TOL times the
+    larger frequency), |D2| at or below cut (degenerate), else stable.
+    Plain comparisons decide, since a scan runs this per row; notes are
+    built only when a relation is hit, and are empty when |D2| decided.
     """
     guard = RESONANCE_GUARD * omega3
     half, double = abs(2.0 * omega1 - omega3), abs(omega1 - 2.0 * omega3)
     if half < guard or double < guard or omega1 < guard:
-        status, kind, cut, gaps = StabilityStatus.POLE, "pole", guard, (half, double, omega1)
+        status, kind, limit, gaps = StabilityStatus.POLE, "pole", guard, (half, double, omega1)
         names = _VOID_RELATIONS[:3]
     else:
-        cut = DIVISOR_REL_TOL * (omega1 if omega1 > omega3 else omega3)
+        limit = DIVISOR_REL_TOL * (omega1 if omega1 > omega3 else omega3)
         one, third, triple = (abs(omega1 - omega3), abs(3.0 * omega1 - omega3),
                               abs(omega1 - 3.0 * omega3))
-        if not (one < cut or third < cut or triple < cut):
-            return None
+        if not (one < limit or third < limit or triple < limit):
+            return _DEGENERATE if abs(d2) <= cut else _STABLE
         status, kind, gaps = StabilityStatus.RESONANT, "resonance", (one, third, triple)
         names = _VOID_RELATIONS[3:]
-    return status, tuple(f"{kind}:{name}" for name, gap in zip(names, gaps) if gap < cut)
+    return status, status.value, tuple(
+        f"{kind}:{name}" for name, gap in zip(names, gaps) if gap < limit)
 
 
 @dataclass(frozen=True)
@@ -443,23 +460,19 @@ def verdict_from_d2(d2: float, omega1: float, omega3: float,
                     d2_tolerance: float | None) -> StabilityVerdict:
     """Classify one evaluated determinant value.
 
-    stable requires frequencies outside the pole guard bands and off the
-    exact low-order resonances (both decided by _band), and |D2| above
-    tolerance.  A tolerance of None is DEGENERACY_FRACTION of |D2| itself (a
-    single point has no grid to take a median over), so only an exact zero
-    is then reported degenerate; an explicit tolerance must be a positive
-    finite real.
+    The status is _status's: stable requires frequencies outside the pole
+    guard bands and off the exact low-order resonances, and |D2| above
+    tolerance.  The notes name the relations hit, or else compare |D2| with
+    the tolerance.  A tolerance of None is DEGENERACY_FRACTION of |D2|
+    itself (a single point has no grid to take a median over), so only an
+    exact zero is then reported degenerate; an explicit tolerance must be a
+    positive finite real.
     """
     d2_tolerance = _degeneracy_cut(d2_tolerance, lambda: abs(d2))
-    band = _band(omega1, omega3)
-    if band:
-        status, notes = band
-    elif abs(d2) <= d2_tolerance:
-        status = StabilityStatus.DEGENERATE
-        notes = (f"abs(D2)={abs(d2):.6g} <= tolerance={d2_tolerance:.6g}",)
-    else:
-        status = StabilityStatus.STABLE
-        notes = (f"abs(D2)={abs(d2):.6g} > tolerance={d2_tolerance:.6g}",)
+    status, _, notes = _status(d2, omega1, omega3, d2_tolerance)
+    if not notes:
+        relation = "<=" if status is StabilityStatus.DEGENERATE else ">"
+        notes = (f"abs(D2)={abs(d2):.6g} {relation} tolerance={d2_tolerance:.6g}",)
     return StabilityVerdict(status=status, d2=d2, omega1=omega1, omega3=omega3,
                             notes=notes)
 
@@ -487,14 +500,14 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
                 max_half_order: int | None = None) -> Iterator[ScanRow]:
     """Uniform scan of the determinant over omega1 in [lo, hi], endpoints included.
 
-    Each row's flag is the status verdict_from_d2 gives it at the scan's
-    degeneracy tolerance, with stable written "ok": rows in the pole guard
-    bands or on an exact resonance are flagged rather than dropped.  The
-    tolerance defaults to DEGENERACY_FRACTION of the scan's median |D2|; an
-    explicit one must be a positive finite real.  Neither the model
-    coefficients nor the products of the tabulated forms that leave out
-    omega1 depend on it, so one kernel serves the whole grid; each row
-    matches d2_eval at the same omega1 bit for bit.
+    Each row's flag is the scan flag _status gives it at the scan's
+    degeneracy tolerance, verdict_from_d2's status with stable written "ok":
+    rows in the pole guard bands or on an exact resonance are flagged rather
+    than dropped.  The tolerance defaults to DEGENERACY_FRACTION of the
+    scan's median |D2|; an explicit one must be a positive finite real.
+    Neither the model coefficients nor the products of the tabulated forms
+    that leave out omega1 depend on it, so one kernel serves the whole grid;
+    each row matches d2_eval at the same omega1 bit for bit.
 
     Every grid point is evaluated before this returns, so any error is raised
     here; only D2 (8 bytes) is kept per row.  The rows are returned as an
@@ -509,29 +522,16 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
     if d2_tolerance is not None:
         # an invalid explicit tolerance fails before any grid point is evaluated
         d2_tolerance = _degeneracy_cut(d2_tolerance, None)
-    last = steps - 1
-    step = (hi - lo) / last
-
     _, _, _, d2 = tabulated_kernel(coefficients(params, max_half_order), omega3)
-    values = array("d", (_d2_point(d2, hi if k == last else lo + k * step, omega3)
-                         for k in range(steps)))
+    values = array("d", (_d2_point(d2, omega1, omega3) for omega1 in _grid(lo, hi, steps)))
 
     # the kernel never returns a non-finite value, and the grid is not empty
     cut = _degeneracy_cut(d2_tolerance, lambda: _median_abs(values))
-    return _scan_rows(values, omega3, lo, step, hi, cut)
+    return (ScanRow(omega1, value, _status(value, omega1, omega3, cut)[1])
+            for omega1, value in zip(_grid(lo, hi, steps), values))
 
 
-def _scan_rows(values: array, omega3: float, lo: float, step: float,
-               hi: float, cut: float) -> Iterator[ScanRow]:
-    """Rows of an evaluated scan, the grid point recomputed from its index."""
-    last = len(values) - 1
-    for k, value in enumerate(values):
-        omega1 = hi if k == last else lo + k * step
-        band = _band(omega1, omega3)
-        if band:
-            flag = band[0].value
-        elif abs(value) <= cut:
-            flag = "degenerate"
-        else:
-            flag = "ok"
-        yield ScanRow(omega1, value, flag)
+def _grid(lo: float, hi: float, steps: int) -> Iterator[float]:
+    """The steps points of a uniform grid: lo + k*step, then hi itself."""
+    step = (hi - lo) / (steps - 1)
+    return itertools.chain((lo + k * step for k in range(steps - 1)), (hi,))

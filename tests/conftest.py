@@ -8,6 +8,7 @@ Lie-transform engine; they differ from birkhoff.closedform in the
 quadratic-in-cubic sectors (see DISCREPANCIES.md).
 """
 
+import hashlib
 from fractions import Fraction
 
 from birkhoff import (
@@ -24,6 +25,20 @@ from birkhoff import (
 #: three terms; the verdict there is stable
 CANCELLATION_POINT = (0.002720043807294557, 0.5463885506276273, 0.3866753034233212,
                       0.0048672361891881405, 0.5746535936534526)
+
+
+def assert_digest(lines, digest, tmp_path):
+    """Assert that the SHA-256 of the joined lines is digest.
+
+    On a mismatch the lines are written to a file under tmp_path, which the
+    failure names, so a re-pin can be diffed against the old outcomes.
+    """
+    text = "\n".join(lines)
+    got = hashlib.sha256(text.encode()).hexdigest()
+    if got != digest:
+        path = tmp_path / "outcomes.txt"
+        path.write_text(text + "\n", encoding="utf-8")
+        raise AssertionError(f"digest {got} != pinned {digest}; outcome lines in {path}")
 
 
 def reference_model_hamiltonian():

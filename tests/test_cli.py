@@ -320,6 +320,18 @@ class TestRtbpEvalCommand:
         assert code == 3
         assert json.loads(err)["error"] == "domain"
 
+    def test_non_finite_series_sum_names_the_model_point(self, capsys):
+        # a1's A**2 term overflows to -inf at this point, truncated after A
+        code, out, err = run(capsys, ["rtbp-eval", "--mu", "1e-35", "--q", "0.5",
+                                      "--Q", "0.5", "--A", "1e155",
+                                      "--max-half-order", "2", "--omega1", "0.3"])
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "domain",
+            "message": "the expansions summed through half-order 2 at (mu, q, Q, A) = "
+                       "(1e-35, 0.5, 0.5, 1e+155) are not finite: "
+                       "a1 must be finite, got -inf"}
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["rtbp-eval", "--mu", "0.1"])

@@ -9,7 +9,6 @@ overflow, powers of omega3 that overflow, subnormal denominators and omega1
 near 1e308 and 1e-320.
 """
 
-import hashlib
 import math
 import random
 
@@ -24,6 +23,7 @@ from birkhoff import (
     k2200,
 )
 from birkhoff.closedform import tabulated_kernel
+from conftest import assert_digest
 
 #: SHA-256 of the lines of outcomes(); recorded before the kernel was hoisted
 DIGEST = "ff9779098006e44b3c2a87b75fd87ab856d4dd046d1324788ecdfc514500c259"
@@ -101,11 +101,10 @@ def outcomes():
     return lines
 
 
-def test_outcomes_match_the_recorded_digest():
+def test_outcomes_match_the_recorded_digest(tmp_path):
     lines = outcomes()
     assert len(lines) > 1900
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == DIGEST
+    assert_digest(lines, DIGEST, tmp_path)
 
 
 def test_one_kernel_per_group_gives_the_per_point_outcomes():

@@ -226,6 +226,16 @@ class TestNormalize:
         extended = normalize(complex_ham({4: h4, 5: h5}, 1.0, 3.0))
         assert extended.k2200 == plain.k2200
         assert extended.d2 == plain.d2
+        # in the real chart too, where complexifying a degree-1100 part
+        # would overflow a double
+        model = build_model_hamiltonian(CubicQuarticCoefficients(a3=-0.9, b1=0.7),
+                                        Frequencies(1.0, 3.0))
+        high = CanonicalPolynomial({(1100, 0, 0, 0): 1e-3}, "real")
+        real_plain = normalize(model)
+        real_extended = normalize(GradedHamiltonian({**model.parts, 1100: high},
+                                                    model.frequencies))
+        assert real_extended.d2 == real_plain.d2
+        assert real_extended.to_json_dict() == real_plain.to_json_dict()
 
 
 class TestFrequencyShift:

@@ -247,6 +247,23 @@ class TestStabilityVerdict:
         assert verdict.status is StabilityStatus.RESONANT
         assert any("omega1 = omega3" in n for n in verdict.notes)
 
+    @pytest.mark.parametrize("d2, omega1, omega3, tolerance, status, notes", [
+        (1.0, 0.3, 1.0, None, "stable", "abs(D2)=1 > tolerance=1e-06"),
+        (1.0, 0.3, 1.0, 10.0, "degenerate", "abs(D2)=1 <= tolerance=10"),
+        (0.0, 0.3, 1.0, None, "degenerate", "abs(D2)=0 <= tolerance=1e-300"),
+        (1.0, 0.5, 1.0, None, "pole", "pole:omega3 = 2*omega1"),
+        (1.0, 2.0, 1.0, None, "pole", "pole:omega1 = 2*omega3"),
+        (1.0, 0.005, 1.0, None, "pole", "pole:omega1 = 0"),
+        (1.0, 1.0, 1.0, None, "resonant", "resonance:omega1 = omega3"),
+        (1.0, 1.0, 3.0, None, "resonant", "resonance:omega3 = 3*omega1"),
+        (1.0, 3.0, 1.0, None, "resonant", "resonance:omega1 = 3*omega3"),
+    ], ids=["stable", "degenerate-explicit", "degenerate-zero", "pole-half",
+            "pole-double", "pole-zero", "resonance-one", "resonance-third",
+            "resonance-triple"])
+    def test_notes(self, d2, omega1, omega3, tolerance, status, notes):
+        verdict = verdict_from_d2(d2, omega1, omega3, tolerance)
+        assert (verdict.status.value, verdict.notes) == (status, (notes,))
+
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):
             verdict_from_d2(1.0, 0.3, 1.0, d2_tolerance=0.0)

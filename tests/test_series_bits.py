@@ -13,13 +13,15 @@ finite under truncation.
 """
 
 import dataclasses
-import hashlib
 import random
 
 from birkhoff import ModelParams, coefficient_series, coefficients
+from conftest import assert_digest
 
-#: SHA-256 of the lines of outcomes(); recorded from the per-quantity series
-DIGEST = "35f5c14e06fee25f4d908b740ebf0d988983e5ef70e0c5d91d77ecf40668d1d5"
+#: SHA-256 of the lines of outcomes(); recorded from the per-quantity series,
+#: then re-pinned when a sum that is not finite came to name its model point
+#: (those 8 lines kept the old field message as their tail)
+DIGEST = "d3cda0e3c75b82d18a783ef9cd4f932c46ff9d49709fc7d6a504115fde4b93b0"
 
 HALF_ORDER_BOUNDS = (None, 0, 1, 2, 3, 4, 7)
 #: 1e-40 and 1e-35 divide by 0, 1e-32 gives coefficients whose squares
@@ -102,12 +104,11 @@ def test_points_cover_every_rare_value():
     assert set(RARE_A) <= {p.A for p, _ in pts}
 
 
-def test_outcomes_match_the_recorded_digest():
+def test_outcomes_match_the_recorded_digest(tmp_path):
     lines = outcomes()
     assert len(lines) >= 4000
     # the set reaches every kind of outcome the series can have
-    assert any(line.startswith("ModelDomainError: the expansions") for line in lines)
+    assert any(line.startswith("ModelDomainError: the expansions are") for line in lines)
     assert any(line.startswith("ModelDomainError: a power of A") for line in lines)
-    assert any(line.startswith("ValueError:") for line in lines)
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == DIGEST
+    assert any(line.startswith("ModelDomainError: the expansions summed") for line in lines)
+    assert_digest(lines, DIGEST, tmp_path)
