@@ -46,14 +46,23 @@ def _emit(text: str, path: str | None):
     _write((text, "\n"), path)
 
 
+class _Verbatim:
+    """JSON text that _json_text writes as it is, already laid out for its place."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
 def _json_text(value, indent: str = "\n") -> str:
     """The text of json.dumps(value, indent=2, sort_keys=True), for str keys.
 
     json.dumps with an indent runs CPython's pure-Python encoder; here only
     the layout is Python, and every leaf goes through a C-level encoder.
-    Non-finite floats, bools and None take json.dumps's own tokens.  indent
-    is the line break and indentation that come before the value's closing
-    bracket.
+    Non-finite floats, bools and None take json.dumps's own tokens, and a
+    _Verbatim value its own text.  indent is the line break and indentation
+    that come before the value's closing bracket.
     """
     # floats first: they are most of the leaves of a report
     if isinstance(value, float) and math.isfinite(value):
@@ -74,6 +83,8 @@ def _json_text(value, indent: str = "\n") -> str:
             return "[]"
         items = [_json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, _Verbatim):
+        return value.text
     return json.dumps(value)
 
 
@@ -134,11 +145,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: _json_text of one generator term inside a normalize report, keys sorted;
+#: its floats are plain, so %r writes them as float.__repr__ does
+_JSON_TERM = ('{\n        "exponents": [\n          %d,\n          %d,\n          %d,\n'
+              '          %d\n        ],\n        "im": %r,\n        "re": %r\n      }')
+
+
+def _report_text(report: dict) -> str:
+    """The text of _json_text(report) for a NormalFormReport.to_json_dict().
+
+    The generator terms are nearly all of a report.  A polynomial holds only
+    finite coefficients and their exponents are ints, so each term is the
+    fixed template _JSON_TERM; the rest of the report goes through _json_text.
+    """
+    generating = report["generating"]
+    terms = generating["terms"]
+    if terms:
+        rows = ",\n      ".join([
+            _JSON_TERM % (*t["exponents"], t["im"], t["re"]) for t in terms])
+        verbatim = _Verbatim("[\n      " + rows + "\n    ]")
+        report = dict(report, generating=dict(generating, terms=verbatim))
+    return _json_text(report)
+
+
 def _run_normalize(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except RecursionError as err:  # the C decoder recurses once per bracket
+            raise ValueError(f"the input nests too deeply to read: {err}") from err
     report = normalize(GradedHamiltonian.from_json_dict(payload))
-    _emit(_json_text(report.to_json_dict()), args.output)
+    _emit(_report_text(report.to_json_dict()), args.output)
     return 0
 
 

@@ -25,6 +25,7 @@ from .polyalg import (
     Exponents,
     Frequencies,
     GradedHamiltonian,
+    NonFiniteCoefficientError,
     poisson_bracket,
 )
 
@@ -156,22 +157,32 @@ def normalize(ham: GradedHamiltonian) -> NormalFormReport:
     X1Y1X2Y2, (X2Y2)^2 coefficients give the stability determinant.
 
     Raises ResonanceError when any required divisor is below DIVISOR_REL_TOL
-    times the largest frequency.
+    times the largest frequency, and NonFiniteCoefficientError, naming the
+    stage, when a coefficient overflows a double on the way.
     """
-    if ham.chart != COMPLEX_CHART:
-        ham = GradedHamiltonian({d: ham.part(d) for d in (2, 3, 4)},
-                                ham.frequencies).complexify()
-    freqs = ham.frequencies
-    flag_window = NEAR_RESONANCE_WINDOW * freqs.largest
+    # the stage names the polynomial being built, for a coefficient that
+    # overflows in it: the monomial alone names a term the input never had
+    stage = "complexified H2 + H3 + H4"
+    try:
+        if ham.chart != COMPLEX_CHART:
+            ham = GradedHamiltonian({d: ham.part(d) for d in (2, 3, 4)},
+                                    ham.frequencies).complexify()
+        freqs = ham.frequencies
+        flag_window = NEAR_RESONANCE_WINDOW * freqs.largest
 
-    h2 = ham.part(2)
-    _check_diagonal_quadratic(h2, freqs)
+        h2 = ham.part(2)
+        _check_diagonal_quadratic(h2, freqs)
 
-    h3 = ham.part(3)
-    w_deg3, _, flags3 = _eliminate(h3, freqs, flag_window)  # nothing of h3 survives
+        h3 = ham.part(3)
+        stage = "degree-3 generator W3"
+        w_deg3, _, flags3 = _eliminate(h3, freqs, flag_window)  # nothing of h3 survives
 
-    source4 = ham.part(4) + 0.5 * poisson_bracket(h3, w_deg3)
-    w_deg4, k4, flags4 = _eliminate(source4, freqs, flag_window)
+        stage = "degree-4 source H4 + {H3, W3}/2"
+        source4 = ham.part(4) + 0.5 * poisson_bracket(h3, w_deg3)
+        stage = "degree-4 generator W4"
+        w_deg4, k4, flags4 = _eliminate(source4, freqs, flag_window)
+    except NonFiniteCoefficientError as err:
+        raise NonFiniteCoefficientError(f"{stage}: {err}") from err
 
     k2200, k1111, k0022 = (complex(k4.coefficient(e)).real
                            for e in ((2, 2, 0, 0), (1, 1, 1, 1), (0, 0, 2, 2)))

@@ -35,32 +35,42 @@ class ChartMismatchError(ValueError):
     """An operation mixed polynomials from different charts."""
 
 
+class NonFiniteCoefficientError(ValueError):
+    """A floating-point coefficient is infinite or nan."""
+
+
 def _validate_exponents(exponents) -> Exponents:
     """Four non-negative ints; a bool, float or string exponent raises ValueError."""
     e = tuple(exponents)
-    if len(e) != 4 or not all(type(v) is int and v >= 0 for v in e):
+    # a bool, float or str exponent breaks the exact-type chain
+    if (len(e) != 4 or not type(e[0]) is type(e[1]) is type(e[2]) is type(e[3]) is int
+            or min(e) < 0):
         raise ValueError(
             f"exponents must be four non-negative integers, got {exponents!r}")
     return e
 
 
-def _clean_terms(terms: Mapping[Exponents, complex]) -> dict[Exponents, complex]:
+def _clean_terms(terms: dict[Exponents, complex]) -> dict[Exponents, complex]:
     """The nonzero terms, floating-point ones purged below ZERO_TOLERANCE of the
-    largest; an infinite or nan floating-point coefficient raises ValueError."""
-    nonzero = {e: c for e, c in terms.items() if c != 0}
-    if not nonzero:
-        return {}
-    if any(isinstance(c, (float, complex)) for c in nonzero.values()):
-        largest = 0.0
-        for e, c in nonzero.items():
-            size = abs(c)
-            if not size < math.inf:  # inf or nan
-                raise ValueError(f"coefficient {c!r} of the monomial {e} is not finite")
-            if size > largest:
-                largest = size
-        cutoff = ZERO_TOLERANCE * largest
-        nonzero = {e: c for e, c in nonzero.items() if abs(c) > cutoff}
-    return nonzero
+    largest; an infinite or nan floating-point coefficient raises
+    NonFiniteCoefficientError.  The caller hands terms over: when no term is
+    dropped, the dict itself is returned."""
+    if 0 in terms.values():
+        terms = {e: c for e, c in terms.items() if c != 0}
+    if not any(isinstance(c, (float, complex)) for c in terms.values()):
+        return terms
+    sizes = list(map(abs, terms.values()))
+    # a nan or inf size makes the sum non-finite; so can finite sizes that
+    # add up past the double range, and then no term is named
+    if not sum(sizes) < math.inf:
+        for (e, c), size in zip(terms.items(), sizes):
+            if not size < math.inf:
+                raise NonFiniteCoefficientError(
+                    f"coefficient {c!r} of the monomial {e} is not finite")
+    cutoff = ZERO_TOLERANCE * max(sizes)
+    if min(sizes) > cutoff:
+        return terms
+    return {e: c for (e, c), size in zip(terms.items(), sizes) if size > cutoff}
 
 
 class CanonicalPolynomial:
@@ -79,10 +89,11 @@ class CanonicalPolynomial:
         self.chart = chart
 
     @classmethod
-    def _from_checked(cls, terms: Mapping[Exponents, complex],
+    def _from_checked(cls, terms: dict[Exponents, complex],
                       chart: str) -> "CanonicalPolynomial":
-        # terms keyed by exponent tuples the package built from checked ones;
-        # the relative-zero purge still runs, as in the public constructor
+        # terms: a new dict keyed by exponent tuples the package built from
+        # checked ones, which the polynomial may keep; the relative-zero
+        # purge still runs, as in the public constructor
         poly = cls.__new__(cls)
         poly._terms = _clean_terms(terms)
         poly.chart = chart
@@ -195,20 +206,20 @@ def poisson_bracket(f: CanonicalPolynomial, g: CanonicalPolynomial) -> Canonical
     """
     f._check_chart(g)
     acc: dict[Exponents, complex] = {}
-    for e1, c1 in f._terms.items():
-        for e2, c2 in g._terms.items():
+    get = acc.get
+    g_terms = [(a2, b2, r2, s2, c2) for (a2, b2, r2, s2), c2 in g._terms.items()]
+    for (a1, b1, r1, s1), c1 in f._terms.items():
+        for a2, b2, r2, s2, c2 in g_terms:
             c12 = c1 * c2
-            for k in (0, 2):
-                a, b = e1[k], e1[k + 1]
-                cc, dd = e2[k], e2[k + 1]
-                mult = a * dd - b * cc
-                if mult == 0:
-                    continue
-                exps = [e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3]]
-                exps[k] -= 1
-                exps[k + 1] -= 1
-                key = tuple(exps)
-                acc[key] = acc.get(key, 0) + mult * c12
+            # the (X1, Y1) pair, then the (X2, Y2) pair: each key's sum keeps its order
+            mult = a1 * b2 - b1 * a2
+            if mult:
+                key = (a1 + a2 - 1, b1 + b2 - 1, r1 + r2, s1 + s2)
+                acc[key] = get(key, 0) + mult * c12
+            mult = r1 * s2 - s1 * r2
+            if mult:
+                key = (a1 + a2, b1 + b2, r1 + r2 - 1, s1 + s2 - 1)
+                acc[key] = get(key, 0) + mult * c12
     return CanonicalPolynomial._from_checked(acc, f.chart)
 
 
@@ -217,18 +228,31 @@ def _expand_linear_power(c1, c2, e: int) -> dict[tuple[int, int], complex]:
     return {(t, e - t): math.comb(e, t) * c1 ** t * c2 ** (e - t) for t in range(e + 1)}
 
 
-@functools.cache
-def _expand_mode(ea: int, eb: int, fa, fb) -> tuple[tuple[tuple[int, int], complex], ...]:
-    # (fa . (U,V))**ea * (fb . (U,V))**eb  for one canonical pair, as
-    # ((power of U, power of V), coefficient) items.  Cached: a chart change
-    # of degree <= d meets at most (d+1)**2 keys per form, and the result is a
-    # tuple so no caller can change what the next one reads.
+def _expand_mode(ea: int, eb: int, fa, fb) -> dict[tuple[int, int], complex]:
+    # (fa . (U,V))**ea * (fb . (U,V))**eb  for one canonical pair, keyed by
+    # (power of U, power of V)
     out: dict[tuple[int, int], complex] = {}
     for (u1, v1), ca in _expand_linear_power(fa[0], fa[1], ea).items():
         for (u2, v2), cb in _expand_linear_power(fb[0], fb[1], eb).items():
             key = (u1 + u2, v1 + v2)
             out[key] = out.get(key, 0) + ca * cb
-    return tuple(out.items())
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _expand_monomial(exponents: Exponents, first_form, second_form):
+    # (scale, ((key, c1, c2), ...)): the substitution of one monomial, its
+    # two modes multiplied out but their coefficients kept apart.  Cached,
+    # and a tuple so no caller can change what the next one reads: the
+    # monomials of degree <= 4 number 70, so both chart changes of the
+    # engine stay within the bound.
+    j, l, r, s = exponents
+    d = j + l + r + s
+    scale = 0.5 ** (d // 2) * (_SQRT1_2 if d % 2 else 1.0)
+    mode1 = _expand_mode(j, l, first_form, second_form).items()
+    mode2 = _expand_mode(r, s, first_form, second_form).items()
+    return scale, tuple(((x1, y1, x2, y2), c1, c2)
+                        for (x1, y1), c1 in mode1 for (x2, y2), c2 in mode2)
 
 
 def _substitute(f: CanonicalPolynomial, first_form, second_form,
@@ -237,16 +261,12 @@ def _substitute(f: CanonicalPolynomial, first_form, second_form,
     # overall 2**(-degree/2) normalization is applied per term so that even
     # degrees scale by exact powers of one half.
     out: dict[Exponents, complex] = {}
-    for (j, l, r, s), c in f._terms.items():
-        d = j + l + r + s
-        scale = 0.5 ** (d // 2) * (_SQRT1_2 if d % 2 else 1.0)
-        mode1 = _expand_mode(j, l, first_form, second_form)
-        mode2 = _expand_mode(r, s, first_form, second_form)
+    get = out.get
+    for e, c in f._terms.items():
+        scale, expansion = _expand_monomial(e, first_form, second_form)
         base = c * scale
-        for (x1, y1), c1 in mode1:
-            for (x2, y2), c2 in mode2:
-                key = (x1, y1, x2, y2)
-                out[key] = out.get(key, 0) + base * c1 * c2
+        for key, c1, c2 in expansion:
+            out[key] = get(key, 0) + base * c1 * c2
     return CanonicalPolynomial._from_checked(out, new_chart)
 
 
@@ -298,6 +318,8 @@ class Frequencies:
 
 def _json_number(value, what: str) -> float:
     """A finite JSON number (int or float, not bool) as a float."""
+    if type(value) is float and -math.inf < value < math.inf:
+        return value  # most coefficients, told apart by their exact type
     number = float(value)  # TypeError for null, lists and objects
     if type(value) not in (int, float) or not math.isfinite(number):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
@@ -328,7 +350,7 @@ class GradedHamiltonian:
                 raise ChartMismatchError("all parts must share one chart")
             if poly.is_zero:
                 continue
-            if any(sum(e) != d for e in poly):
+            if {*map(sum, poly._terms)} != {d}:
                 raise ValueError(f"part {d} is not homogeneous of degree {d}")
             stored[d] = poly
         self._parts = stored
@@ -356,7 +378,8 @@ class GradedHamiltonian:
         lexicographic order; exponent order fixed as (X1, Y1, X2, Y2)."""
         terms = []
         for d in self.degrees():
-            for e, c in self._parts[d].sorted_terms():
+            # a part is homogeneous, so exponent order is its graded order
+            for e, c in sorted(self._parts[d]._terms.items()):
                 z = complex(c)
                 # + 0.0 writes a negative zero as 0.0
                 terms.append({"exponents": list(e), "re": z.real + 0.0,

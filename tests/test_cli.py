@@ -280,6 +280,33 @@ class TestNormalizeCommand:
         assert code == 3
         assert json.loads(err)["error"] == "domain"
 
+    def test_overflow_names_the_engine_stage(self, capsys, tmp_path):
+        # X1^3 and Y1^3 at 1e200: their bracket is 1e400, at a monomial of
+        # the degree-4 source that the file never wrote
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({
+            "dof": 2, "chart": "complex", "frequencies": [1.07, 0.41], "terms": [
+                {"exponents": [1, 1, 0, 0], "re": 0.0, "im": 1.07},
+                {"exponents": [0, 0, 1, 1], "re": 0.0, "im": 0.41},
+                {"exponents": [3, 0, 0, 0], "re": 1e200, "im": 0.0},
+                {"exponents": [0, 3, 0, 0], "re": 1e200, "im": 0.0}]}))
+        code, out, err = run(capsys, ["normalize", "--input", str(path)])
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "domain",
+            "message": "degree-4 source H4 + {H3, W3}/2: coefficient (nan+infj) "
+                       "of the monomial (2, 2, 0, 0) is not finite"}
+
+    def test_deeply_nested_input_is_domain_error(self, capsys, tmp_path):
+        # the JSON decoder recurses once per bracket
+        path = tmp_path / "h.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, ["normalize", "--input", str(path)])
+        assert (code, out) == (3, "")
+        payload = json.loads(err)
+        assert payload["error"] == "domain"
+        assert payload["message"].startswith("the input nests too deeply to read: ")
+
 
 class TestRtbpEvalCommand:
     def test_stable_point(self, capsys):

@@ -219,6 +219,27 @@ class TestNormalize:
         with pytest.raises(ValueError, match="not finite"):
             normalize(build_model_hamiltonian(coeffs, Frequencies(1.07, 0.41)))
 
+    @pytest.mark.parametrize("chart, terms, stage", [
+        ("real", {(4, 0, 0, 0): 1.7e308}, "complexified H2 + H3 + H4"),
+        ("complex", {(3, 0, 0, 0): 1.5e308}, "degree-3 generator W3"),
+        ("complex", {(3, 0, 0, 0): 1e200, (0, 3, 0, 0): 1e200},
+         "degree-4 source H4 + {H3, W3}/2"),
+        ("complex", {(4, 0, 0, 0): 1.7e308}, "degree-4 generator W4"),
+    ])
+    def test_overflow_names_the_stage(self, chart, terms, stage):
+        # q1^4 complexifies to 6/4 of its coefficient at X1^2 Y1^2; with
+        # omega1 = 0.2 the divisors of X1^3 and X1^4 are -0.6 and -0.8
+        w1, w3 = 0.2, 1.0
+        h2 = (CanonicalPolynomial({(2, 0, 0, 0): w1 / 2, (0, 2, 0, 0): w1 / 2,
+                                   (0, 0, 2, 0): w3 / 2, (0, 0, 0, 2): w3 / 2})
+              if chart == "real" else diagonal_h2(w1, w3))
+        degree = sum(next(iter(terms)))
+        ham = GradedHamiltonian({2: h2, degree: CanonicalPolynomial(terms, chart)},
+                                Frequencies(w1, w3))
+        with pytest.raises(ValueError, match="not finite$") as info:
+            normalize(ham)
+        assert str(info.value).startswith(stage + ": coefficient ")
+
     def test_degrees_above_four_are_ignored(self):
         h5 = CanonicalPolynomial({(5, 0, 0, 0): 1.0}, "complex")
         h4 = CanonicalPolynomial({(2, 2, 0, 0): 1.0}, "complex")

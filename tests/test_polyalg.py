@@ -217,9 +217,10 @@ class TestChartChange:
         def complexified():
             return [complexify(poly({e: c})).terms for e in monomials]
 
-        polyalg._expand_mode.cache_clear()
+        polyalg._expand_monomial.cache_clear()
         cached = (realified(), complexified(), realified())
-        monkeypatch.setattr(polyalg, "_expand_mode", polyalg._expand_mode.__wrapped__)
+        monkeypatch.setattr(polyalg, "_expand_monomial",
+                            polyalg._expand_monomial.__wrapped__)
         fresh_real, fresh_complex = realified(), complexified()
         assert cached == (fresh_real, fresh_complex, fresh_real)
 
