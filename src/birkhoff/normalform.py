@@ -52,32 +52,6 @@ class ResonanceError(ValueError):
                          f"{self.exponents}; the generator coefficient would blow up")
 
 
-def divisor(exponents, freqs: Frequencies) -> float:
-    """omega1*(l - j) + omega3*(s - r) for exponents (j, l, r, s)."""
-    j, l, r, s = exponents
-    return freqs.omega1 * (l - j) + freqs.omega3 * (s - r)
-
-
-def is_resonant(exponents) -> bool:
-    """True for a pure action product X1^j Y1^j X2^r Y2^r (j = l and r = s)."""
-    j, l, r, s = exponents
-    return j == l and r == s
-
-
-def solve_homological_term(coefficient: complex, exponents,
-                           freqs: Frequencies) -> complex:
-    """Generator coefficient i*A/(omega1*(l-j) + omega3*(s-r)) for one monomial.
-
-    Raises ResonanceError when the denominator is below DIVISOR_REL_TOL times
-    the largest frequency, which includes every monomial with j = l and r = s.
-    """
-    exponents = tuple(exponents)
-    d = divisor(exponents, freqs)
-    if is_resonant(exponents) or abs(d) < DIVISOR_REL_TOL * freqs.largest:
-        raise ResonanceError(exponents, d)
-    return 1j * coefficient / d
-
-
 @dataclass(frozen=True)
 class NormalFormReport:
     """Outcome of a degree-4 normalization.
@@ -109,9 +83,9 @@ class NormalFormReport:
         }
 
 
-def _check_diagonal_quadratic(h2: CanonicalPolynomial, freqs: Frequencies):
+def _check_diagonal_quadratic(h2: CanonicalPolynomial, freqs: Frequencies,
+                              scale: float):
     expected = {(1, 1, 0, 0): 1j * freqs.omega1, (0, 0, 1, 1): 1j * freqs.omega3}
-    scale = freqs.largest
     for e, c in h2.terms.items():
         want = expected.pop(e, None)
         if want is None:
@@ -127,17 +101,27 @@ def _check_diagonal_quadratic(h2: CanonicalPolynomial, freqs: Frequencies):
                          f"with coefficient {want!r}")
 
 
-def _eliminate(source: CanonicalPolynomial, freqs: Frequencies, flag_window: float):
-    """Split a homogeneous source into (generator part, surviving resonant part)."""
+def _eliminate(source: CanonicalPolynomial, freqs: Frequencies, tolerance: float,
+               flag_window: float):
+    """Split a homogeneous source into (generator part, surviving part, flags).
+
+    The only place the homological rule of the module docstring is applied.
+    A divisor below tolerance raises ResonanceError; one below flag_window is
+    flagged.
+    """
+    omega1, omega3 = freqs.omega1, freqs.omega3
     w_terms: dict[Exponents, complex] = {}
     kept: dict[Exponents, complex] = {}
     flags: list[tuple[Exponents, float]] = []
     for e, c in source.terms.items():
-        if is_resonant(e):
+        j, l, r, s = e
+        if j == l and r == s:
             kept[e] = c
             continue
-        w_terms[e] = solve_homological_term(c, e, freqs)
-        d = divisor(e, freqs)
+        d = omega1 * (l - j) + omega3 * (s - r)
+        if abs(d) < tolerance:
+            raise ResonanceError(e, d)
+        w_terms[e] = 1j * c / d
         if abs(d) < flag_window:
             flags.append((e, d))
     return (CanonicalPolynomial._from_checked(w_terms, COMPLEX_CHART),
@@ -168,19 +152,23 @@ def normalize(ham: GradedHamiltonian) -> NormalFormReport:
             ham = GradedHamiltonian({d: ham.part(d) for d in (2, 3, 4)},
                                     ham.frequencies).complexify()
         freqs = ham.frequencies
-        flag_window = NEAR_RESONANCE_WINDOW * freqs.largest
+        scale = max(freqs.omega1, freqs.omega3)
+        tolerance = DIVISOR_REL_TOL * scale
+        flag_window = NEAR_RESONANCE_WINDOW * scale
 
         h2 = ham.part(2)
-        _check_diagonal_quadratic(h2, freqs)
+        _check_diagonal_quadratic(h2, freqs, scale)
 
         h3 = ham.part(3)
         stage = "degree-3 generator W3"
-        w_deg3, _, flags3 = _eliminate(h3, freqs, flag_window)  # nothing of h3 survives
+        # nothing of h3 survives: no cubic monomial has j = l and r = s
+        w_deg3, _, flags3 = _eliminate(h3, freqs, tolerance, flag_window)
 
         stage = "degree-4 source H4 + {H3, W3}/2"
         source4 = ham.part(4) + 0.5 * poisson_bracket(h3, w_deg3)
         stage = "degree-4 generator W4"
-        w_deg4, k4, flags4 = _eliminate(source4, freqs, flag_window)
+        w_deg4, k4, flags4 = _eliminate(source4, freqs, tolerance,
+                                         flag_window)
     except NonFiniteCoefficientError as err:
         raise NonFiniteCoefficientError(f"{stage}: {err}") from err
 

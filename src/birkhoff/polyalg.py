@@ -311,10 +311,6 @@ class Frequencies:
         check_frequency("omega1", self.omega1)
         check_frequency("omega3", self.omega3)
 
-    @property
-    def largest(self) -> float:
-        return max(self.omega1, self.omega3)
-
 
 def _json_number(value, what: str) -> float:
     """A finite JSON number (int or float, not bool) as a float."""

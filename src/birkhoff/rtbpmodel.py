@@ -39,10 +39,6 @@ _SQRT3 = math.sqrt(3.0)
 #: expansions carry powers A^(h/2) for half-orders h in this range
 HALF_ORDERS = (0, 1, 2, 3, 4)
 
-#: largest oblateness for which the truncated expansions are considered
-#: meaningful; larger values are accepted but evaluate the same arithmetic
-SUPPORTED_A_MAX = 0.01
-
 #: relative half-width of the guard bands drawn around the determinant's poles
 #: in scans and verdicts (distinct from the engine's hard divisor tolerance)
 RESONANCE_GUARD = 0.01
@@ -299,7 +295,8 @@ def coefficients(params: ModelParams,
     try:
         # each table is summed in ascending h, the order coefficient_series writes
         return CoefficientSet(**{
-            name: sum(coeff * powers[h] for h, coeff in orders.items() if h <= max_half_order)
+            name: sum((coeff * powers[h] for h, coeff in orders.items()
+                       if h <= max_half_order), 0.0)
             for name, orders in table.items()})
     except ValueError as err:  # a sum that is not finite
         raise ModelDomainError(

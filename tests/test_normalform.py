@@ -13,9 +13,7 @@ from birkhoff import (
     d2_from_k,
     frequency_shift_1dof,
     normalize,
-    solve_homological_term,
 )
-from birkhoff.normalform import is_resonant
 from conftest import draw_nonresonant_frequencies, lie_k0022, lie_k1111, lie_k2200
 
 
@@ -31,28 +29,37 @@ def complex_ham(parts, w1, w3):
 
 
 class TestHomologicalRule:
+    """The rule of the normalform docstring, checked through normalize."""
+
+    @staticmethod
+    def single_cubic_generator(exponents, coefficient, w1, w3):
+        h3 = CanonicalPolynomial({exponents: coefficient}, "complex")
+        return normalize(complex_ham({3: h3}, w1, w3)).generating.part(3).terms
+
     def test_direct_substitution(self):
-        got = solve_homological_term(1.0, (2, 0, 0, 0), Frequencies(1.0, 1.0))
-        assert got == pytest.approx(-0.5j)
+        d = 1.07 * (0 - 3) + 0.41 * (0 - 0)
+        got = self.single_cubic_generator((3, 0, 0, 0), 1.0, 1.07, 0.41)
+        assert got == {(3, 0, 0, 0): 1j * 1.0 / d}
 
     def test_complex_source_coefficient(self):
-        got = solve_homological_term(2j, (0, 0, 0, 3), Frequencies(1.0, 1.0))
-        assert got == pytest.approx(-2.0 / 3.0)
-
-    def test_action_monomial_raises(self):
-        with pytest.raises(ResonanceError) as err:
-            solve_homological_term(1.0, (1, 1, 0, 0), Frequencies(1.3, 0.4))
-        assert err.value.exponents == (1, 1, 0, 0)
-        assert err.value.divisor == 0.0
-
-    def test_resonance_predicate(self):
-        assert is_resonant((2, 2, 1, 1))
-        assert not is_resonant((2, 1, 1, 1))
+        d = 1.07 * (0 - 0) + 0.41 * (3 - 0)
+        got = self.single_cubic_generator((0, 0, 0, 3), 2j, 1.07, 0.41)
+        assert got == {(0, 0, 0, 3): 1j * 2j / d}
 
     def test_near_zero_divisor_raises(self):
         # divisor omega1*(0-2) + omega3*(1-0) with omega3 barely off 2*omega1
-        with pytest.raises(ResonanceError):
-            solve_homological_term(1.0, (2, 0, 0, 1), Frequencies(1.0, 2.0 + 1e-12))
+        h3 = CanonicalPolynomial({(2, 0, 0, 1): 1.0}, "complex")
+        with pytest.raises(ResonanceError) as err:
+            normalize(complex_ham({3: h3}, 1.0, 2.0 + 1e-12))
+        assert err.value.exponents == (2, 0, 0, 1)
+        assert err.value.divisor == 1.0 * (0 - 2) + (2.0 + 1e-12) * 1
+
+    def test_resonance_predicate(self):
+        # (2, 2, 0, 0) has j = l and r = s and survives; (2, 1, 0, 1) does not
+        h4 = CanonicalPolynomial({(2, 2, 0, 0): 1.0, (2, 1, 0, 1): 1.0}, "complex")
+        report = normalize(complex_ham({4: h4}, 1.0, 3.0))
+        assert set(report.kamiltonian.part(4).terms) == {(2, 2, 0, 0)}
+        assert set(report.generating.part(4).terms) == {(2, 1, 0, 1)}
 
 
 class TestD2FromK:
@@ -116,8 +123,10 @@ class TestNormalize:
         h3 = CanonicalPolynomial({(2, 0, 0, 1): 0.7}, "complex")
         report = normalize(complex_ham({3: h3}, 1.0, 2.0 + 1e-5))
         flagged = dict(report.resonance_flags)
-        assert (2, 0, 0, 1) in flagged
-        assert abs(flagged[(2, 0, 0, 1)]) == pytest.approx(1e-5, rel=1e-6)
+        d = 1.0 * (0 - 2) + (2.0 + 1e-5) * (1 - 0)
+        assert flagged == {(2, 0, 0, 1): d}
+        assert abs(d) == pytest.approx(1e-5, rel=1e-6)
+        assert report.generating.part(3).terms == {(2, 0, 0, 1): 1j * 0.7 / d}
 
     def test_normal_form_keeps_only_action_products(self):
         rng = random.Random(5)
@@ -134,14 +143,18 @@ class TestNormalize:
         from birkhoff import poisson_bracket
 
         coeffs = CubicQuarticCoefficients(0.4, -1.0, 0.8, 0.3, 1.1, -0.6, 0.9)
-        freqs = Frequencies(1.07, 0.41)
-        ham = build_model_hamiltonian(coeffs, freqs).complexify()
+        w1, w3 = 1.07, 0.41
+        ham = build_model_hamiltonian(coeffs, Frequencies(w1, w3)).complexify()
         report = normalize(ham)
+
+        def rule(c, e):
+            j, l, r, s = e
+            return 1j * c / (w1 * (l - j) + w3 * (s - r))
+
         h3 = ham.part(3)
         w3poly = report.generating.part(3)
         for e, c in h3.terms.items():
-            assert w3poly.coefficient(e) == pytest.approx(
-                solve_homological_term(c, e, freqs), rel=1e-12)
+            assert w3poly.coefficient(e) == pytest.approx(rule(c, e), rel=1e-12)
         # degree-4 generator cancels the degree-4 source, term by term
         source4 = ham.part(4) + 0.5 * poisson_bracket(h3, w3poly)
         w4poly = report.generating.part(4)
@@ -149,8 +162,7 @@ class TestNormalize:
             j, l, r, s = e
             if j == l and r == s:
                 continue
-            assert w4poly.coefficient(e) == pytest.approx(
-                solve_homological_term(c, e, freqs), rel=1e-12)
+            assert w4poly.coefficient(e) == pytest.approx(rule(c, e), rel=1e-12)
 
     def test_reality_of_model_normal_form(self):
         rng = random.Random(6)

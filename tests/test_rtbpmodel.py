@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import statistics
@@ -151,6 +152,13 @@ class TestCoefficients:
             d2_eval(REFERENCE_POINT, 0.3, 1.0, max_half_order=-3)
         with pytest.raises(ValueError, match="max_half_order"):
             scan_omega1(REFERENCE_POINT, 1.0, 0.1, 0.9, 5, max_half_order=-3)
+
+    @pytest.mark.parametrize("max_half_order", [0, 1, 2, 3, 4])
+    def test_every_field_is_a_float(self, max_half_order):
+        # a2, a4 and c keep no term at h = 0: their sums are empty
+        c = coefficients(REFERENCE_POINT, max_half_order)
+        for field in dataclasses.fields(c):
+            assert type(getattr(c, field.name)) is float, field.name
 
     def test_series_table_covers_all_quantities(self):
         table = coefficient_series(REFERENCE_POINT)

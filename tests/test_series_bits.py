@@ -2,8 +2,8 @@
 
 Every outcome over a seeded set of (mu, q, Q, A, max_half_order) points --
 float.hex of every table entry of coefficient_series and of every
-CoefficientSet field of coefficients, in order (the int 0 of an empty sum
-as itself), or the type and message of the exception -- is hashed and
+CoefficientSet field of coefficients, in order (an int as its repr), or
+the type and message of the exception -- is hashed and
 compared with a digest recorded from the per-quantity series functions,
 which evaluated every power where it was written.  The set covers mass
 ratios whose powers underflow to 0 (division by zero), give non-finite
@@ -20,8 +20,10 @@ from conftest import assert_digest
 
 #: SHA-256 of the lines of outcomes(); recorded from the per-quantity series,
 #: then re-pinned when a sum that is not finite came to name its model point
-#: (those 8 lines kept the old field message as their tail)
-DIGEST = "d3cda0e3c75b82d18a783ef9cd4f932c46ff9d49709fc7d6a504115fde4b93b0"
+#: (those 8 lines kept the old field message as their tail), and again when
+#: an empty sum became the float 0.0 rather than the int 0 (259 lines, each
+#: only with tokens 0 -> 0x0.0p+0)
+DIGEST = "d052f3a2dc96c09913887d50d57a8b620aa9cb0b96bb95bb325a7c362be18932"
 
 HALF_ORDER_BOUNDS = (None, 0, 1, 2, 3, 4, 7)
 #: 1e-40 and 1e-35 divide by 0, 1e-32 gives coefficients whose squares
@@ -72,7 +74,7 @@ def _outcome(f):
 
 
 def _hex(value):
-    # an empty sum is the int 0, which is pinned as such
+    # an int, should one appear, is pinned as its repr
     return value.hex() if isinstance(value, float) else repr(value)
 
 
