@@ -14,9 +14,7 @@ import dataclasses
 import functools
 import itertools
 import json
-import math
 import sys
-from json.encoder import encode_basestring_ascii
 
 from .closedform import CubicQuarticCoefficients, PoleError, tabulated_kernel
 from .normalform import ResonanceError, normalize
@@ -46,46 +44,9 @@ def _emit(text: str, path: str | None):
     _write((text, "\n"), path)
 
 
-class _Verbatim:
-    """JSON text that _json_text writes as it is, already laid out for its place."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text
-
-
-def _json_text(value, indent: str = "\n") -> str:
-    """The text of json.dumps(value, indent=2, sort_keys=True), for str keys.
-
-    json.dumps with an indent runs CPython's pure-Python encoder; here only
-    the layout is Python, and every leaf goes through a C-level encoder.
-    Non-finite floats, bools and None take json.dumps's own tokens, and a
-    _Verbatim value its own text.  indent is the line break and indentation
-    that come before the value's closing bracket.
-    """
-    # floats first: they are most of the leaves of a report
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
-                 for k, v in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_json_text(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(value, _Verbatim):
-        return value.text
-    return json.dumps(value)
+def _json_text(value) -> str:
+    """The one layout of every JSON document the CLI writes."""
+    return json.dumps(value, indent=2, sort_keys=True)
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -156,16 +117,18 @@ def _report_text(report: dict) -> str:
 
     The generator terms are nearly all of a report.  A polynomial holds only
     finite coefficients and their exponents are ints, so each term is the
-    fixed template _JSON_TERM; the rest of the report goes through _json_text.
+    fixed template _JSON_TERM.  The rest goes through _json_text with the
+    terms left empty; its '"terms": []' is then replaced by the rows.  That
+    text is unique: a report's keys are fixed and its one string is "complex".
     """
     generating = report["generating"]
     terms = generating["terms"]
-    if terms:
-        rows = ",\n      ".join([
-            _JSON_TERM % (*t["exponents"], t["im"], t["re"]) for t in terms])
-        verbatim = _Verbatim("[\n      " + rows + "\n    ]")
-        report = dict(report, generating=dict(generating, terms=verbatim))
-    return _json_text(report)
+    text = _json_text(dict(report, generating=dict(generating, terms=[])))
+    if not terms:
+        return text
+    rows = ",\n      ".join([
+        _JSON_TERM % (*t["exponents"], t["im"], t["re"]) for t in terms])
+    return text.replace('"terms": []', '"terms": [\n      ' + rows + "\n    ]", 1)
 
 
 def _run_normalize(args) -> int:

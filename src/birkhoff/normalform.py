@@ -190,12 +190,14 @@ def frequency_shift_1dof(omega: float, a: float, b: float) -> float:
     """Action-squared coefficient of the normal form of (w/2)(q^2+p^2) + a q^3 + b q^4.
 
     Runs the engine on the cubic/quartic model with a1 = a, b1 = b and the
-    second mode switched off (its frequency is a dummy; no mixed terms
-    exist); a and b must be finite.  The predicted orbital frequency at
-    action J is omega + 2*c2*J + O(J^2) where c2 is the returned value.
+    second mode switched off; a and b must be finite.  The second frequency is
+    a dummy equal to omega: no model term touches that mode, so it enters no
+    divisor, and omega alone sets the resonance tolerance.  The predicted
+    orbital frequency at action J is omega + 2*c2*J + O(J^2) where c2 is the
+    returned value.
     """
     ham = build_model_hamiltonian(CubicQuarticCoefficients(a1=a, b1=b),
-                                  Frequencies(omega, 1.0))
+                                  Frequencies(omega, omega))
     report = normalize(ham)
     # K4 = k2200*(X1 Y1)^2 with X1 Y1 = -i J, so K(J) = omega*J - k2200*J^2
     return -report.k2200

@@ -478,16 +478,17 @@ class TestRtbpScanCommand:
         assert code == 0
         lo, hi, steps = cli._parse_grid(grid)
         rows = scan_omega1(REFERENCE_POINT, 1.0, lo, hi, steps)
-        whole = cli._json_text([{"omega1": w, "D2": d2, "flag": flag}
-                                for w, d2, flag in rows])
+        whole = json.dumps([{"omega1": w, "D2": d2, "flag": flag}
+                            for w, d2, flag in rows], indent=2, sort_keys=True)
         assert out == whole + "\n"
         assert len(json.loads(out)) == steps
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_scan_memory_is_bounded_per_row(self, monkeypatch, tmp_path, fmt):
-        # rows are written as they are made; only D2 and a pole bit are held
-        # per row, plus the median's sorted runs of |D2|.  Small runs make the
-        # merge take the median: one sorted list of every |D2| costs 32 B/row
+        # rows are written as they are made; D2 (8 B) and the median's sorted
+        # runs of |D2| (8 B) are held per row, about 17 B/row in all.  Small
+        # runs make the merge take the median: one sorted list of every |D2|
+        # costs 32 B/row
         monkeypatch.setattr(rtbpmodel, "MEDIAN_CHUNK", 1024)
         steps = 50_000
         argv = ["rtbp-scan", *REF_FLAGS, "--omega3", "1", "--format", fmt,

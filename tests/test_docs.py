@@ -23,7 +23,9 @@ def overview_names(module):
 @pytest.mark.parametrize("module", ["polyalg", "normalform", "closedform", "rtbpmodel"])
 def test_overview_names_are_module_attributes(module):
     mod = importlib.import_module(f"birkhoff.{module}")
-    missing = [name for name in overview_names(module) if not hasattr(mod, name)]
+    names = overview_names(module)
+    assert names, f"README's birkhoff.{module} row names no identifier"
+    missing = [name for name in names if not hasattr(mod, name)]
     assert missing == []
 
 

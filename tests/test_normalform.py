@@ -296,6 +296,14 @@ class TestFrequencyShift:
         # the floats the function returned when it built its squares by hand
         assert frequency_shift_1dof(*args) == float.fromhex(bits)
 
+    @pytest.mark.parametrize("omega", [1e-10, 1e-12])
+    def test_small_omega_is_not_resonant(self, omega):
+        # the 1-DOF system has no resonance at any omega > 0, so the dummy
+        # second frequency must not set the resonance tolerance
+        a, b = 0.3, 0.2
+        assert frequency_shift_1dof(omega, a, b) == pytest.approx(
+            1.5 * b - 15 * a**2 / (4 * omega), rel=1e-12)
+
     @pytest.mark.parametrize("a, b", [(math.nan, 0.7), (0.3, math.inf)], ids=repr)
     def test_non_finite_coefficient_rejected(self, a, b):
         # a nan a used to be skipped and the a = 0 value returned
