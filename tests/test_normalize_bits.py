@@ -90,9 +90,10 @@ def _terms(poly):
     return " ".join(f"{e}:{c!r}" for e, c in poly.terms.items())
 
 
-def outcomes(tmp_path, capsys):
+def outcomes(tmp_path, capsys, items):
+    """Outcome lines of [(label, payload), ...], in order."""
     lines = []
-    for label, payload in payloads():
+    for label, payload in items:
         ham = GradedHamiltonian.from_json_dict(payload)
         if ham.chart == "real":
             real = ham
@@ -120,7 +121,7 @@ def outcomes(tmp_path, capsys):
 
 
 def test_outcomes_match_the_recorded_digest(tmp_path, capsys):
-    lines = outcomes(tmp_path, capsys)
+    lines = outcomes(tmp_path, capsys, payloads())
     # exit codes: every populated, model and near-resonant file normalizes,
     # every exactly resonant one is refused
     codes = [line.rsplit(" ", 1)[1] for line in lines if " exit " in line]
