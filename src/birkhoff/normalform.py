@@ -149,8 +149,9 @@ def normalize(ham: GradedHamiltonian) -> NormalFormReport:
     stage = "complexified H2 + H3 + H4"
     try:
         if ham.chart != COMPLEX_CHART:
-            ham = GradedHamiltonian({d: ham.part(d) for d in (2, 3, 4)},
-                                    ham.frequencies).complexify()
+            ham = GradedHamiltonian._from_checked(
+                {d: ham.part(d) for d in (2, 3, 4)}, ham.chart,
+                ham.frequencies).complexify()
         freqs = ham.frequencies
         scale = max(freqs.omega1, freqs.omega3)
         tolerance = DIVISOR_REL_TOL * scale
@@ -165,10 +166,17 @@ def normalize(ham: GradedHamiltonian) -> NormalFormReport:
         w_deg3, _, flags3 = _eliminate(h3, freqs, tolerance, flag_window)
 
         stage = "degree-4 source H4 + {H3, W3}/2"
-        source4 = ham.part(4) + 0.5 * poisson_bracket(h3, w_deg3)
+        # one pass and one purge: half of each bracket term, in its order,
+        # added to a copy of H4; a half that rounds to 0 adds nothing
+        source4 = ham.part(4).terms
+        for e, c in poisson_bracket(h3, w_deg3).terms.items():
+            c = c * 0.5
+            if c != 0:
+                source4[e] = source4.get(e, 0) + c
         stage = "degree-4 generator W4"
-        w_deg4, k4, flags4 = _eliminate(source4, freqs, tolerance,
-                                         flag_window)
+        w_deg4, k4, flags4 = _eliminate(
+            CanonicalPolynomial._from_checked(source4, COMPLEX_CHART), freqs,
+            tolerance, flag_window)
     except NonFiniteCoefficientError as err:
         raise NonFiniteCoefficientError(f"{stage}: {err}") from err
 
@@ -181,8 +189,9 @@ def normalize(ham: GradedHamiltonian) -> NormalFormReport:
         k0022=k0022,
         d2=d2_from_k(k2200, k1111, k0022, freqs),
         resonance_flags=tuple(flags3 + flags4),
-        generating=GradedHamiltonian({3: w_deg3, 4: w_deg4}, freqs),
-        kamiltonian=GradedHamiltonian({2: h2, 4: k4}, freqs),
+        generating=GradedHamiltonian._from_checked(
+            {3: w_deg3, 4: w_deg4}, COMPLEX_CHART, freqs),
+        kamiltonian=GradedHamiltonian._from_checked({2: h2, 4: k4}, COMPLEX_CHART, freqs),
     )
 
 

@@ -8,12 +8,21 @@ Coefficients may be floats/complex for numerical work or exact types
 values are immutable after construction.  Exponent tuples are checked once,
 where they enter through the public constructors; results the module builds
 itself skip that check.
+
+The bracket and the chart changes read their per-monomial work from one
+table, filled on first use: each monomial met gets a small number, and the
+bracket of two numbered monomials (output numbers and integer multiplicities
+for both canonical pairs) and the chart change of a monomial are worked out
+once, then looked up.  Loops still run over the input's own terms in their
+order, so every result is the same, bit for bit, whatever the table holds.
+An operation that leaves the table above _TABLE_LIMIT entries (about half a
+MiB) hands the next one a new table.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import threading
 from dataclasses import dataclass
 from numbers import Number
 from typing import Iterator, Mapping
@@ -205,22 +214,22 @@ def poisson_bracket(f: CanonicalPolynomial, g: CanonicalPolynomial) -> Canonical
     exact coefficients.
     """
     f._check_chart(g)
-    acc: dict[Exponents, complex] = {}
+    table = _TABLE
+    index, rows = table.index, table.rows
+    g_terms = [(index[e], c) for e, c in g._terms.items()]
+    acc: dict[int, complex] = {}
     get = acc.get
-    g_terms = [(a2, b2, r2, s2, c2) for (a2, b2, r2, s2), c2 in g._terms.items()]
-    for (a1, b1, r1, s1), c1 in f._terms.items():
-        for a2, b2, r2, s2, c2 in g_terms:
+    for e1, c1 in f._terms.items():
+        row = rows[e1]
+        for j, c2 in g_terms:
+            k1, m1, k2, m2 = row[j]
             c12 = c1 * c2
             # the (X1, Y1) pair, then the (X2, Y2) pair: each key's sum keeps its order
-            mult = a1 * b2 - b1 * a2
-            if mult:
-                key = (a1 + a2 - 1, b1 + b2 - 1, r1 + r2, s1 + s2)
-                acc[key] = get(key, 0) + mult * c12
-            mult = r1 * s2 - s1 * r2
-            if mult:
-                key = (a1 + a2, b1 + b2, r1 + r2 - 1, s1 + s2 - 1)
-                acc[key] = get(key, 0) + mult * c12
-    return CanonicalPolynomial._from_checked(acc, f.chart)
+            if m1:
+                acc[k1] = get(k1, 0) + m1 * c12
+            if m2:
+                acc[k2] = get(k2, 0) + m2 * c12
+    return CanonicalPolynomial._from_checked(_exponent_terms(table, acc), f.chart)
 
 
 def _expand_linear_power(c1, c2, e: int) -> dict[tuple[int, int], complex]:
@@ -239,35 +248,153 @@ def _expand_mode(ea: int, eb: int, fa, fb) -> dict[tuple[int, int], complex]:
     return out
 
 
-@functools.lru_cache(maxsize=256)
-def _expand_monomial(exponents: Exponents, first_form, second_form):
-    # (scale, ((key, c1, c2), ...)): the substitution of one monomial, its
-    # two modes multiplied out but their coefficients kept apart.  Cached,
-    # and a tuple so no caller can change what the next one reads: the
-    # monomials of degree <= 4 number 70, so both chart changes of the
-    # engine stay within the bound.
-    j, l, r, s = exponents
-    d = j + l + r + s
-    scale = 0.5 ** (d // 2) * (_SQRT1_2 if d % 2 else 1.0)
-    mode1 = _expand_mode(j, l, first_form, second_form).items()
-    mode2 = _expand_mode(r, s, first_form, second_form).items()
-    return scale, tuple(((x1, y1, x2, y2), c1, c2)
-                        for (x1, y1), c1 in mode1 for (x2, y2), c2 in mode2)
+#: the linear forms each canonical pair is substituted with, keyed by the
+#: chart the substitution leads to: complexify, then realify
+_CHART_FORMS = {COMPLEX_CHART: ((1, 1j), (1j, 1)), REAL_CHART: ((1, -1j), (-1j, 1))}
+
+#: entries a monomial table may keep between operations; an operation that
+#: leaves its table above this hands the next one a new, empty table
+_TABLE_LIMIT = 4096
 
 
-def _substitute(f: CanonicalPolynomial, first_form, second_form,
-                new_chart: str) -> CanonicalPolynomial:
+class _Index(dict):
+    # exponent tuple -> the monomial's number in its table, numbered on first sight
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: "_MonomialTable"):
+        self.table = table
+
+    def __missing__(self, e: Exponents) -> int:
+        table = self.table
+        with table.lock:
+            k = self.get(e)
+            if k is None:
+                k = len(table.exponents)
+                # the reverse entry first: a number read from the index is
+                # always found in exponents
+                table.exponents.append(e)
+                self[e] = k
+                table.size += 1
+        return k
+
+
+class _Rows(dict):
+    # exponent tuple e1 -> its row: number j -> (k1, m1, k2, m2), the bracket
+    # of e1 with monomial j being m1 * monomial k1 from the (X1, Y1) pair plus
+    # m2 * monomial k2 from the (X2, Y2) pair; k is -1 where m is 0
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: "_MonomialTable"):
+        self.table = table
+
+    def __missing__(self, e1: Exponents) -> "_Row":
+        return self.table.store(self, e1, _Row(self.table, e1), 1)
+
+
+class _Row(dict):
+    __slots__ = ("table", "left")
+
+    def __init__(self, table: "_MonomialTable", left: Exponents):
+        self.table = table
+        self.left = left
+
+    def __missing__(self, j: int) -> tuple[int, int, int, int]:
+        table = self.table
+        index = table.index
+        a1, b1, r1, s1 = self.left
+        a2, b2, r2, s2 = table.exponents[j]
+        m1 = a1 * b2 - b1 * a2
+        m2 = r1 * s2 - s1 * r2
+        k1 = index[(a1 + a2 - 1, b1 + b2 - 1, r1 + r2, s1 + s2)] if m1 else -1
+        k2 = index[(a1 + a2, b1 + b2, r1 + r2 - 1, s1 + s2 - 1)] if m2 else -1
+        return table.store(self, j, (k1, m1, k2, m2), 1)
+
+
+class _Expansions(dict):
+    # exponent tuple -> (scale, ((k, c1, c2), ...)): the chart change of one
+    # monomial by the linear forms, its two modes multiplied out but their
+    # coefficients kept apart, keyed by output number k
+
+    __slots__ = ("table", "forms")
+
+    def __init__(self, table: "_MonomialTable", forms):
+        self.table = table
+        self.forms = forms
+
+    def __missing__(self, e: Exponents):
+        index = self.table.index
+        first_form, second_form = self.forms
+        j, l, r, s = e
+        d = j + l + r + s
+        scale = 0.5 ** (d // 2) * (_SQRT1_2 if d % 2 else 1.0)
+        mode1 = _expand_mode(j, l, first_form, second_form).items()
+        mode2 = _expand_mode(r, s, first_form, second_form).items()
+        expansion = tuple((index[(x1, y1, x2, y2)], c1, c2)
+                          for (x1, y1), c1 in mode1 for (x2, y2), c2 in mode2)
+        return self.table.store(self, e, (scale, expansion), 1 + len(expansion))
+
+
+class _MonomialTable:
+    """Monomials numbered on first sight, with their bracket and chart-change
+    data, filled as operations meet them.
+
+    index maps an exponent tuple to its number and exponents maps it back;
+    rows[e1][j] is the bracket data of monomial e1 with monomial j, and
+    expansions[chart][e] the chart change of e into chart.  Entries are
+    tuples, so no caller can change what the next one reads; size counts
+    them, an expansion by its terms.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.size = 0
+        self.exponents: list[Exponents] = []
+        self.index = _Index(self)
+        self.rows = _Rows(self)
+        self.expansions = {chart: _Expansions(self, forms)
+                           for chart, forms in _CHART_FORMS.items()}
+
+    def store(self, part: dict, key, entry, size: int):
+        """part[key], set to entry unless another thread set it first."""
+        with self.lock:
+            if key not in part:
+                part[key] = entry
+                self.size += size
+            return part[key]
+
+
+#: the table every operation reads; empty until the first one
+_TABLE = _MonomialTable()
+
+
+def _exponent_terms(table: _MonomialTable,
+                    acc: dict[int, complex]) -> dict[Exponents, complex]:
+    # acc keyed by exponent tuples, in its order; a table past _TABLE_LIMIT
+    # is dropped once its operation is done with it
+    global _TABLE
+    exponents = table.exponents
+    terms = {exponents[k]: c for k, c in acc.items()}
+    if table.size > _TABLE_LIMIT and _TABLE is table:
+        _TABLE = _MonomialTable()
+    return terms
+
+
+def _substitute(f: CanonicalPolynomial, new_chart: str) -> CanonicalPolynomial:
     # Both canonical pairs get the same unit-free linear substitution; the
     # overall 2**(-degree/2) normalization is applied per term so that even
     # degrees scale by exact powers of one half.
-    out: dict[Exponents, complex] = {}
+    table = _TABLE
+    expansions = table.expansions[new_chart]
+    out: dict[int, complex] = {}
     get = out.get
     for e, c in f._terms.items():
-        scale, expansion = _expand_monomial(e, first_form, second_form)
+        scale, expansion = expansions[e]
         base = c * scale
-        for key, c1, c2 in expansion:
-            out[key] = get(key, 0) + base * c1 * c2
-    return CanonicalPolynomial._from_checked(out, new_chart)
+        for k, c1, c2 in expansion:
+            out[k] = get(k, 0) + base * c1 * c2
+    return CanonicalPolynomial._from_checked(_exponent_terms(table, out), new_chart)
 
 
 def complexify(f: CanonicalPolynomial) -> CanonicalPolynomial:
@@ -278,14 +405,14 @@ def complexify(f: CanonicalPolynomial) -> CanonicalPolynomial:
     """
     if f.chart != REAL_CHART:
         raise ChartMismatchError("complexify expects a real-chart polynomial")
-    return _substitute(f, (1, 1j), (1j, 1), COMPLEX_CHART)
+    return _substitute(f, COMPLEX_CHART)
 
 
 def realify(f: CanonicalPolynomial) -> CanonicalPolynomial:
     """Inverse of :func:`complexify`: Xk = (qk - i pk)/sqrt(2), Yk = (pk - i qk)/sqrt(2)."""
     if f.chart != COMPLEX_CHART:
         raise ChartMismatchError("realify expects a complex-chart polynomial")
-    return _substitute(f, (1, -1j), (-1j, 1), REAL_CHART)
+    return _substitute(f, REAL_CHART)
 
 
 def check_frequency(name: str, v) -> None:
@@ -353,6 +480,18 @@ class GradedHamiltonian:
         self.chart = REAL_CHART if chart is None else chart
         self.frequencies = frequencies
 
+    @classmethod
+    def _from_checked(cls, parts: Mapping[int, CanonicalPolynomial], chart: str,
+                      frequencies: Frequencies) -> "GradedHamiltonian":
+        # parts: polynomials of the chart keyed by degree >= 2, each
+        # homogeneous of its degree or zero, as the package builds them; the
+        # public constructor's checks are skipped, zero parts still dropped
+        ham = cls.__new__(cls)
+        ham._parts = {d: p for d, p in parts.items() if p._terms}
+        ham.chart = chart
+        ham.frequencies = frequencies
+        return ham
+
     @property
     def parts(self) -> dict[int, CanonicalPolynomial]:
         return dict(self._parts)
@@ -364,8 +503,10 @@ class GradedHamiltonian:
         return self._parts.get(d, CanonicalPolynomial.zero(self.chart))
 
     def complexify(self) -> "GradedHamiltonian":
-        return GradedHamiltonian(
-            {d: complexify(p) for d, p in self._parts.items()}, self.frequencies)
+        # a chart change maps each degree into itself
+        return GradedHamiltonian._from_checked(
+            {d: complexify(p) for d, p in self._parts.items()}, COMPLEX_CHART,
+            self.frequencies)
 
     # -- file format --------------------------------------------------------
 
@@ -405,8 +546,7 @@ class GradedHamiltonian:
         freqs = payload.get("frequencies")
         if not (isinstance(freqs, (list, tuple)) and len(freqs) == 2):
             raise ValueError("frequencies must be a two-element list [omega1, omega3]")
-        # a degree-2 part, empty or not, carries the file's chart
-        by_degree: dict[int, dict[Exponents, complex]] = {2: {}}
+        by_degree: dict[int, dict[Exponents, complex]] = {}
         try:
             for entry in payload.get("terms", []):
                 e = _validate_exponents(entry["exponents"])
@@ -423,7 +563,7 @@ class GradedHamiltonian:
             raise ValueError(f"term without the field {err}") from err
         except (TypeError, OverflowError) as err:
             raise ValueError(f"malformed term or frequency: {err}") from err
-        # every key passed _validate_exponents above
-        return cls({d: CanonicalPolynomial._from_checked(t, chart)
-                    for d, t in sorted(by_degree.items())},
-                   Frequencies(omega1, omega3))
+        # every key passed _validate_exponents above, and sits in its degree
+        return cls._from_checked({d: CanonicalPolynomial._from_checked(t, chart)
+                                  for d, t in sorted(by_degree.items())},
+                                 chart, Frequencies(omega1, omega3))

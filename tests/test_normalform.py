@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -14,6 +16,7 @@ from birkhoff import (
     frequency_shift_1dof,
     normalize,
 )
+from birkhoff import polyalg
 from conftest import draw_nonresonant_frequencies, lie_k0022, lie_k1111, lie_k2200
 
 
@@ -269,6 +272,35 @@ class TestNormalize:
                                                     model.frequencies))
         assert real_extended.d2 == real_plain.d2
         assert real_extended.to_json_dict() == real_plain.to_json_dict()
+
+    def test_each_traced_layer_is_entered_once(self, monkeypatch):
+        # the benchmark's tracer rebinds every birkhoff module's name for
+        # poisson_bracket and the class attribute GradedHamiltonian.complexify;
+        # a call that went round them would leave its layer's spans empty
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        bracket = polyalg.poisson_bracket
+        modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "birkhoff"]
+        for module in modules:
+            for alias, value in list(vars(module).items()):
+                if value is bracket:
+                    monkeypatch.setattr(module, alias, counted("bracket", bracket))
+        monkeypatch.setattr(GradedHamiltonian, "complexify",
+                            counted("complexify", GradedHamiltonian.complexify))
+        model = build_model_hamiltonian(CubicQuarticCoefficients(0.4, -1.0, 0.8),
+                                        Frequencies(1.0, 2.6))
+        normalize(model)
+        assert calls == {"bracket": 1, "complexify": 1}
+        complexified = model.complexify()
+        calls.clear()
+        normalize(complexified)
+        assert calls == {"bracket": 1}
 
 
 class TestFrequencyShift:

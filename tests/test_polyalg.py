@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 
@@ -21,6 +23,11 @@ from conftest import random_exact_polynomial, reference_model_hamiltonian
 
 def poly(terms, chart="real"):
     return CanonicalPolynomial(terms, chart)
+
+
+def bits(p):
+    """The terms of p in its order, coefficients as reprs."""
+    return [(e, repr(c)) for e, c in p.terms.items()]
 
 
 class TestMonomial:
@@ -206,23 +213,28 @@ class TestChartChange:
             assert diff.max_abs_coefficient() < 1e-12 * scale
 
     def test_cached_expansion_is_bit_identical(self, monkeypatch):
-        # both chart changes share one expansion cache, keyed by their forms;
-        # realify runs on a cold cache, then again after complexify has filled it
+        # both chart changes share one monomial table; realify runs on a cold
+        # table, then again after complexify has filled it, and each result
+        # equals the one computed on a table of its own
         monomials = [e for e in itertools.product(range(6), repeat=4) if sum(e) <= 5]
         c = complex(0.7, -0.3)
 
-        def realified():
-            return [realify(poly({e: c}, "complex")).terms for e in monomials]
+        def sweep(change, chart, cold=False):
+            out = []
+            for e in monomials:
+                if cold:
+                    monkeypatch.setattr(polyalg, "_TABLE", polyalg._MonomialTable())
+                out.append(bits(change(poly({e: c}, chart))))
+            return out
 
-        def complexified():
-            return [complexify(poly({e: c})).terms for e in monomials]
-
-        polyalg._expand_monomial.cache_clear()
-        cached = (realified(), complexified(), realified())
-        monkeypatch.setattr(polyalg, "_expand_monomial",
-                            polyalg._expand_monomial.__wrapped__)
-        fresh_real, fresh_complex = realified(), complexified()
-        assert cached == (fresh_real, fresh_complex, fresh_real)
+        table = polyalg._MonomialTable()
+        monkeypatch.setattr(polyalg, "_TABLE", table)
+        warm = (sweep(realify, "complex"), sweep(complexify, "real"),
+                sweep(realify, "complex"))
+        assert polyalg._TABLE is table and table.size > 0
+        fresh_real = sweep(realify, "complex", cold=True)
+        fresh_complex = sweep(complexify, "real", cold=True)
+        assert warm == (fresh_real, fresh_complex, fresh_real)
 
     def test_wrong_chart_rejected(self):
         f = poly({(1, 0, 0, 0): 1.0}, "complex")
@@ -230,6 +242,73 @@ class TestChartChange:
             complexify(f)
         with pytest.raises(ChartMismatchError):
             realify(poly({(1, 0, 0, 0): 1.0}, "real"))
+
+
+def random_float_polynomial(rng, max_degree, max_terms=8, chart="real"):
+    """Float coefficients, exponents of total degree <= max_degree."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        cut = sorted(rng.randint(0, max_degree) for _ in range(4))
+        e = (cut[0], cut[1] - cut[0], cut[2] - cut[1], cut[3] - cut[2])
+        terms[e] = rng.uniform(-2.0, 2.0)
+    return CanonicalPolynomial(terms, chart)
+
+
+class TestMonomialTable:
+    @staticmethod
+    def recount(table):
+        # monomials, rows, bracket pairs, and each expansion with its terms
+        return (len(table.index) + len(table.rows)
+                + sum(map(len, table.rows.values()))
+                + sum(1 + len(expansion) for part in table.expansions.values()
+                      for _, expansion in part.values()))
+
+    def test_tables_stay_bounded(self, monkeypatch):
+        rng = random.Random(43)
+        monkeypatch.setattr(polyalg, "_TABLE", polyalg._MonomialTable())
+        retired = 0
+        for _ in range(300):
+            f = random_float_polynomial(rng, 8)
+            g = random_float_polynomial(rng, 8)
+            used = polyalg._TABLE
+            warm = (bits(poisson_bracket(f, g)), bits(complexify(f)))
+            assert self.recount(used) == used.size
+            assert polyalg._TABLE.size <= polyalg._TABLE_LIMIT
+            retired += polyalg._TABLE is not used
+            live = polyalg._TABLE
+            monkeypatch.setattr(polyalg, "_TABLE", polyalg._MonomialTable())
+            assert warm == (bits(poisson_bracket(f, g)), bits(complexify(f)))
+            monkeypatch.setattr(polyalg, "_TABLE", live)
+        assert retired >= 2
+
+    def test_threads_filling_one_table_agree(self, monkeypatch):
+        # each round, six threads fill one fresh table at once; a monomial
+        # numbered twice, or a number read before its monomial is stored,
+        # changes or breaks their results
+        rng = random.Random(44)
+        work = [(random_float_polynomial(rng, 6), random_float_polynomial(rng, 6))
+                for _ in range(20)]
+
+        def run():
+            return [(bits(poisson_bracket(f, g)), bits(complexify(f))) for f, g in work]
+
+        expected = run()
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                monkeypatch.setattr(polyalg, "_TABLE", polyalg._MonomialTable())
+                threads = [threading.Thread(target=lambda: results.append(run()))
+                           for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 60
 
 
 class TestGrading:
@@ -281,6 +360,9 @@ class TestGradedHamiltonian:
         bad = poly({(2, 0, 0, 0): 1.0, (3, 0, 0, 0): 1.0})
         with pytest.raises(ValueError):
             GradedHamiltonian({2: bad}, self.freqs())
+        # homogeneous, but not of the degree it is filed under
+        with pytest.raises(ValueError, match="part 3 is not homogeneous"):
+            GradedHamiltonian({3: poly({(2, 0, 0, 0): 1.0})}, self.freqs())
 
     def test_degrees_below_two_rejected(self):
         lin = poly({(1, 0, 0, 0): 1.0})
