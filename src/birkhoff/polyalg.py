@@ -290,7 +290,8 @@ class _Rows(dict):
         self.table = table
 
     def __missing__(self, e1: Exponents) -> "_Row":
-        return self.table.store(self, e1, _Row(self.table, e1), 1)
+        self.table.size += 1
+        return self.setdefault(e1, _Row(self.table, e1))
 
 
 class _Row(dict):
@@ -309,13 +310,13 @@ class _Row(dict):
         m2 = r1 * s2 - s1 * r2
         k1 = index[(a1 + a2 - 1, b1 + b2 - 1, r1 + r2, s1 + s2)] if m1 else -1
         k2 = index[(a1 + a2, b1 + b2, r1 + r2 - 1, s1 + s2 - 1)] if m2 else -1
-        return table.store(self, j, (k1, m1, k2, m2), 1)
+        table.size += 1
+        return self.setdefault(j, (k1, m1, k2, m2))
 
 
-class _Expansions(dict):
-    # exponent tuple -> (scale, ((k, c1, c2), ...)): the chart change of one
-    # monomial by the linear forms, its two modes multiplied out but their
-    # coefficients kept apart, keyed by output number k
+class _Modes(dict):
+    # (ea, eb) -> (((u, v), c), ...): the factor of one canonical pair,
+    # _expand_mode's terms for the table's linear forms
 
     __slots__ = ("table", "forms")
 
@@ -323,17 +324,33 @@ class _Expansions(dict):
         self.table = table
         self.forms = forms
 
+    def __missing__(self, pair: tuple[int, int]):
+        items = tuple(_expand_mode(*pair, *self.forms).items())
+        self.table.size += len(items)
+        return self.setdefault(pair, items)
+
+
+class _Expansions(dict):
+    # exponent tuple -> (scale, ((k, c1, c2), ...)): the chart change of one
+    # monomial by the linear forms, its two modes multiplied out but their
+    # coefficients kept apart, keyed by output number k
+
+    __slots__ = ("table", "modes")
+
+    def __init__(self, table: "_MonomialTable", forms):
+        self.table = table
+        self.modes = _Modes(table, forms)
+
     def __missing__(self, e: Exponents):
         index = self.table.index
-        first_form, second_form = self.forms
         j, l, r, s = e
         d = j + l + r + s
         scale = 0.5 ** (d // 2) * (_SQRT1_2 if d % 2 else 1.0)
-        mode1 = _expand_mode(j, l, first_form, second_form).items()
-        mode2 = _expand_mode(r, s, first_form, second_form).items()
         expansion = tuple((index[(x1, y1, x2, y2)], c1, c2)
-                          for (x1, y1), c1 in mode1 for (x2, y2), c2 in mode2)
-        return self.table.store(self, e, (scale, expansion), 1 + len(expansion))
+                          for (x1, y1), c1 in self.modes[(j, l)]
+                          for (x2, y2), c2 in self.modes[(r, s)])
+        self.table.size += 1 + len(expansion)
+        return self.setdefault(e, (scale, expansion))
 
 
 class _MonomialTable:
@@ -342,9 +359,12 @@ class _MonomialTable:
 
     index maps an exponent tuple to its number and exponents maps it back;
     rows[e1][j] is the bracket data of monomial e1 with monomial j, and
-    expansions[chart][e] the chart change of e into chart.  Entries are
-    tuples, so no caller can change what the next one reads; size counts
-    them, an expansion by its terms.
+    expansions[chart][e] the chart change of e into chart, built from the
+    factors in expansions[chart].modes.  Entries are tuples, so no caller can
+    change what the next one reads.  Threads may fill one table at once:
+    numbering takes the lock, and an entry worked out twice is stored once,
+    by setdefault.  size counts the entries, an expansion or a factor by its
+    terms; only such a race can make it miscount.
     """
 
     def __init__(self):
@@ -356,14 +376,6 @@ class _MonomialTable:
         self.expansions = {chart: _Expansions(self, forms)
                            for chart, forms in _CHART_FORMS.items()}
 
-    def store(self, part: dict, key, entry, size: int):
-        """part[key], set to entry unless another thread set it first."""
-        with self.lock:
-            if key not in part:
-                part[key] = entry
-                self.size += size
-            return part[key]
-
 
 #: the table every operation reads; empty until the first one
 _TABLE = _MonomialTable()
@@ -371,8 +383,8 @@ _TABLE = _MonomialTable()
 
 def _exponent_terms(table: _MonomialTable,
                     acc: dict[int, complex]) -> dict[Exponents, complex]:
-    # acc keyed by exponent tuples, in its order; a table past _TABLE_LIMIT
-    # is dropped once its operation is done with it
+    # acc, keyed by table numbers, re-keyed by exponent tuples in its order;
+    # a table past _TABLE_LIMIT is dropped once its operation is done with it
     global _TABLE
     exponents = table.exponents
     terms = {exponents[k]: c for k, c in acc.items()}

@@ -244,24 +244,27 @@ class TestChartChange:
             realify(poly({(1, 0, 0, 0): 1.0}, "real"))
 
 
-def random_float_polynomial(rng, max_degree, max_terms=8, chart="real"):
-    """Float coefficients, exponents of total degree <= max_degree."""
+def random_float_polynomial(rng, max_degree, max_terms=8):
+    """Real chart, float coefficients, exponents of total degree <= max_degree."""
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         cut = sorted(rng.randint(0, max_degree) for _ in range(4))
         e = (cut[0], cut[1] - cut[0], cut[2] - cut[1], cut[3] - cut[2])
         terms[e] = rng.uniform(-2.0, 2.0)
-    return CanonicalPolynomial(terms, chart)
+    return CanonicalPolynomial(terms)
 
 
 class TestMonomialTable:
     @staticmethod
     def recount(table):
-        # monomials, rows, bracket pairs, and each expansion with its terms
+        # monomials, rows, bracket pairs, each expansion with its terms and
+        # the terms of each factor
         return (len(table.index) + len(table.rows)
                 + sum(map(len, table.rows.values()))
                 + sum(1 + len(expansion) for part in table.expansions.values()
-                      for _, expansion in part.values()))
+                      for _, expansion in part.values())
+                + sum(len(items) for part in table.expansions.values()
+                      for items in part.modes.values()))
 
     def test_tables_stay_bounded(self, monkeypatch):
         rng = random.Random(43)
