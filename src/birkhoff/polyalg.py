@@ -13,8 +13,8 @@ The bracket and the chart changes read their per-monomial work from one
 table, filled on first use: each monomial met gets a small number, and the
 bracket of two numbered monomials (output numbers and integer multiplicities
 for both canonical pairs) and the chart change of a monomial are worked out
-once, then looked up.  Loops still run over the input's own terms in their
-order, so every result is the same, bit for bit, whatever the table holds.
+once, then looked up.  Loops run over the input's own terms in their order,
+so every result is the same, bit for bit, whatever the table holds.
 An operation that leaves the table above _TABLE_LIMIT entries (about half a
 MiB) hands the next one a new table.
 """
