@@ -10,20 +10,21 @@ where they enter through the public constructors; results the module builds
 itself skip that check.
 
 The bracket and the chart changes read their per-monomial work from one
-table, filled on first use: each monomial met gets a small number, and the
-bracket of two numbered monomials (output numbers and integer multiplicities
-for both canonical pairs) and the chart change of a monomial are worked out
-once, then looked up.  Loops run over the input's own terms in their order,
-so every result is the same, bit for bit, whatever the table holds.
-An operation that leaves the table above _TABLE_LIMIT entries (about half a
-MiB) hands the next one a new table.
+table of memo dicts, filled on first use: each monomial met gets a small
+number, and the bracket of two numbered monomials (output numbers and
+integer multiplicities for both canonical pairs) and the chart change of a
+monomial are worked out once, then looked up.  Loops run over the input's
+own terms in their order, so every result is the same, bit for bit,
+whatever the table holds.  An operation that leaves the table above
+_TABLE_LIMIT entries (about half a MiB) hands the next one a new table.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import threading
 from dataclasses import dataclass
+from functools import partial
 from numbers import Number
 from typing import Iterator, Mapping
 
@@ -237,15 +238,16 @@ def _expand_linear_power(c1, c2, e: int) -> dict[tuple[int, int], complex]:
     return {(t, e - t): math.comb(e, t) * c1 ** t * c2 ** (e - t) for t in range(e + 1)}
 
 
-def _expand_mode(ea: int, eb: int, fa, fb) -> dict[tuple[int, int], complex]:
-    # (fa . (U,V))**ea * (fb . (U,V))**eb  for one canonical pair, keyed by
-    # (power of U, power of V)
+def _expand_mode(forms, pair: tuple[int, int]) -> tuple:
+    # the terms ((power of U, power of V), c) of (fa . (U,V))**ea * (fb . (U,V))**eb
+    # for one canonical pair, where forms = (fa, fb) and pair = (ea, eb)
+    (fa, fb), (ea, eb) = forms, pair
     out: dict[tuple[int, int], complex] = {}
     for (u1, v1), ca in _expand_linear_power(fa[0], fa[1], ea).items():
         for (u2, v2), cb in _expand_linear_power(fb[0], fb[1], eb).items():
             key = (u1 + u2, v1 + v2)
             out[key] = out.get(key, 0) + ca * cb
-    return out
+    return tuple(out.items())
 
 
 #: the linear forms each canonical pair is substituted with, keyed by the
@@ -257,124 +259,87 @@ _CHART_FORMS = {COMPLEX_CHART: ((1, 1j), (1j, 1)), REAL_CHART: ((1, -1j), (-1j, 
 _TABLE_LIMIT = 4096
 
 
-class _Index(dict):
-    # exponent tuple -> the monomial's number in its table, numbered on first sight
+class _Memo(dict):
+    # key -> fill(key), worked out on first use; the table's size grows by
+    # cost(value), and a value worked out twice is stored once, by setdefault
 
-    __slots__ = ("table",)
+    __slots__ = ("table", "fill", "cost")
 
-    def __init__(self, table: "_MonomialTable"):
+    def __init__(self, table: "_MonomialTable", fill, cost):
         self.table = table
+        self.fill = fill
+        self.cost = cost
 
-    def __missing__(self, e: Exponents) -> int:
-        table = self.table
-        with table.lock:
-            k = self.get(e)
-            if k is None:
-                k = len(table.exponents)
-                # the reverse entry first: a number read from the index is
-                # always found in exponents
-                table.exponents.append(e)
-                self[e] = k
-                table.size += 1
-        return k
+    def __missing__(self, key):
+        value = self.fill(key)
+        self.table.size += self.cost(value)
+        return self.setdefault(key, value)
 
 
-class _Rows(dict):
-    # exponent tuple e1 -> its row: number j -> (k1, m1, k2, m2), the bracket
-    # of e1 with monomial j being m1 * monomial k1 from the (X1, Y1) pair plus
-    # m2 * monomial k2 from the (X2, Y2) pair; k is -1 where m is 0
-
-    __slots__ = ("table",)
-
-    def __init__(self, table: "_MonomialTable"):
-        self.table = table
-
-    def __missing__(self, e1: Exponents) -> "_Row":
-        self.table.size += 1
-        return self.setdefault(e1, _Row(self.table, e1))
+def _one(value) -> int:
+    return 1
 
 
-class _Row(dict):
-    __slots__ = ("table", "left")
-
-    def __init__(self, table: "_MonomialTable", left: Exponents):
-        self.table = table
-        self.left = left
-
-    def __missing__(self, j: int) -> tuple[int, int, int, int]:
-        table = self.table
-        index = table.index
-        a1, b1, r1, s1 = self.left
-        a2, b2, r2, s2 = table.exponents[j]
-        m1 = a1 * b2 - b1 * a2
-        m2 = r1 * s2 - s1 * r2
-        k1 = index[(a1 + a2 - 1, b1 + b2 - 1, r1 + r2, s1 + s2)] if m1 else -1
-        k2 = index[(a1 + a2, b1 + b2, r1 + r2 - 1, s1 + s2 - 1)] if m2 else -1
-        table.size += 1
-        return self.setdefault(j, (k1, m1, k2, m2))
-
-
-class _Modes(dict):
-    # (ea, eb) -> (((u, v), c), ...): the factor of one canonical pair,
-    # _expand_mode's terms for the table's linear forms
-
-    __slots__ = ("table", "forms")
-
-    def __init__(self, table: "_MonomialTable", forms):
-        self.table = table
-        self.forms = forms
-
-    def __missing__(self, pair: tuple[int, int]):
-        items = tuple(_expand_mode(*pair, *self.forms).items())
-        self.table.size += len(items)
-        return self.setdefault(pair, items)
-
-
-class _Expansions(dict):
-    # exponent tuple -> (scale, ((k, c1, c2), ...)): the chart change of one
-    # monomial by the linear forms, its two modes multiplied out but their
-    # coefficients kept apart, keyed by output number k
-
-    __slots__ = ("table", "modes")
-
-    def __init__(self, table: "_MonomialTable", forms):
-        self.table = table
-        self.modes = _Modes(table, forms)
-
-    def __missing__(self, e: Exponents):
-        index = self.table.index
-        j, l, r, s = e
-        d = j + l + r + s
-        scale = 0.5 ** (d // 2) * (_SQRT1_2 if d % 2 else 1.0)
-        expansion = tuple((index[(x1, y1, x2, y2)], c1, c2)
-                          for (x1, y1), c1 in self.modes[(j, l)]
-                          for (x2, y2), c2 in self.modes[(r, s)])
-        self.table.size += 1 + len(expansion)
-        return self.setdefault(e, (scale, expansion))
+def _expansion_cost(entry) -> int:
+    return 1 + len(entry[1])
 
 
 class _MonomialTable:
     """Monomials numbered on first sight, with their bracket and chart-change
-    data, filled as operations meet them.
+    data, filled as operations meet them; each map below is a _Memo.
 
-    index maps an exponent tuple to its number and exponents maps it back;
-    rows[e1][j] is the bracket data of monomial e1 with monomial j, and
-    expansions[chart][e] the chart change of e into chart, built from the
-    factors in expansions[chart].modes.  Entries are tuples, so no caller can
-    change what the next one reads.  Threads may fill one table at once:
-    numbering takes the lock, and an entry worked out twice is stored once,
-    by setdefault.  size counts the entries, an expansion or a factor by its
-    terms; only such a race can make it miscount.
+    index maps an exponent tuple to its number and exponents maps it back.
+    rows[e1][j] is the bracket of e1 with monomial j, (k1, m1, k2, m2): m1
+    times monomial k1 from the (X1, Y1) pair plus m2 times monomial k2 from
+    the (X2, Y2) pair, k being -1 where m is 0.  expansions[chart][e] is the
+    chart change of e into chart, (scale, ((k, c1, c2), ...)): the factors of
+    its two canonical pairs, from modes[chart], multiplied out with their
+    coefficients kept apart.  Entries are tuples, so no caller can change
+    what the next one reads.  Threads may fill one table at once: a number
+    is drawn once and entered in exponents before the index hands it out,
+    and an entry worked out twice is stored once, by setdefault, so a lost
+    race to number a monomial leaves only an unused number.  size counts
+    the entries, an expansion or a factor by its terms; only a race can make
+    it miscount.
     """
 
     def __init__(self):
-        self.lock = threading.Lock()
         self.size = 0
-        self.exponents: list[Exponents] = []
-        self.index = _Index(self)
-        self.rows = _Rows(self)
-        self.expansions = {chart: _Expansions(self, forms)
-                           for chart, forms in _CHART_FORMS.items()}
+        self._numbers = itertools.count()
+        self.exponents: dict[int, Exponents] = {}
+        self.index = _Memo(self, self._number, _one)
+        self.rows = _Memo(self, self._row, _one)
+        self.modes = {chart: _Memo(self, partial(_expand_mode, forms), len)
+                      for chart, forms in _CHART_FORMS.items()}
+        self.expansions = {chart: _Memo(self, partial(self._expand, chart), _expansion_cost)
+                           for chart in _CHART_FORMS}
+
+    def _number(self, e: Exponents) -> int:
+        k = next(self._numbers)
+        self.exponents[k] = e
+        return k
+
+    def _row(self, e1: Exponents) -> _Memo:
+        return _Memo(self, partial(self._bracket, e1), _one)
+
+    def _bracket(self, e1: Exponents, j: int) -> tuple[int, int, int, int]:
+        index = self.index
+        a1, b1, r1, s1 = e1
+        a2, b2, r2, s2 = self.exponents[j]
+        m1 = a1 * b2 - b1 * a2
+        m2 = r1 * s2 - s1 * r2
+        k1 = index[(a1 + a2 - 1, b1 + b2 - 1, r1 + r2, s1 + s2)] if m1 else -1
+        k2 = index[(a1 + a2, b1 + b2, r1 + r2 - 1, s1 + s2 - 1)] if m2 else -1
+        return k1, m1, k2, m2
+
+    def _expand(self, chart: str, e: Exponents):
+        index, modes = self.index, self.modes[chart]
+        j, l, r, s = e
+        d = j + l + r + s
+        scale = 0.5 ** (d // 2) * (_SQRT1_2 if d % 2 else 1.0)
+        return scale, tuple((index[(x1, y1, x2, y2)], c1, c2)
+                            for (x1, y1), c1 in modes[(j, l)]
+                            for (x2, y2), c2 in modes[(r, s)])
 
 
 #: the table every operation reads; empty until the first one
@@ -430,8 +395,8 @@ def realify(f: CanonicalPolynomial) -> CanonicalPolynomial:
 def check_frequency(name: str, v) -> None:
     """Raise ValueError naming the frequency unless v is a positive finite real."""
     try:
-        # the exact-type test spares plain floats and ints the ABC check
-        ok = ((type(v) in (float, int) or isinstance(v, Number))
+        # the exact-type test spares floats and ints the ABC check; no bool passes
+        ok = ((type(v) in (float, int) or isinstance(v, Number) and type(v) is not bool)
               and math.isfinite(v) and v > 0)
     except TypeError:  # complex
         ok = False

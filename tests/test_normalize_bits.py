@@ -21,6 +21,7 @@ from birkhoff import (
     build_model_hamiltonian,
     normalize,
 )
+from birkhoff import polyalg
 from birkhoff.cli import main
 from birkhoff.polyalg import complexify, poisson_bracket, realify
 from conftest import assert_digest
@@ -129,3 +130,38 @@ def test_outcomes_match_the_recorded_digest(tmp_path, capsys):
     flagged = [line for line in lines if '"resonances": [\n    {' in line]
     assert len(flagged) >= len(NEAR_RESONANT)
     assert_digest(lines, DIGEST, tmp_path)
+
+
+def report_bits(payload):
+    """Every coefficient repr of normalize's report on payload, in order."""
+    ham = GradedHamiltonian.from_json_dict(payload)
+    if ham.chart == "real":
+        ham = ham.complexify()
+    try:
+        report = normalize(ham)
+    except ResonanceError as err:
+        return [f"resonance {err}"]
+    lines = [repr((report.k2200, report.k1111, report.k0022, report.d2,
+                   report.resonance_flags))]
+    for graded in (report.generating, report.kamiltonian):
+        lines += [f"{d} {_terms(graded.part(d))}" for d in graded.degrees()]
+    return lines
+
+
+def test_cold_and_warm_tables_give_the_same_report(monkeypatch):
+    # the monomial table changes only how an entry is first worked out: each
+    # payload on a table of its own, then all of them on one table that the
+    # same list has already filled
+    items = payloads()
+    cold = []
+    for _, payload in items:
+        monkeypatch.setattr(polyalg, "_TABLE", polyalg._MonomialTable())
+        cold.append(report_bits(payload))
+    table = polyalg._MonomialTable()
+    monkeypatch.setattr(polyalg, "_TABLE", table)
+    for _, payload in items:
+        report_bits(payload)
+    warm = [report_bits(payload) for _, payload in items]
+    assert polyalg._TABLE is table
+    assert warm == cold
+    assert sum(len(lines) > 1 for lines in cold) == len(items) - len(RESONANT)

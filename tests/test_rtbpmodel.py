@@ -280,6 +280,12 @@ class TestStabilityVerdict:
         verdict = verdict_from_d2(1.0, 1.0, 1.0, d2_tolerance=None)
         assert verdict.status is StabilityStatus.RESONANT
 
+    @pytest.mark.parametrize("omega1, omega3", [(True, 1.0), (0.3, True)])
+    def test_bool_frequency_rejected(self, omega1, omega3):
+        # True == 1 is a Number, but no verdict may write a frequency as true
+        with pytest.raises(ValueError, match="positive finite real, got True"):
+            stability_verdict(REFERENCE_POINT, omega1, omega3)
+
 
 class TestScan:
     def test_two_point_scan_of_narrow_interval(self):
