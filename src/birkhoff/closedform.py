@@ -26,13 +26,13 @@ expression; it is the reference that the tests and the benchmark check
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
-from .polyalg import CanonicalPolynomial, Frequencies, GradedHamiltonian, check_frequency
+from .polyalg import (CanonicalPolynomial, Frequencies, GradedHamiltonian, check_frequency,
+                      is_finite_real)
 
 
 class DeterminantOverflowError(ValueError):
@@ -45,12 +45,6 @@ class PoleError(ZeroDivisionError):
     def __init__(self, relation: str):
         self.relation = relation
         super().__init__(f"closed form has a pole on the resonance {relation}")
-
-
-@functools.cache
-def _field_names(cls) -> tuple[str, ...]:
-    """Names of a dataclass's fields in declaration order, taken once per class."""
-    return tuple(f.name for f in fields(cls))
 
 
 @dataclass(frozen=True)
@@ -66,9 +60,9 @@ class CubicQuarticCoefficients:
     b5: float = 0.0
 
     def __post_init__(self):
-        for name in _field_names(type(self)):
-            v = getattr(self, name)
-            if not math.isfinite(v):
+        for name, v in vars(self).items():  # the fields, in declaration order
+            # a float, the usual field, is checked without a call
+            if (type(v) is not float and not is_finite_real(v)) or not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
 
     def scaled(self, lam: float) -> "CubicQuarticCoefficients":
@@ -119,12 +113,9 @@ def _raise_pole(name: str, lead: float, relation: str, omega1: float, omega3: fl
 
 
 class _Overflowed:
-    """Stands for a hoisted product that is not a finite double.
-
-    Any arithmetic on it raises the OverflowError that computing the product
-    raised, so the error comes where the product is first used, after the
-    denominator checks that come before that use.
-    """
+    """A power hoisted by _power that is not a finite double; any arithmetic
+    on it raises the power's OverflowError, so the error comes where the power
+    is first used, after the denominator checks that come before that use."""
 
     __slots__ = ("args",)
 
@@ -136,6 +127,14 @@ class _Overflowed:
 
     __add__ = __radd__ = __sub__ = __rsub__ = _raise
     __mul__ = __rmul__ = __truediv__ = __rtruediv__ = _raise
+
+
+def _power(x: float, n: int, scale: float = 1.0):
+    """scale * x**n, or an _Overflowed if the power overflows."""
+    try:
+        return scale * x ** n
+    except OverflowError as err:
+        return _Overflowed(err)
 
 
 def tabulated_kernel(c: CubicQuarticCoefficients,
@@ -158,36 +157,19 @@ def tabulated_kernel(c: CubicQuarticCoefficients,
     """
     check_frequency("omega3", omega3)
     w3 = omega3
-    # products without a power cannot raise; each power can, so each has its
-    # own try, and a product that overflows is an _Overflowed
+    # only a power can overflow, and each goes through _power (see _Overflowed)
     w3x2, b1x6, b3x8 = 2.0 * w3, 6.0 * c.b1, -8.0 * c.b3
     a1a3x12, a2a4x6 = 12.0 * c.a1 * c.a3, 6.0 * c.a2 * c.a4 / w3
-    try:
-        w3_2 = w3 ** 2
-        w3_2x4 = 4.0 * w3_2
-    except OverflowError as err:
-        w3_2 = w3_2x4 = _Overflowed(err)
-    try:
-        w3_3 = w3 ** 3
-    except OverflowError as err:
-        w3_3 = _Overflowed(err)
-    try:
-        a1_2x5 = 5.0 * c.a1 ** 2
-    except OverflowError as err:
-        a1_2x5 = _Overflowed(err)
-    try:
-        a2_2 = c.a2 ** 2
-        a2_2x2 = 2.0 * a2_2
-    except OverflowError as err:
-        a2_2 = a2_2x2 = _Overflowed(err)
-    try:
-        a3_2 = c.a3 ** 2
-    except OverflowError as err:
-        a3_2 = _Overflowed(err)
-    try:
-        b5_a4 = -12.0 * c.b5 + 10.0 * c.a4 ** 2 / w3
-    except OverflowError as err:
-        b5_a4 = _Overflowed(err)
+    w3_2 = _power(w3, 2)
+    w3_2x4 = _power(w3, 2, 4.0)
+    w3_3 = _power(w3, 3)
+    a1_2x5 = _power(c.a1, 2, 5.0)
+    a2_2 = _power(c.a2, 2)
+    a2_2x2 = _power(c.a2, 2, 2.0)
+    a3_2 = _power(c.a3, 2)
+    b5_a4 = _power(c.a4, 2, 10.0)
+    if not isinstance(b5_a4, _Overflowed):
+        b5_a4 = -12.0 * c.b5 + b5_a4 / w3
 
     # the products are bound as defaults, which are locals: four closures over
     # seventeen cells made a one-point evaluation slower than the unhoisted forms

@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
-from numbers import Number
+from numbers import Number, Real
 from typing import Iterator, Mapping
 
 REAL_CHART = "real"
@@ -392,15 +392,17 @@ def realify(f: CanonicalPolynomial) -> CanonicalPolynomial:
     return _substitute(f, REAL_CHART)
 
 
+def is_finite_real(v) -> bool:
+    """Whether v is a finite real number; a bool is not one."""
+    # the exact-type test spares floats and ints the ABC check
+    return ((type(v) in (float, int) or isinstance(v, Real) and type(v) is not bool)
+            and math.isfinite(v))
+
+
 def check_frequency(name: str, v) -> None:
     """Raise ValueError naming the frequency unless v is a positive finite real."""
-    try:
-        # the exact-type test spares floats and ints the ABC check; no bool passes
-        ok = ((type(v) in (float, int) or isinstance(v, Number) and type(v) is not bool)
-              and math.isfinite(v) and v > 0)
-    except TypeError:  # complex
-        ok = False
-    if not ok:
+    # a float, the usual frequency, is checked without a call
+    if not ((type(v) is float or is_finite_real(v)) and math.isfinite(v) and v > 0):
         raise ValueError(f"{name} must be a positive finite real, got {v!r}")
 
 

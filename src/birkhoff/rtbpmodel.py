@@ -32,7 +32,7 @@ from typing import Callable, Iterator, NamedTuple
 from .closedform import (CubicQuarticCoefficients, DeterminantOverflowError,
                          PoleError, tabulated_kernel)
 from .normalform import DIVISOR_REL_TOL
-from .polyalg import check_frequency
+from .polyalg import check_frequency, is_finite_real
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -66,13 +66,13 @@ class ModelParams:
     A: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and 0.0 < self.mu < 1.0):
+        if not (is_finite_real(self.mu) and 0.0 < self.mu < 1.0):
             raise ModelDomainError(f"mu must lie strictly inside (0, 1), got {self.mu!r}")
-        if not (math.isfinite(self.q) and 0.0 < self.q <= 1.0):
+        if not (is_finite_real(self.q) and 0.0 < self.q <= 1.0):
             raise ModelDomainError(f"q must lie in (0, 1], got {self.q!r}")
-        if not (math.isfinite(self.Q) and 0.0 < self.Q <= 1.0):
+        if not (is_finite_real(self.Q) and 0.0 < self.Q <= 1.0):
             raise ModelDomainError(f"Q must lie in (0, 1], got {self.Q!r}")
-        if not (math.isfinite(self.A) and self.A >= 0.0):
+        if not (is_finite_real(self.A) and self.A >= 0.0):
             raise ModelDomainError(f"A must be a finite non-negative real, got {self.A!r}")
 
 

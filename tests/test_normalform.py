@@ -92,6 +92,20 @@ class TestNormalize:
         assert report.d2 == pytest.approx(-9.0)
         assert report.kamiltonian.part(4).terms == {(2, 2, 0, 0): pytest.approx(1.0)}
 
+    def test_bracket_half_that_rounds_to_zero_adds_nothing(self):
+        # {H3, W3} at (2, 2, 0, 0) is 5e-324j, one ulp, so its half is 0j;
+        # added to H4's (1-0j) it would turn the signed zero into +0.  The
+        # cubic terms are X1 Y1 X2 and X1 Y1 Y2, whose bracket multiplier is 1;
+        # that of X1^2 Y1 and X1 Y1^2 is 3, which makes so small a term a
+        # multiple of 3 ulps, whose half is never 0
+        h3 = CanonicalPolynomial({(1, 1, 1, 0): 2.0 ** -537, (1, 1, 0, 1): 5 * 2.0 ** -538},
+                                 "complex")
+        h4 = CanonicalPolynomial({(2, 2, 0, 0): complex(1.0, -0.0)}, "complex")
+        report = normalize(complex_ham({3: h3, 4: h4}, 1.07, 5.0))
+        bracket = polyalg.poisson_bracket(h3, report.generating.part(3))
+        assert bracket.terms == {(2, 2, 0, 0): 5e-324j}
+        assert repr(report.kamiltonian.part(4).terms[(2, 2, 0, 0)]) == "(1-0j)"
+
     def test_offdiagonal_quartic_is_eliminated(self):
         h4 = CanonicalPolynomial({(2, 0, 0, 2): 1.0}, "complex")
         report = normalize(complex_ham({4: h4}, 1.0, 3.0))

@@ -313,6 +313,30 @@ class TestMonomialTable:
             sys.setswitchinterval(interval)
         assert results == [expected] * 60
 
+    def test_numbers_drawn_at_once_stay_distinct(self):
+        # each thread numbers one monomial, and both draw their number before
+        # either enters it in exponents: a number source read from the table
+        # (such as its count of monomials) would hand both the same number
+        barrier = threading.Barrier(2, timeout=10)
+
+        class Yielding(dict):
+            def __setitem__(self, k, e):
+                barrier.wait()
+                super().__setitem__(k, e)
+
+        table = polyalg._MonomialTable()
+        table.exponents = Yielding()
+        monomials = [(1, 0, 0, 0), (0, 1, 0, 0)]
+        threads = [threading.Thread(target=table.index.__getitem__, args=(e,))
+                   for e in monomials]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(table.index.values()) == [0, 1]
+        assert [table.exponents[table.index[e]] for e in monomials] == monomials
+
 
 class TestGrading:
     def test_grade_picks_homogeneous_part(self):
@@ -338,7 +362,7 @@ class TestGrading:
 
 class TestFrequencies:
     @pytest.mark.parametrize("value", [
-        1, 0.5, 1e-300, 1e300, Fraction(1, 3), Decimal("1.5"),
+        1, 0.5, 1e-300, 1e300, Fraction(1, 3),
     ], ids=repr)
     def test_positive_finite_reals_accepted(self, value):
         assert Frequencies(value, 1.0).omega1 == value
@@ -346,7 +370,8 @@ class TestFrequencies:
 
     @pytest.mark.parametrize("value", [
         "1", None, [1], 1 + 0j, 1j, math.nan, math.inf, -math.inf,
-        Decimal("NaN"), 0, 0.0, -0.0, False, True, -1, -0.5, Fraction(-1, 2),
+        Decimal("NaN"), Decimal("1.5"), 0, 0.0, -0.0, False, True, -1, -0.5,
+        Fraction(-1, 2),
     ], ids=repr)
     def test_everything_else_rejected(self, value):
         with pytest.raises(ValueError, match="positive finite real"):

@@ -1,8 +1,11 @@
 import dataclasses
 import math
 import random
+import re
 import statistics
 from array import array
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -67,6 +70,17 @@ class TestCoefficients:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             rtbpmodel.CoefficientSet(**{name: math.inf})
 
+    @pytest.mark.parametrize("bad", [Decimal("0.4"), True, False, 1j, "0.4", None], ids=repr)
+    def test_coefficient_fields_must_be_reals(self, bad):
+        # refused in the constructor, not by the arithmetic of d2_closed
+        with pytest.raises(ValueError, match=f"^a1 must be finite, got {re.escape(repr(bad))}$"):
+            CubicQuarticCoefficients(a1=bad)
+
+    def test_exact_real_coefficients_accepted(self):
+        exact = CubicQuarticCoefficients(a1=Fraction(2, 5), b3=3)
+        assert d2_closed(exact, Frequencies(0.3, 1.0)) == pytest.approx(d2_closed(
+            CubicQuarticCoefficients(a1=0.4, b3=3.0), Frequencies(0.3, 1.0)))
+
     @pytest.mark.parametrize("cls, bad, named", [
         (CubicQuarticCoefficients, {"b5": math.nan, "a2": -math.inf, "b1": math.inf},
          "a2 must be finite, got -inf"),
@@ -109,6 +123,14 @@ class TestCoefficients:
             ModelParams(mu=0.3, q=0.5, Q=0.0, A=0.0)
         with pytest.raises(ModelDomainError):
             ModelParams(mu=0.3, q=0.5, Q=0.5, A=-1e-6)
+
+    @pytest.mark.parametrize("field", ["mu", "q", "Q", "A"])
+    @pytest.mark.parametrize("bad", [Decimal("0.001"), True, "0.001", None], ids=repr)
+    def test_params_must_be_reals(self, field, bad):
+        # a bool would pass the range checks as 0 or 1 and reach asdict as a bool
+        kw = {"mu": 0.5, "q": 0.5, "Q": 0.5, "A": 0.0, field: bad}
+        with pytest.raises(ModelDomainError, match=f"^{field} must .*, got {re.escape(repr(bad))}$"):
+            ModelParams(**kw)
 
     def test_half_order_truncation_monotonicity(self):
         # difference between O(A) and O(A^2) truncations shrinks like a power
@@ -241,6 +263,13 @@ class TestStabilityVerdict:
         verdict = stability_verdict(REFERENCE_POINT, 0.3, 1.0)
         assert verdict.status is StabilityStatus.STABLE
         assert verdict.d2 != 0.0
+
+    @pytest.mark.parametrize("omega1, omega3, name", [
+        (Decimal("1.5"), 1.0, "omega1"), (0.3, Decimal("1.0"), "omega3"),
+    ], ids=["omega1", "omega3"])
+    def test_decimal_frequency_rejected(self, omega1, omega3, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive finite real"):
+            stability_verdict(REFERENCE_POINT, omega1, omega3)
 
     def test_guard_band_gives_pole_status(self):
         verdict = stability_verdict(REFERENCE_POINT, 0.5, 1.0)
