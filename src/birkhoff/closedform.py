@@ -65,12 +65,6 @@ class CubicQuarticCoefficients:
             if (type(v) is not float and not is_finite_real(v)) or not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
 
-    def scaled(self, lam: float) -> "CubicQuarticCoefficients":
-        """Cubic terms scaled by lam and quartic terms by lam**2."""
-        return CubicQuarticCoefficients(
-            a1=lam * self.a1, a2=lam * self.a2, a3=lam * self.a3, a4=lam * self.a4,
-            b1=lam * lam * self.b1, b3=lam * lam * self.b3, b5=lam * lam * self.b5)
-
 
 def build_model_hamiltonian(coeffs: CubicQuarticCoefficients,
                             freqs: Frequencies) -> GradedHamiltonian:

@@ -2,12 +2,14 @@
 
 Polynomials live in four variables read either as the real canonical chart
 (q1, p1, q2, p2) or the complex diagonalizing chart (X1, Y1, X2, Y2).
-Terms are stored sparsely as a mapping from exponent tuples to coefficients.
-Coefficients may be floats/complex for numerical work or exact types
-(int, Fraction) when exact arithmetic is wanted; all operations are pure and
-values are immutable after construction.  Exponent tuples are checked once,
-where they enter through the public constructors; results the module builds
-itself skip that check.
+A CanonicalPolynomial keeps its terms sparsely, exponent tuple to
+coefficient, and offers construction and reading only; the Poisson bracket
+and the two chart changes are the functions poisson_bracket, complexify and
+realify.  Coefficients may be floats/complex for numerical work or exact
+types (int, Fraction) when exact arithmetic is wanted; all operations are
+pure and values are immutable after construction.  Exponent tuples are
+checked once, where they enter through the public constructors; results the
+module builds itself skip that check.
 
 The bracket and the chart changes read their per-monomial work from one
 table of memo dicts, filled on first use: each monomial met gets a small
@@ -25,8 +27,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
-from numbers import Number, Real
-from typing import Iterator, Mapping
+from numbers import Real
+from typing import Mapping
 
 REAL_CHART = "real"
 COMPLEX_CHART = "complex"
@@ -84,7 +86,8 @@ def _clean_terms(terms: dict[Exponents, complex]) -> dict[Exponents, complex]:
 
 
 class CanonicalPolynomial:
-    """Sparse polynomial over exponent tuples (j, l, r, s) in a fixed chart."""
+    """Sparse polynomial over exponent tuples (j, l, r, s) in a fixed chart,
+    read through terms (a copy), coefficient, is_zero and len (its terms)."""
 
     __slots__ = ("_terms", "chart")
 
@@ -113,8 +116,6 @@ class CanonicalPolynomial:
     def zero(cls, chart: str = REAL_CHART) -> "CanonicalPolynomial":
         return cls({}, chart)
 
-    # -- inspection ---------------------------------------------------------
-
     @property
     def terms(self) -> dict[Exponents, complex]:
         return dict(self._terms)
@@ -126,85 +127,8 @@ class CanonicalPolynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __iter__(self) -> Iterator[Exponents]:
-        return iter(self._terms)
-
     def coefficient(self, exponents) -> complex:
         return self._terms.get(tuple(exponents), 0)
-
-    def degree(self) -> int | None:
-        """Total degree of the largest term, or None for the zero polynomial."""
-        if not self._terms:
-            return None
-        return max(sum(e) for e in self._terms)
-
-    def sorted_terms(self) -> list[tuple[Exponents, complex]]:
-        """Terms in graded lexicographic order (degree, then exponents)."""
-        return sorted(self._terms.items(), key=lambda item: (sum(item[0]), item[0]))
-
-    def homogeneous_part(self, d: int) -> "CanonicalPolynomial":
-        if d < 0:
-            raise ValueError("degree must be non-negative")
-        picked = {e: c for e, c in self._terms.items() if sum(e) == d}
-        return CanonicalPolynomial._from_checked(picked, self.chart)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _check_chart(self, other: "CanonicalPolynomial"):
-        if self.chart != other.chart:
-            raise ChartMismatchError(
-                f"cannot combine {self.chart!r} and {other.chart!r} chart polynomials"
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, CanonicalPolynomial):
-            return NotImplemented
-        self._check_chart(other)
-        merged = dict(self._terms)
-        for e, c in other._terms.items():
-            merged[e] = merged.get(e, 0) + c
-        return CanonicalPolynomial._from_checked(merged, self.chart)
-
-    def __sub__(self, other):
-        if not isinstance(other, CanonicalPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return CanonicalPolynomial._from_checked(
-            {e: -c for e, c in self._terms.items()}, self.chart)
-
-    def __mul__(self, other):
-        if isinstance(other, CanonicalPolynomial):
-            self._check_chart(other)
-            prod: dict[Exponents, complex] = {}
-            for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                    prod[key] = prod.get(key, 0) + c1 * c2
-            return CanonicalPolynomial._from_checked(prod, self.chart)
-        if isinstance(other, Number):
-            return CanonicalPolynomial._from_checked(
-                {e: c * other for e, c in self._terms.items()}, self.chart)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, CanonicalPolynomial):
-            return NotImplemented
-        return self.chart == other.chart and self._terms == other._terms
-
-    __hash__ = None
-
-    def __repr__(self):
-        if not self._terms:
-            return f"CanonicalPolynomial(0, chart={self.chart!r})"
-        body = " + ".join(f"{c!r}*{e}" for e, c in self.sorted_terms())
-        return f"CanonicalPolynomial({body}, chart={self.chart!r})"
-
-    def max_abs_coefficient(self) -> float:
-        return max((abs(c) for c in self._terms.values()), default=0.0)
 
 
 def poisson_bracket(f: CanonicalPolynomial, g: CanonicalPolynomial) -> CanonicalPolynomial:
@@ -214,7 +138,9 @@ def poisson_bracket(f: CanonicalPolynomial, g: CanonicalPolynomial) -> Canonical
     antisymmetric, satisfies the Jacobi and Leibniz identities exactly for
     exact coefficients.
     """
-    f._check_chart(g)
+    if f.chart != g.chart:
+        raise ChartMismatchError(
+            f"cannot combine {f.chart!r} and {g.chart!r} chart polynomials")
     table = _TABLE
     index, rows = table.index, table.rows
     g_terms = [(index[e], c) for e, c in g._terms.items()]
@@ -393,10 +319,14 @@ def realify(f: CanonicalPolynomial) -> CanonicalPolynomial:
 
 
 def is_finite_real(v) -> bool:
-    """Whether v is a finite real number; a bool is not one."""
+    """Whether v is a finite real number; a bool, or an int too large for a
+    double, is not one."""
     # the exact-type test spares floats and ints the ABC check
-    return ((type(v) in (float, int) or isinstance(v, Real) and type(v) is not bool)
-            and math.isfinite(v))
+    try:
+        return ((type(v) in (float, int) or isinstance(v, Real) and type(v) is not bool)
+                and math.isfinite(v))
+    except OverflowError:
+        return False
 
 
 def check_frequency(name: str, v) -> None:

@@ -380,7 +380,7 @@ def _degeneracy_cut(d2_tolerance: float | None, scale) -> float:
     if d2_tolerance is None:
         typical = scale()
         return DEGENERACY_FRACTION * typical if typical > 0 else 1e-300
-    if not (math.isfinite(d2_tolerance) and d2_tolerance > 0):
+    if not (is_finite_real(d2_tolerance) and d2_tolerance > 0):
         raise ValueError(
             f"d2_tolerance must be a positive finite real, got {d2_tolerance!r}")
     return d2_tolerance
@@ -510,9 +510,9 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
     here; only D2 (8 bytes) is kept per row.  The rows are returned as an
     iterator that builds each one as it is taken.
     """
-    if not (0.0 < lo < hi):
+    if not (is_finite_real(lo) and 0.0 < lo < hi):
         raise ValueError("grid needs 0 < lo < hi")
-    if not math.isfinite(hi):
+    if not is_finite_real(hi):
         raise ValueError(f"grid bound hi must be finite, got {hi!r}")
     if steps < 2:
         raise ValueError("grid needs at least 2 steps")

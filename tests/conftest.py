@@ -1,5 +1,8 @@
 """Shared test helpers.
 
+CanonicalPolynomial has no arithmetic, so poly_sum, poly_product and
+poly_scaled build the identities' sums and products from .terms dicts.
+
 The lie_* functions are closed forms of the degree-4 normal-form coefficients
 derived independently of the engine (by solving the homological equation
 symbolically for the cubic/quartic model and reading off the surviving
@@ -8,6 +11,7 @@ Lie-transform engine; they differ from birkhoff.closedform in the
 quadratic-in-cubic sectors (see DISCREPANCIES.md).
 """
 
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -76,6 +80,49 @@ def lie_d2(c, freqs):
     return -(lie_k2200(c, freqs) * w3 ** 2
              + lie_k1111(c, freqs) * w1 * w3
              + lie_k0022(c, freqs) * w1 ** 2)
+
+
+def poly_sum(*polys):
+    """The sum of polynomials that share one chart."""
+    (chart,) = {p.chart for p in polys}
+    total = {}
+    for p in polys:
+        for e, c in p.terms.items():
+            total[e] = total.get(e, 0) + c
+    return CanonicalPolynomial(total, chart)
+
+
+def poly_product(f, g):
+    """The product of two polynomials that share one chart."""
+    (chart,) = {f.chart, g.chart}
+    product = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            product[e] = product.get(e, 0) + c1 * c2
+    return CanonicalPolynomial(product, chart)
+
+
+def poly_scaled(k, p):
+    """The polynomial p times the number k."""
+    return CanonicalPolynomial({e: k * c for e, c in p.terms.items()}, p.chart)
+
+
+def homogeneous_part(p, d):
+    """The terms of p of total degree d."""
+    return CanonicalPolynomial({e: c for e, c in p.terms.items() if sum(e) == d}, p.chart)
+
+
+def max_abs_coefficient(p):
+    """The largest coefficient size of p, 0.0 for the zero polynomial."""
+    return max(map(abs, p.terms.values()), default=0.0)
+
+
+def scaled_coefficients(coeffs, lam):
+    """Cubic coefficients scaled by lam and quartic ones by lam**2."""
+    factors = {"a1": lam, "a2": lam, "a3": lam, "a4": lam,
+               "b1": lam * lam, "b3": lam * lam, "b5": lam * lam}
+    return dataclasses.replace(coeffs, **{k: f * getattr(coeffs, k) for k, f in factors.items()})
 
 
 def random_exact_polynomial(rng, max_degree=4, max_terms=6, chart="real"):

@@ -37,7 +37,8 @@ from birkhoff import (
     scan_omega1,
     verdict_from_d2,
 )
-from conftest import draw_nonresonant_frequencies, random_exact_polynomial
+from conftest import (draw_nonresonant_frequencies, poly_product, poly_scaled, poly_sum,
+                      random_exact_polynomial, scaled_coefficients)
 
 REFERENCE_POINT = ModelParams(mu=0.00025, q=0.025, Q=0.00025, A=0.00025)
 
@@ -55,15 +56,16 @@ def test_criterion_1_bracket_algebra_exact():
     polys = [random_exact_polynomial(rng, max_degree=4) for _ in range(1000)]
     for i in range(0, 1000, 2):
         f, g = polys[i], polys[i + 1]
-        assert (poisson_bracket(f, g) + poisson_bracket(g, f)).is_zero
+        assert poly_sum(poisson_bracket(f, g), poisson_bracket(g, f)).is_zero
     for i in range(0, 999, 3):
         f, g, h = polys[i], polys[i + 1], polys[i + 2]
-        jac = (poisson_bracket(f, poisson_bracket(g, h))
-               + poisson_bracket(g, poisson_bracket(h, f))
-               + poisson_bracket(h, poisson_bracket(f, g)))
+        jac = poly_sum(poisson_bracket(f, poisson_bracket(g, h)),
+                       poisson_bracket(g, poisson_bracket(h, f)),
+                       poisson_bracket(h, poisson_bracket(f, g)))
         assert jac.is_zero
-        leib = (poisson_bracket(f, g * h)
-                - poisson_bracket(f, g) * h - g * poisson_bracket(f, h))
+        leib = poly_sum(poisson_bracket(f, poly_product(g, h)),
+                        poly_scaled(-1, poly_product(poisson_bracket(f, g), h)),
+                        poly_scaled(-1, poly_product(g, poisson_bracket(f, h))))
         assert leib.is_zero
     elapsed = time.perf_counter() - start
     _report(1, elapsed < 5.0,
@@ -383,7 +385,7 @@ def test_criterion_7_determinant_scaling():
         freqs = Frequencies(w1, w3)
         base = d2_closed(coeffs, freqs)
         for lam in (0.5, 2.0):
-            got = d2_closed(coeffs.scaled(lam), freqs)
+            got = d2_closed(scaled_coefficients(coeffs, lam), freqs)
             worst = max(worst, abs(got - lam ** 2 * base) / max(abs(base), 1e-12))
     _report(7, worst <= 1e-12, f"worst relative deviation {worst:.2e}")
 

@@ -15,7 +15,7 @@ from birkhoff import (
     k2200,
 )
 from birkhoff.closedform import DeterminantOverflowError, d2_expanded
-from conftest import CANCELLATION_POINT
+from conftest import CANCELLATION_POINT, scaled_coefficients
 
 
 def coeffs(**kw):
@@ -180,7 +180,7 @@ class TestDeterminant:
             c = random_coeffs(rng)
             base = d2_closed(c, freqs)
             for lam in (0.5, 2.0):
-                assert d2_closed(c.scaled(lam), freqs) == pytest.approx(
+                assert d2_closed(scaled_coefficients(c, lam), freqs) == pytest.approx(
                     lam ** 2 * base, rel=1e-12)
 
     def test_non_finite_coefficients_rejected(self):

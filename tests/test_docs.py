@@ -1,7 +1,8 @@
 """The README's library overview and birkhoff.__all__ name only what exists,
-and the README's command-line invocations run."""
+and the README's library example and command-line invocations run."""
 
 import importlib
+import math
 import re
 import shlex
 from pathlib import Path
@@ -49,6 +50,14 @@ def command_lines():
     joined = fenced_block("## Command line", "sh").replace("\\\n", " ")
     return [shlex.split(line)[1:] for line in joined.splitlines()
             if line.startswith("birkhoff ")]
+
+
+def test_library_overview_example_runs(capsys):
+    namespace = {}
+    exec(fenced_block("## Library overview", "python"), namespace)
+    k2200, d2 = map(float, capsys.readouterr().out.split())
+    assert math.isfinite(k2200) and math.isfinite(d2)
+    assert namespace["stable_side"]
 
 
 @pytest.mark.parametrize("argv", command_lines(), ids=lambda argv: argv[0])

@@ -18,7 +18,8 @@ from birkhoff import (
     realify,
 )
 from birkhoff import polyalg
-from conftest import random_exact_polynomial, reference_model_hamiltonian
+from conftest import (homogeneous_part, max_abs_coefficient, poly_product, poly_scaled,
+                      poly_sum, random_exact_polynomial, reference_model_hamiltonian)
 
 
 def poly(terms, chart="real"):
@@ -32,9 +33,6 @@ def bits(p):
 
 class TestMonomial:
     # single-term polynomials
-    def test_degree_is_exponent_sum(self):
-        assert CanonicalPolynomial({(2, 1, 0, 3): 1}).degree() == 6
-
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             CanonicalPolynomial({(1, -1, 0, 0): 1.0})
@@ -48,22 +46,6 @@ class TestMonomial:
 
 
 class TestArithmetic:
-    def test_addition_cancels_opposite_terms(self):
-        x1 = poly({(1, 0, 0, 0): 1})
-        y1 = poly({(0, 1, 0, 0): 1})
-        total = (x1 + y1) + (x1 - y1)
-        assert total.terms == {(1, 0, 0, 0): 2}
-
-    def test_monomial_product(self):
-        f = poly({(1, 1, 0, 0): 1})
-        g = poly({(0, 0, 1, 1): 1})
-        assert (f * g).terms == {(1, 1, 1, 1): 1}
-
-    def test_scale_by_zero_gives_empty_polynomial(self):
-        f = poly({(2, 0, 0, 0): 1})
-        assert (0 * f).is_zero
-        assert (0 * f).terms == {}
-
     def test_float_dust_is_purged(self):
         f = poly({(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1e-30})
         assert f.terms == {(2, 0, 0, 0): 1.0}
@@ -81,28 +63,18 @@ class TestArithmetic:
             poly({(4, 0, 0, 0): value, (2, 0, 0, 0): 1.0})
 
     def test_overflowing_product_raises(self):
-        f = poly({(2, 0, 0, 0): 1e200, (0, 2, 0, 0): 1.0})
+        # the coefficient product of {1e200 X1^2, 1e200 Y1^2} = 4e400 X1 Y1 is
+        # past the double range
+        f = poly({(2, 0, 0, 0): 1e200}, "complex")
+        g = poly({(0, 2, 0, 0): 1e200}, "complex")
         with pytest.raises(ValueError, match="not finite"):
-            f * f
+            poisson_bracket(f, g)
 
     def test_chart_mismatch_rejected(self):
         f = poly({(1, 0, 0, 0): 1}, "real")
         g = poly({(1, 0, 0, 0): 1}, "complex")
         with pytest.raises(ChartMismatchError):
-            f + g
-        with pytest.raises(ChartMismatchError):
-            f * g
-        with pytest.raises(ChartMismatchError):
             poisson_bracket(f, g)
-
-    def test_product_degree_adds_for_homogeneous_inputs(self):
-        rng = random.Random(3)
-        for _ in range(30):
-            f = random_exact_polynomial(rng).homogeneous_part(2)
-            g = random_exact_polynomial(rng).homogeneous_part(3)
-            if f.is_zero or g.is_zero:
-                continue
-            assert (f * g).degree() == 5
 
 
 class TestPoissonBracket:
@@ -126,7 +98,7 @@ class TestPoissonBracket:
         for _ in range(200):
             f = random_exact_polynomial(rng)
             g = random_exact_polynomial(rng)
-            assert (poisson_bracket(f, g) + poisson_bracket(g, f)).is_zero
+            assert poly_sum(poisson_bracket(f, g), poisson_bracket(g, f)).is_zero
 
     def test_jacobi_exact(self):
         rng = random.Random(12)
@@ -134,9 +106,9 @@ class TestPoissonBracket:
             f = random_exact_polynomial(rng, max_degree=3)
             g = random_exact_polynomial(rng, max_degree=3)
             h = random_exact_polynomial(rng, max_degree=3)
-            total = (poisson_bracket(f, poisson_bracket(g, h))
-                     + poisson_bracket(g, poisson_bracket(h, f))
-                     + poisson_bracket(h, poisson_bracket(f, g)))
+            total = poly_sum(poisson_bracket(f, poisson_bracket(g, h)),
+                             poisson_bracket(g, poisson_bracket(h, f)),
+                             poisson_bracket(h, poisson_bracket(f, g)))
             assert total.is_zero
 
     def test_leibniz_exact(self):
@@ -145,22 +117,23 @@ class TestPoissonBracket:
             f = random_exact_polynomial(rng)
             g = random_exact_polynomial(rng)
             h = random_exact_polynomial(rng)
-            lhs = poisson_bracket(f, g * h)
-            rhs = poisson_bracket(f, g) * h + g * poisson_bracket(f, h)
-            assert (lhs - rhs).is_zero
+            lhs = poisson_bracket(f, poly_product(g, h))
+            rhs = poly_sum(poly_product(poisson_bracket(f, g), h),
+                           poly_product(g, poisson_bracket(f, h)))
+            assert poly_sum(lhs, poly_scaled(-1, rhs)).is_zero
 
     def test_bracket_drops_degree_by_two(self):
         rng = random.Random(14)
         found = 0
         while found < 20:
-            f = random_exact_polynomial(rng).homogeneous_part(3)
-            g = random_exact_polynomial(rng).homogeneous_part(4)
+            f = homogeneous_part(random_exact_polynomial(rng), 3)
+            g = homogeneous_part(random_exact_polynomial(rng), 4)
             if f.is_zero or g.is_zero:
                 continue
             br = poisson_bracket(f, g)
             if br.is_zero:
                 continue
-            assert br.degree() == 5
+            assert max(map(sum, br.terms)) == 5
             found += 1
 
 
@@ -208,9 +181,9 @@ class TestChartChange:
                       for _ in range(4)})
             lhs = complexify(poisson_bracket(f, g))
             rhs = poisson_bracket(complexify(f), complexify(g))
-            diff = lhs - rhs
-            scale = max(lhs.max_abs_coefficient(), 1.0)
-            assert diff.max_abs_coefficient() < 1e-12 * scale
+            diff = poly_sum(lhs, poly_scaled(-1, rhs))
+            scale = max(max_abs_coefficient(lhs), 1.0)
+            assert max_abs_coefficient(diff) < 1e-12 * scale
 
     def test_cached_expansion_is_bit_identical(self, monkeypatch):
         # both chart changes share one monomial table; realify runs on a cold
@@ -338,28 +311,6 @@ class TestMonomialTable:
         assert [table.exponents[table.index[e]] for e in monomials] == monomials
 
 
-class TestGrading:
-    def test_grade_picks_homogeneous_part(self):
-        f = poly({(2, 0, 0, 0): 1, (3, 0, 0, 0): 1})
-        assert f.homogeneous_part(3).terms == {(3, 0, 0, 0): 1}
-
-    def test_grade_missing_degree_is_empty(self):
-        f = poly({(2, 0, 0, 0): 1})
-        assert f.homogeneous_part(5).is_zero
-
-    def test_grade_constant_plus_action(self):
-        f = poly({(0, 0, 0, 0): 1, (1, 1, 0, 0): 1})
-        assert f.homogeneous_part(2).terms == {(1, 1, 0, 0): 1}
-
-    def test_parts_reconstitute(self):
-        rng = random.Random(31)
-        f = random_exact_polynomial(rng, max_terms=8)
-        total = CanonicalPolynomial.zero()
-        for d in range(0, 5):
-            total = total + f.homogeneous_part(d)
-        assert total == f
-
-
 class TestFrequencies:
     @pytest.mark.parametrize("value", [
         1, 0.5, 1e-300, 1e300, Fraction(1, 3),
@@ -371,7 +322,7 @@ class TestFrequencies:
     @pytest.mark.parametrize("value", [
         "1", None, [1], 1 + 0j, 1j, math.nan, math.inf, -math.inf,
         Decimal("NaN"), Decimal("1.5"), 0, 0.0, -0.0, False, True, -1, -0.5,
-        Fraction(-1, 2),
+        Fraction(-1, 2), pytest.param(10**400, id="10**400"),
     ], ids=repr)
     def test_everything_else_rejected(self, value):
         with pytest.raises(ValueError, match="positive finite real"):

@@ -70,7 +70,8 @@ class TestCoefficients:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             rtbpmodel.CoefficientSet(**{name: math.inf})
 
-    @pytest.mark.parametrize("bad", [Decimal("0.4"), True, False, 1j, "0.4", None], ids=repr)
+    @pytest.mark.parametrize("bad", [Decimal("0.4"), True, False, 1j, "0.4", None,
+                                     pytest.param(10**400, id="10**400")], ids=repr)
     def test_coefficient_fields_must_be_reals(self, bad):
         # refused in the constructor, not by the arithmetic of d2_closed
         with pytest.raises(ValueError, match=f"^a1 must be finite, got {re.escape(repr(bad))}$"):
@@ -125,7 +126,8 @@ class TestCoefficients:
             ModelParams(mu=0.3, q=0.5, Q=0.5, A=-1e-6)
 
     @pytest.mark.parametrize("field", ["mu", "q", "Q", "A"])
-    @pytest.mark.parametrize("bad", [Decimal("0.001"), True, "0.001", None], ids=repr)
+    @pytest.mark.parametrize("bad", [Decimal("0.001"), True, "0.001", None,
+                                     pytest.param(10**400, id="10**400")], ids=repr)
     def test_params_must_be_reals(self, field, bad):
         # a bool would pass the range checks as 0 or 1 and reach asdict as a bool
         kw = {"mu": 0.5, "q": 0.5, "Q": 0.5, "A": 0.0, field: bad}
@@ -266,7 +268,8 @@ class TestStabilityVerdict:
 
     @pytest.mark.parametrize("omega1, omega3, name", [
         (Decimal("1.5"), 1.0, "omega1"), (0.3, Decimal("1.0"), "omega3"),
-    ], ids=["omega1", "omega3"])
+        (0.3, 10**400, "omega3"),
+    ], ids=["omega1", "omega3", "omega3-past-double"])
     def test_decimal_frequency_rejected(self, omega1, omega3, name):
         with pytest.raises(ValueError, match=f"^{name} must be a positive finite real"):
             stability_verdict(REFERENCE_POINT, omega1, omega3)
@@ -304,6 +307,16 @@ class TestStabilityVerdict:
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):
             verdict_from_d2(1.0, 0.3, 1.0, d2_tolerance=0.0)
+
+    @pytest.mark.parametrize("tolerance", [True, Decimal("1"), "1",
+                                           pytest.param(10**400, id="10**400")], ids=repr)
+    def test_tolerance_must_be_a_finite_real(self, tolerance):
+        # True and Decimal("1") compare as numbers, so only the predicate refuses them
+        message = f"^d2_tolerance must be a positive finite real, got {re.escape(repr(tolerance))}$"
+        with pytest.raises(ValueError, match=message):
+            stability_verdict(REFERENCE_POINT, 0.3, 1.0, d2_tolerance=tolerance)
+        with pytest.raises(ValueError, match=message):
+            scan_omega1(REFERENCE_POINT, 1.0, 0.1, 0.9, 3, d2_tolerance=tolerance)
 
     def test_default_tolerances_report_the_one_to_one_resonance(self):
         verdict = verdict_from_d2(1.0, 1.0, 1.0, d2_tolerance=None)
@@ -445,3 +458,14 @@ class TestScan:
         for lo, hi in [(math.inf, 0.9), (0.1, -math.inf), (math.nan, 0.9), (0.1, math.nan)]:
             with pytest.raises(ValueError, match="grid needs 0 < lo < hi"):
                 scan_omega1(REFERENCE_POINT, 1.0, lo, hi, 10)
+
+    @pytest.mark.parametrize("lo, hi, message", [
+        (True, 2.0, "grid needs 0 < lo < hi"),
+        (Decimal("0.1"), 0.9, "grid needs 0 < lo < hi"),
+        (0.1, 10**400, "grid bound hi must be finite, got 1000"),
+        (0.1, Decimal("0.9"), re.escape("grid bound hi must be finite, got Decimal('0.9')")),
+    ], ids=["bool-lo", "decimal-lo", "int-hi-past-double", "decimal-hi"])
+    def test_grid_bounds_must_be_finite_reals(self, lo, hi, message):
+        # refused before the grid arithmetic, which would take True as 1.0
+        with pytest.raises(ValueError, match=message):
+            scan_omega1(REFERENCE_POINT, 1.0, lo, hi, 3)
