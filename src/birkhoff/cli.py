@@ -10,7 +10,6 @@ CSV or JSON).  Exit codes: 0 success, 2 usage error, 3 domain error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
@@ -74,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--output", default=None)
 
     p_cf = sub.add_parser("closed-form", help="tabulated K coefficients and D2")
-    for field in dataclasses.fields(CubicQuarticCoefficients):
-        p_cf.add_argument(f"--{field.name}", type=float, default=0.0)
+    for name in CubicQuarticCoefficients._fields:
+        p_cf.add_argument(f"--{name}", type=float, default=0.0)
     p_cf.add_argument("--omega1", type=float, required=True)
     p_cf.add_argument("--omega3", type=float, required=True)
     p_cf.add_argument("--format", choices=("json", "csv"), default="json")
@@ -143,9 +142,8 @@ def _run_normalize(args) -> int:
 
 
 def _run_closed_form(args) -> int:
-    coeffs = CubicQuarticCoefficients(**{
-        field.name: getattr(args, field.name)
-        for field in dataclasses.fields(CubicQuarticCoefficients)})
+    coeffs = CubicQuarticCoefficients._make(
+        getattr(args, name) for name in CubicQuarticCoefficients._fields)
     # Frequencies checks omega1, then omega3, before the kernel is built
     freqs = Frequencies(args.omega1, args.omega3)
     k2200, k1111, k0022, d2 = tabulated_kernel(coeffs, freqs.omega3)
@@ -168,8 +166,8 @@ def _run_rtbp_eval(args) -> int:
     result = d2_eval(params, args.omega1, args.omega3, args.max_half_order)
     verdict = verdict_from_d2(result.value, args.omega1, args.omega3, args.d2_tolerance)
     payload = {
-        "params": dataclasses.asdict(params),
-        "coefficients": dataclasses.asdict(result.coefficients),
+        "params": params._asdict(),
+        "coefficients": result.coefficients._asdict(),
         "verdict": verdict.to_json_dict(),
     }
     _emit(_json_text(payload), args.output)

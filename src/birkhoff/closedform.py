@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 from .polyalg import (CanonicalPolynomial, Frequencies, GradedHamiltonian, check_frequency,
-                      is_finite_real)
+                      checked_record, is_finite_real)
 
 
 class DeterminantOverflowError(ValueError):
@@ -47,23 +46,25 @@ class PoleError(ZeroDivisionError):
         super().__init__(f"closed form has a pole on the resonance {relation}")
 
 
-@dataclass(frozen=True)
-class CubicQuarticCoefficients:
+class CubicQuarticCoefficients(checked_record(
+        "CubicQuarticCoefficients", "a1 a2 a3 a4 b1 b3 b5", defaults=(0.0,) * 7)):
     """Cubic (a1..a4) and quartic (b1, b3, b5) model coefficients."""
 
-    a1: float = 0.0
-    a2: float = 0.0
-    a3: float = 0.0
-    a4: float = 0.0
-    b1: float = 0.0
-    b3: float = 0.0
-    b5: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, v in vars(self).items():  # the fields, in declaration order
+    def __new__(cls, a1: float = 0.0, a2: float = 0.0, a3: float = 0.0, a4: float = 0.0,
+                b1: float = 0.0, b3: float = 0.0, b5: float = 0.0):
+        return cls._finite((a1, a2, a3, a4, b1, b3, b5))
+
+    @classmethod
+    def _finite(cls, values: tuple):
+        """The record of values, one per field; the first value in field order
+        that is not a finite real raises ValueError naming its field."""
+        for name, v in zip(cls._fields, values):
             # a float, the usual field, is checked without a call
             if (type(v) is not float and not is_finite_real(v)) or not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
+        return tuple.__new__(cls, values)
 
 
 def build_model_hamiltonian(coeffs: CubicQuarticCoefficients,

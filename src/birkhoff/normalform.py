@@ -16,7 +16,7 @@ frequencies avoid low-order resonances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .closedform import CubicQuarticCoefficients, build_model_hamiltonian, d2_from_k
 from .polyalg import (
@@ -52,8 +52,7 @@ class ResonanceError(ValueError):
                          f"{self.exponents}; the generator coefficient would blow up")
 
 
-@dataclass(frozen=True)
-class NormalFormReport:
+class NormalFormReport(NamedTuple):
     """Outcome of a degree-4 normalization.
 
     k2200/k1111/k0022 are the real parts of the surviving action-product

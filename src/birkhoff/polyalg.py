@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from numbers import Real
 from typing import Mapping
@@ -336,16 +336,27 @@ def check_frequency(name: str, v) -> None:
         raise ValueError(f"{name} must be a positive finite real, got {v!r}")
 
 
-@dataclass(frozen=True)
-class Frequencies:
+def checked_record(name: str, fields, defaults=None) -> type:
+    """A namedtuple base for an immutable record that checks its fields.
+
+    The subclass sets __slots__ = () and checks in __new__; the base's _make,
+    and so _replace, build through that __new__ (namedtuple's own _make is
+    tuple.__new__, which would skip the checks).
+    """
+    base = namedtuple(name, fields, defaults=defaults)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class Frequencies(checked_record("Frequencies", "omega1 omega3")):
     """The pair of basic frequencies (planar omega1, vertical omega3)."""
 
-    omega1: float
-    omega3: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_frequency("omega1", self.omega1)
-        check_frequency("omega3", self.omega3)
+    def __new__(cls, omega1: float, omega3: float):
+        check_frequency("omega1", omega1)
+        check_frequency("omega3", omega3)
+        return tuple.__new__(cls, (omega1, omega3))
 
 
 def _json_number(value, what: str) -> float:

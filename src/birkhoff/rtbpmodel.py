@@ -25,14 +25,13 @@ import heapq
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple
 
 from .closedform import (CubicQuarticCoefficients, DeterminantOverflowError,
                          PoleError, tabulated_kernel)
 from .normalform import DIVISOR_REL_TOL
-from .polyalg import check_frequency, is_finite_real
+from .polyalg import check_frequency, checked_record, is_finite_real
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -56,35 +55,38 @@ class ModelDomainError(ValueError):
     """Model parameters outside the domain of the coefficient expansions."""
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(checked_record("ModelParams", "mu q Q A")):
     """Mass ratio, radiation factors of both primaries, and oblateness."""
 
-    mu: float
-    q: float
-    Q: float
-    A: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (is_finite_real(self.mu) and 0.0 < self.mu < 1.0):
-            raise ModelDomainError(f"mu must lie strictly inside (0, 1), got {self.mu!r}")
-        if not (is_finite_real(self.q) and 0.0 < self.q <= 1.0):
-            raise ModelDomainError(f"q must lie in (0, 1], got {self.q!r}")
-        if not (is_finite_real(self.Q) and 0.0 < self.Q <= 1.0):
-            raise ModelDomainError(f"Q must lie in (0, 1], got {self.Q!r}")
-        if not (is_finite_real(self.A) and self.A >= 0.0):
-            raise ModelDomainError(f"A must be a finite non-negative real, got {self.A!r}")
+    def __new__(cls, mu: float, q: float, Q: float, A: float):
+        if not (is_finite_real(mu) and 0.0 < mu < 1.0):
+            raise ModelDomainError(f"mu must lie strictly inside (0, 1), got {mu!r}")
+        if not (is_finite_real(q) and 0.0 < q <= 1.0):
+            raise ModelDomainError(f"q must lie in (0, 1], got {q!r}")
+        if not (is_finite_real(Q) and 0.0 < Q <= 1.0):
+            raise ModelDomainError(f"Q must lie in (0, 1], got {Q!r}")
+        if not (is_finite_real(A) and A >= 0.0):
+            raise ModelDomainError(f"A must be a finite non-negative real, got {A!r}")
+        return tuple.__new__(cls, (mu, q, Q, A))
 
 
-@dataclass(frozen=True)
-class CoefficientSet(CubicQuarticCoefficients):
+class CoefficientSet(checked_record(
+        "CoefficientSet", CubicQuarticCoefficients._fields + ("a", "c"), defaults=(0.0,) * 9),
+        CubicQuarticCoefficients):
     """Evaluated Hamiltonian coefficients and the model constants a and c.
 
-    Every field, a and c included, must be finite.
+    The fields are a1..b5, in CubicQuarticCoefficients' order, then a and c;
+    every one of them must be finite.
     """
 
-    a: float = 0.0
-    c: float = 0.0
+    __slots__ = ()
+
+    def __new__(cls, a1: float = 0.0, a2: float = 0.0, a3: float = 0.0, a4: float = 0.0,
+                b1: float = 0.0, b3: float = 0.0, b5: float = 0.0,
+                a: float = 0.0, c: float = 0.0):
+        return cls._finite((a1, a2, a3, a4, b1, b3, b5, a, c))
 
     def cubic_quartic(self) -> CubicQuarticCoefficients:
         return self
@@ -277,11 +279,14 @@ def coefficients(params: ModelParams,
 
     max_half_order keeps only terms A**(h/2) with h up to the given bound
     (0 keeps the oblateness-independent sector, 2 truncates after the A term,
-    None keeps everything tabulated); a negative bound raises ValueError.  A
-    sum that is not finite raises ModelDomainError naming the model point.
+    None keeps everything tabulated); a bound that is not a non-negative int
+    (a bool is not one) raises ValueError.  A sum that is not finite raises
+    ModelDomainError naming the model point.
     """
     if max_half_order is None:
         max_half_order = HALF_ORDERS[-1]
+    elif type(max_half_order) is not int:
+        raise ValueError(f"max_half_order must be an int, got {max_half_order!r}")
     elif max_half_order < 0:
         raise ValueError(f"max_half_order must be >= 0, got {max_half_order!r}")
     table = coefficient_series(params)
@@ -312,8 +317,7 @@ def coefficients(params: ModelParams,
 POLE_NUDGE_STEPS = 4
 
 
-@dataclass(frozen=True)
-class D2Result:
+class D2Result(NamedTuple):
     """Determinant value and the coefficients it was evaluated from."""
 
     value: float
@@ -433,8 +437,7 @@ def _status(d2: float, omega1: float, omega3: float,
         f"{kind}:{name}" for name, gap in zip(names, gaps) if gap < limit)
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     """Outcome of the determinant-based stability test at one frequency pair."""
 
     status: StabilityStatus
@@ -510,10 +513,16 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
     here; only D2 (8 bytes) is kept per row.  The rows are returned as an
     iterator that builds each one as it is taken.
     """
+    # a bound that is not a real is named before it is compared; a float one
+    # out of order (-inf and nan among them) keeps the ordering message
+    if type(hi) is not float and not is_finite_real(hi):
+        raise ValueError(f"grid bound hi must be finite, got {hi!r}")
     if not (is_finite_real(lo) and 0.0 < lo < hi):
         raise ValueError("grid needs 0 < lo < hi")
-    if not is_finite_real(hi):
+    if not math.isfinite(hi):
         raise ValueError(f"grid bound hi must be finite, got {hi!r}")
+    if type(steps) is not int:
+        raise ValueError(f"grid steps must be an int, got {steps!r}")
     if steps < 2:
         raise ValueError("grid needs at least 2 steps")
     if d2_tolerance is not None:

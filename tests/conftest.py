@@ -11,9 +11,10 @@ Lie-transform engine; they differ from birkhoff.closedform in the
 quadratic-in-cubic sectors (see DISCREPANCIES.md).
 """
 
-import dataclasses
 import hashlib
 from fractions import Fraction
+
+import pytest
 
 from birkhoff import (
     CanonicalPolynomial,
@@ -118,11 +119,26 @@ def max_abs_coefficient(p):
     return max(map(abs, p.terms.values()), default=0.0)
 
 
+def assert_record_refuses(record, error, match, **fields):
+    """A built record refuses the fields as its constructor does.
+
+    record._replace(**fields) raises error matching match, since _replace
+    builds through the checking constructor; assigning any of the fields
+    raises AttributeError, and the record has no __dict__ to hold it instead.
+    """
+    with pytest.raises(error, match=match):
+        record._replace(**fields)
+    for name, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+    assert not hasattr(record, "__dict__")
+
+
 def scaled_coefficients(coeffs, lam):
     """Cubic coefficients scaled by lam and quartic ones by lam**2."""
     factors = {"a1": lam, "a2": lam, "a3": lam, "a4": lam,
                "b1": lam * lam, "b3": lam * lam, "b5": lam * lam}
-    return dataclasses.replace(coeffs, **{k: f * getattr(coeffs, k) for k, f in factors.items()})
+    return coeffs._replace(**{k: f * getattr(coeffs, k) for k, f in factors.items()})
 
 
 def random_exact_polynomial(rng, max_degree=4, max_terms=6, chart="real"):

@@ -18,8 +18,9 @@ from birkhoff import (
     realify,
 )
 from birkhoff import polyalg
-from conftest import (homogeneous_part, max_abs_coefficient, poly_product, poly_scaled,
-                      poly_sum, random_exact_polynomial, reference_model_hamiltonian)
+from conftest import (assert_record_refuses, homogeneous_part, max_abs_coefficient,
+                      poly_product, poly_scaled, poly_sum, random_exact_polynomial,
+                      reference_model_hamiltonian)
 
 
 def poly(terms, chart="real"):
@@ -329,6 +330,9 @@ class TestFrequencies:
             Frequencies(value, 1.0)
         with pytest.raises(ValueError, match="positive finite real"):
             Frequencies(1.0, value)
+        for field in ("omega1", "omega3"):
+            assert_record_refuses(Frequencies(1.0, 1.0), ValueError, "positive finite real",
+                                  **{field: value})
 
 
 class TestGradedHamiltonian:

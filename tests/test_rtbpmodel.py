@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import re
@@ -30,6 +29,7 @@ from birkhoff import rtbpmodel
 from birkhoff.closedform import DeterminantOverflowError, PoleError, tabulated_kernel
 from birkhoff.cli import main
 from birkhoff.rtbpmodel import DEGENERACY_FRACTION
+from conftest import assert_record_refuses
 
 REFERENCE_POINT = ModelParams(mu=0.00025, q=0.025, Q=0.00025, A=0.00025)
 
@@ -62,6 +62,7 @@ class TestCoefficients:
     def test_coefficient_set_is_the_cubic_quartic_set(self):
         c = coefficients(REFERENCE_POINT)
         assert isinstance(c, CubicQuarticCoefficients)
+        assert c._fields == CubicQuarticCoefficients._fields + ("a", "c")
         assert c.cubic_quartic() is c
         assert d2_closed(c, Frequencies(0.3, 1.0)) == d2_eval(REFERENCE_POINT, 0.3, 1.0).value
 
@@ -69,13 +70,17 @@ class TestCoefficients:
     def test_coefficient_set_fields_must_be_finite(self, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             rtbpmodel.CoefficientSet(**{name: math.inf})
+        assert_record_refuses(rtbpmodel.CoefficientSet(), ValueError, f"^{name} must be finite",
+                              **{name: math.inf})
 
     @pytest.mark.parametrize("bad", [Decimal("0.4"), True, False, 1j, "0.4", None,
                                      pytest.param(10**400, id="10**400")], ids=repr)
     def test_coefficient_fields_must_be_reals(self, bad):
         # refused in the constructor, not by the arithmetic of d2_closed
-        with pytest.raises(ValueError, match=f"^a1 must be finite, got {re.escape(repr(bad))}$"):
+        message = f"^a1 must be finite, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
             CubicQuarticCoefficients(a1=bad)
+        assert_record_refuses(CubicQuarticCoefficients(), ValueError, message, a1=bad)
 
     def test_exact_real_coefficients_accepted(self):
         exact = CubicQuarticCoefficients(a1=Fraction(2, 5), b3=3)
@@ -95,6 +100,7 @@ class TestCoefficients:
         with pytest.raises(ValueError) as err:
             cls(**bad)
         assert str(err.value) == named
+        assert_record_refuses(cls(), ValueError, f"^{re.escape(named)}$", **bad)
 
     @pytest.mark.parametrize("max_half_order", [None, 0, 2, 7])
     def test_coefficients_evaluate_the_series_once_through_the_module(
@@ -131,8 +137,11 @@ class TestCoefficients:
     def test_params_must_be_reals(self, field, bad):
         # a bool would pass the range checks as 0 or 1 and reach asdict as a bool
         kw = {"mu": 0.5, "q": 0.5, "Q": 0.5, "A": 0.0, field: bad}
-        with pytest.raises(ModelDomainError, match=f"^{field} must .*, got {re.escape(repr(bad))}$"):
+        message = f"^{field} must .*, got {re.escape(repr(bad))}$"
+        with pytest.raises(ModelDomainError, match=message):
             ModelParams(**kw)
+        assert_record_refuses(ModelParams(0.5, 0.5, 0.5, 0.0), ModelDomainError, message,
+                              **{field: bad})
 
     def test_half_order_truncation_monotonicity(self):
         # difference between O(A) and O(A^2) truncations shrinks like a power
@@ -176,13 +185,21 @@ class TestCoefficients:
             d2_eval(REFERENCE_POINT, 0.3, 1.0, max_half_order=-3)
         with pytest.raises(ValueError, match="max_half_order"):
             scan_omega1(REFERENCE_POINT, 1.0, 0.1, 0.9, 5, max_half_order=-3)
+        # nan would drop every term, 2.5 and True would read as 2 and 1
+        for h in (math.nan, 2.5, 4.0, True, "x"):
+            with pytest.raises(ValueError, match="^max_half_order must be an int, got "):
+                coefficients(REFERENCE_POINT, max_half_order=h)
+            with pytest.raises(ValueError, match="max_half_order"):
+                stability_verdict(REFERENCE_POINT, 0.3, 1.0, max_half_order=h)
+            with pytest.raises(ValueError, match="max_half_order"):
+                scan_omega1(REFERENCE_POINT, 1.0, 0.1, 0.9, 5, max_half_order=h)
 
     @pytest.mark.parametrize("max_half_order", [0, 1, 2, 3, 4])
     def test_every_field_is_a_float(self, max_half_order):
         # a2, a4 and c keep no term at h = 0: their sums are empty
         c = coefficients(REFERENCE_POINT, max_half_order)
-        for field in dataclasses.fields(c):
-            assert type(getattr(c, field.name)) is float, field.name
+        for name in c._fields:
+            assert type(getattr(c, name)) is float, name
 
     def test_series_table_covers_all_quantities(self):
         table = coefficient_series(REFERENCE_POINT)
@@ -450,6 +467,9 @@ class TestScan:
             scan_omega1(REFERENCE_POINT, 1.0, 0.1, 0.9, 1)
         with pytest.raises(ValueError):
             scan_omega1(REFERENCE_POINT, 1.0, -0.5, 0.9, 10)
+        for steps in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match=f"^grid steps must be an int, got {steps!r}$"):
+                scan_omega1(REFERENCE_POINT, 1.0, 0.1, 0.9, steps)
 
     def test_infinite_grid_bound_rejected_by_name(self):
         with pytest.raises(ValueError, match="grid bound hi must be finite, got inf"):
@@ -464,7 +484,8 @@ class TestScan:
         (Decimal("0.1"), 0.9, "grid needs 0 < lo < hi"),
         (0.1, 10**400, "grid bound hi must be finite, got 1000"),
         (0.1, Decimal("0.9"), re.escape("grid bound hi must be finite, got Decimal('0.9')")),
-    ], ids=["bool-lo", "decimal-lo", "int-hi-past-double", "decimal-hi"])
+        (0.1, "x", "grid bound hi must be finite, got 'x'"),
+    ], ids=["bool-lo", "decimal-lo", "int-hi-past-double", "decimal-hi", "str-hi"])
     def test_grid_bounds_must_be_finite_reals(self, lo, hi, message):
         # refused before the grid arithmetic, which would take True as 1.0
         with pytest.raises(ValueError, match=message):

@@ -12,7 +12,6 @@ down to the smallest subnormal, and powers of A that overflow, or stay
 finite under truncation.
 """
 
-import dataclasses
 import random
 
 from birkhoff import ModelParams, coefficient_series, coefficients
@@ -86,7 +85,7 @@ def _series_hex(params):
 
 def _coefficients_hex(params, h):
     c = coefficients(params, h)
-    return [f"{f.name}:{_hex(getattr(c, f.name))}" for f in dataclasses.fields(c)]
+    return [f"{name}:{_hex(getattr(c, name))}" for name in c._fields]
 
 
 def outcomes():

@@ -1,6 +1,10 @@
-"""The runtime package imports nothing outside the standard library."""
+"""The runtime package imports nothing outside the standard library, and
+loading its command line does not load the standard library's introspection
+modules."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,3 +30,16 @@ def test_project_declares_no_runtime_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # dataclasses pulls in inspect (and with it ast, dis and tokenize), about
+    # half the start-up time of a command-line call; the records are tuples
+    script = ("import sys; before = set(sys.modules); import birkhoff.cli; "
+              "print(sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    loaded = set(ast.literal_eval(out))
+    assert "birkhoff.cli" in loaded
+    assert {"dataclasses", "inspect"} & loaded == set()
