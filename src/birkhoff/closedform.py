@@ -61,8 +61,7 @@ class CubicQuarticCoefficients(checked_record(
         """The record of values, one per field; the first value in field order
         that is not a finite real raises ValueError naming its field."""
         for name, v in zip(cls._fields, values):
-            # a float, the usual field, is checked without a call
-            if (type(v) is not float and not is_finite_real(v)) or not math.isfinite(v):
+            if not is_finite_real(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
         return tuple.__new__(cls, values)
 

@@ -331,8 +331,7 @@ def is_finite_real(v) -> bool:
 
 def check_frequency(name: str, v) -> None:
     """Raise ValueError naming the frequency unless v is a positive finite real."""
-    # a float, the usual frequency, is checked without a call
-    if not ((type(v) is float or is_finite_real(v)) and math.isfinite(v) and v > 0):
+    if not (is_finite_real(v) and v > 0):
         raise ValueError(f"{name} must be a positive finite real, got {v!r}")
 
 
@@ -361,12 +360,9 @@ class Frequencies(checked_record("Frequencies", "omega1 omega3")):
 
 def _json_number(value, what: str) -> float:
     """A finite JSON number (int or float, not bool) as a float."""
-    if type(value) is float and -math.inf < value < math.inf:
-        return value  # most coefficients, told apart by their exact type
-    number = float(value)  # TypeError for null, lists and objects
-    if type(value) not in (int, float) or not math.isfinite(number):
+    if type(value) not in (int, float) or not is_finite_real(value):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
-    return number
+    return float(value)
 
 
 class GradedHamiltonian:
@@ -481,7 +477,7 @@ class GradedHamiltonian:
             omega3 = _json_number(freqs[1], "omega3")
         except KeyError as err:
             raise ValueError(f"term without the field {err}") from err
-        except (TypeError, OverflowError) as err:
+        except TypeError as err:
             raise ValueError(f"malformed term or frequency: {err}") from err
         # every key passed _validate_exponents above, and sits in its degree
         return cls._from_checked({d: CanonicalPolynomial._from_checked(t, chart)

@@ -466,8 +466,13 @@ def verdict_from_d2(d2: float, omega1: float, omega3: float,
     the tolerance.  A tolerance of None is DEGENERACY_FRACTION of |D2|
     itself (a single point has no grid to take a median over), so only an
     exact zero is then reported degenerate; an explicit tolerance must be a
-    positive finite real.
+    positive finite real.  The frequencies are checked as d2_eval checks
+    them, and D2 must be a finite real; each raises ValueError otherwise.
     """
+    check_frequency("omega1", omega1)
+    check_frequency("omega3", omega3)
+    if not is_finite_real(d2):
+        raise ValueError(f"D2 must be a finite real, got {d2!r}")
     d2_tolerance = _degeneracy_cut(d2_tolerance, lambda: abs(d2))
     status, _, notes = _status(d2, omega1, omega3, d2_tolerance)
     if not notes:
@@ -513,14 +518,11 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
     here; only D2 (8 bytes) is kept per row.  The rows are returned as an
     iterator that builds each one as it is taken.
     """
-    # a bound that is not a real is named before it is compared; a float one
-    # out of order (-inf and nan among them) keeps the ordering message
-    if type(hi) is not float and not is_finite_real(hi):
-        raise ValueError(f"grid bound hi must be finite, got {hi!r}")
-    if not (is_finite_real(lo) and 0.0 < lo < hi):
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if not is_finite_real(bound):
+            raise ValueError(f"grid bound {name} must be finite, got {bound!r}")
+    if not 0.0 < lo < hi:
         raise ValueError("grid needs 0 < lo < hi")
-    if not math.isfinite(hi):
-        raise ValueError(f"grid bound hi must be finite, got {hi!r}")
     if type(steps) is not int:
         raise ValueError(f"grid steps must be an int, got {steps!r}")
     if steps < 2:

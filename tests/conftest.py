@@ -12,6 +12,8 @@ quadratic-in-cubic sectors (see DISCREPANCIES.md).
 """
 
 import hashlib
+import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -30,6 +32,14 @@ from birkhoff import (
 #: three terms; the verdict there is stable
 CANCELLATION_POINT = (0.002720043807294557, 0.5463885506276273, 0.3866753034233212,
                       0.0048672361891881405, 0.5746535936534526)
+
+
+#: values that no site taking a number accepts, whatever its range: not
+#: finite, not a real (a bool, a Decimal, a string, None) or past a double;
+#: each site's rejection test feeds them in and expects its own message
+REFUSED_NUMBERS = [pytest.param(value, id=f"refused-{label}") for label, value in (
+    ("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf), ("True", True),
+    ("Decimal('1')", Decimal("1")), ("'x'", "x"), ("None", None), ("10**400", 10**400))]
 
 
 def assert_digest(lines, digest, tmp_path):

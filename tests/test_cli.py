@@ -210,6 +210,26 @@ class TestNormalizeCommand:
         assert out == ""
         assert json.loads(err)["error"] == "domain"
 
+    @pytest.mark.parametrize("field", ["re", "im", "omega1", "omega3"])
+    @pytest.mark.parametrize("value", [
+        None, math.nan, math.inf, -math.inf, True, "2.0", [1.0], {},
+        pytest.param(10**400, id="10**400"),
+    ], ids=repr)
+    def test_refused_number_names_its_field(self, capsys, tmp_path, field, value):
+        # every value README's file format refuses, written as JSON text
+        term = {"exponents": [3, 0, 0, 0], "re": 0.4, "im": 0.0}
+        payload = hamiltonian_payload((0.3, 1.0), [term])
+        if field in term:
+            term[field] = value
+        else:
+            payload["frequencies"][field == "omega3"] = value
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, ["normalize", "--input", str(path)])
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "domain", "message": f"{field} must be a finite number, got {value!r}"}
+
     def test_empty_complex_file_names_the_missing_diagonal(self, capsys, tmp_path):
         path = tmp_path / "h.json"
         path.write_text(json.dumps(

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 from decimal import Decimal
@@ -18,9 +19,9 @@ from birkhoff import (
     realify,
 )
 from birkhoff import polyalg
-from conftest import (assert_record_refuses, homogeneous_part, max_abs_coefficient,
-                      poly_product, poly_scaled, poly_sum, random_exact_polynomial,
-                      reference_model_hamiltonian)
+from conftest import (REFUSED_NUMBERS, assert_record_refuses, homogeneous_part,
+                      max_abs_coefficient, poly_product, poly_scaled, poly_sum,
+                      random_exact_polynomial, reference_model_hamiltonian)
 
 
 def poly(terms, chart="real"):
@@ -323,7 +324,7 @@ class TestFrequencies:
     @pytest.mark.parametrize("value", [
         "1", None, [1], 1 + 0j, 1j, math.nan, math.inf, -math.inf,
         Decimal("NaN"), Decimal("1.5"), 0, 0.0, -0.0, False, True, -1, -0.5,
-        Fraction(-1, 2), pytest.param(10**400, id="10**400"),
+        Fraction(-1, 2), pytest.param(10**400, id="10**400"), *REFUSED_NUMBERS,
     ], ids=repr)
     def test_everything_else_rejected(self, value):
         with pytest.raises(ValueError, match="positive finite real"):
@@ -416,6 +417,12 @@ class TestGradedHamiltonian:
     @pytest.mark.parametrize("field, value", [
         ("re", math.nan), ("re", math.inf), ("im", -math.inf), ("re", "2.0"),
         ("im", True), ("omega1", "0.3"), ("omega3", False), ("omega3", math.nan),
+        # null, a list, an object, a string that is no number and an int past
+        # a double get the same message as the values above
+        *(pytest.param(field, value, id=f"{field!r}-{label}")
+          for field in ("re", "im", "omega1")
+          for label, value in (("None", None), ("[1.0]", [1.0]), ("{}", {}),
+                               ("'abc'", "abc"), ("10**400", 10**400))),
     ], ids=repr)
     def test_from_json_requires_finite_numbers(self, field, value):
         term = {"exponents": [3, 0, 0, 0], "re": 1.0, "im": 0.0}
@@ -425,7 +432,8 @@ class TestGradedHamiltonian:
         else:
             freqs[field == "omega3"] = value
         payload = {"dof": 2, "chart": "real", "frequencies": freqs, "terms": [term]}
-        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        message = f"^{field} must be a finite number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
             GradedHamiltonian.from_json_dict(payload)
 
     def test_from_json_rejects_other_dof(self):

@@ -29,7 +29,7 @@ from birkhoff import rtbpmodel
 from birkhoff.closedform import DeterminantOverflowError, PoleError, tabulated_kernel
 from birkhoff.cli import main
 from birkhoff.rtbpmodel import DEGENERACY_FRACTION
-from conftest import assert_record_refuses
+from conftest import REFUSED_NUMBERS, assert_record_refuses
 
 REFERENCE_POINT = ModelParams(mu=0.00025, q=0.025, Q=0.00025, A=0.00025)
 
@@ -74,13 +74,15 @@ class TestCoefficients:
                               **{name: math.inf})
 
     @pytest.mark.parametrize("bad", [Decimal("0.4"), True, False, 1j, "0.4", None,
-                                     pytest.param(10**400, id="10**400")], ids=repr)
+                                     pytest.param(10**400, id="10**400"),
+                                     *REFUSED_NUMBERS], ids=repr)
     def test_coefficient_fields_must_be_reals(self, bad):
         # refused in the constructor, not by the arithmetic of d2_closed
-        message = f"^a1 must be finite, got {re.escape(repr(bad))}$"
-        with pytest.raises(ValueError, match=message):
-            CubicQuarticCoefficients(a1=bad)
-        assert_record_refuses(CubicQuarticCoefficients(), ValueError, message, a1=bad)
+        for cls, name in ((CubicQuarticCoefficients, "a1"), (rtbpmodel.CoefficientSet, "c")):
+            message = f"^{name} must be finite, got {re.escape(repr(bad))}$"
+            with pytest.raises(ValueError, match=message):
+                cls(**{name: bad})
+            assert_record_refuses(cls(), ValueError, message, **{name: bad})
 
     def test_exact_real_coefficients_accepted(self):
         exact = CubicQuarticCoefficients(a1=Fraction(2, 5), b3=3)
@@ -133,7 +135,8 @@ class TestCoefficients:
 
     @pytest.mark.parametrize("field", ["mu", "q", "Q", "A"])
     @pytest.mark.parametrize("bad", [Decimal("0.001"), True, "0.001", None,
-                                     pytest.param(10**400, id="10**400")], ids=repr)
+                                     pytest.param(10**400, id="10**400"),
+                                     *REFUSED_NUMBERS], ids=repr)
     def test_params_must_be_reals(self, field, bad):
         # a bool would pass the range checks as 0 or 1 and reach asdict as a bool
         kw = {"mu": 0.5, "q": 0.5, "Q": 0.5, "A": 0.0, field: bad}
@@ -283,13 +286,32 @@ class TestStabilityVerdict:
         assert verdict.status is StabilityStatus.STABLE
         assert verdict.d2 != 0.0
 
-    @pytest.mark.parametrize("omega1, omega3, name", [
-        (Decimal("1.5"), 1.0, "omega1"), (0.3, Decimal("1.0"), "omega3"),
-        (0.3, 10**400, "omega3"),
-    ], ids=["omega1", "omega3", "omega3-past-double"])
-    def test_decimal_frequency_rejected(self, omega1, omega3, name):
-        with pytest.raises(ValueError, match=f"^{name} must be a positive finite real"):
+    @pytest.mark.parametrize("name, bad", [
+        pytest.param("omega1", Decimal("1.5"), id="omega1"),
+        pytest.param("omega3", Decimal("1.0"), id="omega3"),
+        pytest.param("omega3", 10**400, id="omega3-past-double"),
+        pytest.param("omega1", -0.3, id="omega1-negative"),
+        pytest.param("omega1", "x", id="omega1-str"),
+        pytest.param("omega3", -1.0, id="omega3-negative"),
+        *(pytest.param(name, bad.values[0], id=f"{name}-{bad.id}")
+          for name in ("omega1", "omega3") for bad in REFUSED_NUMBERS),
+    ])
+    def test_decimal_frequency_rejected(self, name, bad):
+        # verdict_from_d2 checks a frequency as d2_eval does, whatever D2 it is given
+        omega1, omega3 = (bad, 1.0) if name == "omega1" else (0.3, bad)
+        message = f"^{name} must be a positive finite real, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
             stability_verdict(REFERENCE_POINT, omega1, omega3)
+        for tolerance in (None, 1e-6):
+            with pytest.raises(ValueError, match=message):
+                verdict_from_d2(1.0, omega1, omega3, tolerance)
+
+    @pytest.mark.parametrize("d2", [*REFUSED_NUMBERS, "1.0"], ids=repr)
+    @pytest.mark.parametrize("tolerance", [None, 1e-6, math.inf])
+    def test_d2_must_be_a_finite_real(self, d2, tolerance):
+        # checked before the tolerance: a nan D2 is not stable, nor an inf one degenerate
+        with pytest.raises(ValueError, match=f"^D2 must be a finite real, got {re.escape(repr(d2))}$"):
+            verdict_from_d2(d2, 0.3, 1.0, tolerance)
 
     def test_guard_band_gives_pole_status(self):
         verdict = stability_verdict(REFERENCE_POINT, 0.5, 1.0)
@@ -325,8 +347,11 @@ class TestStabilityVerdict:
         with pytest.raises(ValueError):
             verdict_from_d2(1.0, 0.3, 1.0, d2_tolerance=0.0)
 
-    @pytest.mark.parametrize("tolerance", [True, Decimal("1"), "1",
-                                           pytest.param(10**400, id="10**400")], ids=repr)
+    @pytest.mark.parametrize("tolerance", [
+        True, Decimal("1"), "1", pytest.param(10**400, id="10**400"),
+        # None there takes the default tolerance
+        *(bad for bad in REFUSED_NUMBERS if bad.values != (None,)),
+    ], ids=repr)
     def test_tolerance_must_be_a_finite_real(self, tolerance):
         # True and Decimal("1") compare as numbers, so only the predicate refuses them
         message = f"^d2_tolerance must be a positive finite real, got {re.escape(repr(tolerance))}$"
@@ -474,19 +499,26 @@ class TestScan:
     def test_infinite_grid_bound_rejected_by_name(self):
         with pytest.raises(ValueError, match="grid bound hi must be finite, got inf"):
             scan_omega1(REFERENCE_POINT, 1.0, 0.1, math.inf, 10)
-        # bounds out of order keep the ordering message
-        for lo, hi in [(math.inf, 0.9), (0.1, -math.inf), (math.nan, 0.9), (0.1, math.nan)]:
-            with pytest.raises(ValueError, match="grid needs 0 < lo < hi"):
+        # a non-finite bound is named before the bounds are ordered
+        for lo, hi, named in [(math.inf, 0.9, "lo must be finite, got inf"),
+                              (0.1, -math.inf, "hi must be finite, got -inf"),
+                              (math.nan, 0.9, "lo must be finite, got nan"),
+                              (0.1, math.nan, "hi must be finite, got nan")]:
+            with pytest.raises(ValueError, match=f"^grid bound {named}$"):
                 scan_omega1(REFERENCE_POINT, 1.0, lo, hi, 10)
 
-    @pytest.mark.parametrize("lo, hi, message", [
-        (True, 2.0, "grid needs 0 < lo < hi"),
-        (Decimal("0.1"), 0.9, "grid needs 0 < lo < hi"),
-        (0.1, 10**400, "grid bound hi must be finite, got 1000"),
-        (0.1, Decimal("0.9"), re.escape("grid bound hi must be finite, got Decimal('0.9')")),
-        (0.1, "x", "grid bound hi must be finite, got 'x'"),
-    ], ids=["bool-lo", "decimal-lo", "int-hi-past-double", "decimal-hi", "str-hi"])
-    def test_grid_bounds_must_be_finite_reals(self, lo, hi, message):
+    @pytest.mark.parametrize("name, bad", [
+        pytest.param("lo", True, id="bool-lo"),
+        pytest.param("lo", Decimal("0.1"), id="decimal-lo"),
+        pytest.param("hi", 10**400, id="int-hi-past-double"),
+        pytest.param("hi", Decimal("0.9"), id="decimal-hi"),
+        pytest.param("hi", "x", id="str-hi"),
+        *(pytest.param(name, bad.values[0], id=f"{bad.id}-{name}")
+          for name in ("lo", "hi") for bad in REFUSED_NUMBERS),
+    ])
+    def test_grid_bounds_must_be_finite_reals(self, name, bad):
         # refused before the grid arithmetic, which would take True as 1.0
+        lo, hi = (bad, 0.9) if name == "lo" else (0.1, bad)
+        message = f"^grid bound {name} must be finite, got {re.escape(repr(bad))}$"
         with pytest.raises(ValueError, match=message):
             scan_omega1(REFERENCE_POINT, 1.0, lo, hi, 3)
