@@ -52,8 +52,11 @@ class NonFiniteCoefficientError(ValueError):
 
 
 def _validate_exponents(exponents) -> Exponents:
-    """Four non-negative ints; a bool, float or string exponent raises ValueError."""
-    e = tuple(exponents)
+    """Four non-negative ints; anything else, a bool exponent too, raises ValueError."""
+    try:
+        e = tuple(exponents)
+    except TypeError:
+        e = ()
     # a bool, float or str exponent breaks the exact-type chain
     if (len(e) != 4 or not type(e[0]) is type(e[1]) is type(e[2]) is type(e[3]) is int
             or min(e) < 0):
@@ -462,23 +465,25 @@ class GradedHamiltonian:
         freqs = payload.get("frequencies")
         if not (isinstance(freqs, (list, tuple)) and len(freqs) == 2):
             raise ValueError("frequencies must be a two-element list [omega1, omega3]")
+        entries = payload.get("terms", [])
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError(f"terms must be a list of term objects, got {entries!r}")
         by_degree: dict[int, dict[Exponents, complex]] = {}
-        try:
-            for entry in payload.get("terms", []):
-                e = _validate_exponents(entry["exponents"])
-                d = sum(e)
-                if d < 2:
-                    raise ValueError(f"terms must have degree >= 2, got exponents {e}")
-                c = complex(_json_number(entry.get("re", 0.0), "re"),
-                            _json_number(entry.get("im", 0.0), "im"))
-                terms = by_degree.setdefault(d, {})
-                terms[e] = terms.get(e, 0) + c
-            omega1 = _json_number(freqs[0], "omega1")
-            omega3 = _json_number(freqs[1], "omega3")
-        except KeyError as err:
-            raise ValueError(f"term without the field {err}") from err
-        except TypeError as err:
-            raise ValueError(f"malformed term or frequency: {err}") from err
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ValueError(f"term {i} must be an object, got {entry!r}")
+            if "exponents" not in entry:
+                raise ValueError("term without the field 'exponents'")
+            e = _validate_exponents(entry["exponents"])
+            d = sum(e)
+            if d < 2:
+                raise ValueError(f"terms must have degree >= 2, got exponents {e}")
+            c = complex(_json_number(entry.get("re", 0.0), "re"),
+                        _json_number(entry.get("im", 0.0), "im"))
+            terms = by_degree.setdefault(d, {})
+            terms[e] = terms.get(e, 0) + c
+        omega1 = _json_number(freqs[0], "omega1")
+        omega3 = _json_number(freqs[1], "omega3")
         # every key passed _validate_exponents above, and sits in its degree
         return cls._from_checked({d: CanonicalPolynomial._from_checked(t, chart)
                                   for d, t in sorted(by_degree.items())},

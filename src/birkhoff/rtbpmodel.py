@@ -297,12 +297,16 @@ def coefficients(params: ModelParams,
     except OverflowError as err:
         raise ModelDomainError(
             f"a power of A = {params.A!r} is not a finite double") from err
+    sums = []
+    for name in CoefficientSet._fields:
+        # ascending h by plain float addition, the same bits on every CPython
+        total = 0.0
+        for h, coeff in table[name].items():
+            if h <= max_half_order:
+                total += coeff * powers[h]
+        sums.append(total)
     try:
-        # each table is summed in ascending h, the order coefficient_series writes
-        return CoefficientSet(**{
-            name: sum((coeff * powers[h] for h, coeff in orders.items()
-                       if h <= max_half_order), 0.0)
-            for name, orders in table.items()})
+        return CoefficientSet(*sums)
     except ValueError as err:  # a sum that is not finite
         raise ModelDomainError(
             f"the expansions summed through half-order {max_half_order} at "
@@ -473,6 +477,12 @@ def verdict_from_d2(d2: float, omega1: float, omega3: float,
     check_frequency("omega3", omega3)
     if not is_finite_real(d2):
         raise ValueError(f"D2 must be a finite real, got {d2!r}")
+    return _verdict(d2, omega1, omega3, d2_tolerance)
+
+
+def _verdict(d2: float, omega1: float, omega3: float,
+             d2_tolerance: float | None) -> StabilityVerdict:
+    """verdict_from_d2 on a D2 and frequencies that d2_eval has checked."""
     d2_tolerance = _degeneracy_cut(d2_tolerance, lambda: abs(d2))
     status, _, notes = _status(d2, omega1, omega3, d2_tolerance)
     if not notes:
@@ -488,10 +498,10 @@ def stability_verdict(params: ModelParams, omega1: float, omega3: float,
     """Evaluate the model at one frequency pair and classify the outcome.
 
     Without an explicit tolerance the degeneracy cut is the single-point rule
-    of verdict_from_d2.
+    of verdict_from_d2; only d2_eval checks the frequencies.
     """
     result = d2_eval(params, omega1, omega3, max_half_order)
-    return verdict_from_d2(result.value, omega1, omega3, d2_tolerance)
+    return _verdict(result.value, omega1, omega3, d2_tolerance)
 
 
 class ScanRow(NamedTuple):

@@ -230,6 +230,14 @@ class TestNormalizeCommand:
         assert json.loads(err) == {
             "error": "domain", "message": f"{field} must be a finite number, got {value!r}"}
 
+    def test_malformed_term_list_is_named(self, capsys, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(dict(hamiltonian_payload(), terms=5)))
+        code, out, err = run(capsys, ["normalize", "--input", str(path)])
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "domain", "message": "terms must be a list of term objects, got 5"}
+
     def test_empty_complex_file_names_the_missing_diagonal(self, capsys, tmp_path):
         path = tmp_path / "h.json"
         path.write_text(json.dumps(

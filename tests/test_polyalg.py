@@ -436,6 +436,18 @@ class TestGradedHamiltonian:
         with pytest.raises(ValueError, match=message):
             GradedHamiltonian.from_json_dict(payload)
 
+    @pytest.mark.parametrize("terms, message", [
+        (5, "terms must be a list of term objects, got 5"),
+        ("x", "terms must be a list of term objects, got 'x'"),
+        ([[1, 2]], "term 0 must be an object, got [1, 2]"),
+        (["x"], "term 0 must be an object, got 'x'"),
+        ([{"exponents": None, "re": 1.0}], "exponents must be four non-negative integers, got None"),
+    ], ids=["int-terms", "string-terms", "list-term", "string-term", "null-exponents"])
+    def test_from_json_names_a_malformed_term(self, terms, message):
+        payload = {"dof": 2, "chart": "real", "frequencies": [0.3, 1.0], "terms": terms}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GradedHamiltonian.from_json_dict(payload)
+
     def test_from_json_rejects_other_dof(self):
         payload = {"dof": 3, "chart": "real", "frequencies": [1.0, 1.0], "terms": []}
         with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ from birkhoff import (
     verdict_from_d2,
 )
 
-from birkhoff import rtbpmodel
+from birkhoff import closedform, rtbpmodel
 from birkhoff.closedform import DeterminantOverflowError, PoleError, tabulated_kernel
 from birkhoff.cli import main
 from birkhoff.rtbpmodel import DEGENERACY_FRACTION
@@ -65,6 +65,15 @@ class TestCoefficients:
         assert c._fields == CubicQuarticCoefficients._fields + ("a", "c")
         assert c.cubic_quartic() is c
         assert d2_closed(c, Frequencies(0.3, 1.0)) == d2_eval(REFERENCE_POINT, 0.3, 1.0).value
+
+    def test_series_are_summed_in_ascending_half_order(self, monkeypatch):
+        # plain left-to-right float addition: 1e16 + 1.0 rounds back to 1e16,
+        # where a compensated sum would keep the 1.0
+        monkeypatch.setattr(rtbpmodel, "coefficient_series", lambda params: {
+            name: {0: 1e16, 2: 1.0, 4: -1e16} for name in rtbpmodel.CoefficientSet._fields})
+        point = ModelParams(mu=0.5, q=1.0, Q=1.0, A=1.0)
+        assert coefficients(point) == (0.0,) * 9
+        assert coefficients(point, max_half_order=2) == (1e16,) * 9
 
     @pytest.mark.parametrize("name", ["a", "c", "a1", "b5"])
     def test_coefficient_set_fields_must_be_finite(self, name):
@@ -312,6 +321,57 @@ class TestStabilityVerdict:
         # checked before the tolerance: a nan D2 is not stable, nor an inf one degenerate
         with pytest.raises(ValueError, match=f"^D2 must be a finite real, got {re.escape(repr(d2))}$"):
             verdict_from_d2(d2, 0.3, 1.0, tolerance)
+
+    @staticmethod
+    def outcomes(params, omega1, omega3, tolerance, max_half_order=None):
+        """stability_verdict, and verdict_from_d2 of d2_eval's value, at one
+        point, each as (verdict, D2 bits) or (error type, message)."""
+        def outcome(form):
+            try:
+                verdict = form()
+            except Exception as err:
+                return type(err), str(err)
+            return verdict, verdict.d2.hex()
+        return (outcome(lambda: stability_verdict(params, omega1, omega3, tolerance,
+                                                  max_half_order)),
+                outcome(lambda: verdict_from_d2(
+                    d2_eval(params, omega1, omega3, max_half_order).value,
+                    omega1, omega3, tolerance)))
+
+    def test_verdict_is_verdict_from_d2_of_d2_eval(self):
+        # stability_verdict skips the checks d2_eval has made; nothing else differs
+        rng = random.Random(24)
+        for _ in range(60):
+            params = ModelParams(mu=10 ** rng.uniform(-4, -1), q=rng.uniform(0.01, 1.0),
+                                 Q=10 ** rng.uniform(-4, 0), A=rng.uniform(0.0, 0.01))
+            d2 = d2_eval(params, 0.3, 1.0).value
+            for omega1 in (0.5, 2.0, 1.0, 1 / 3, 3.0, 0.005, rng.uniform(0.05, 4.0)):
+                for tolerance in (None, 1e-6, abs(d2)):
+                    for max_half_order in (None, 2):
+                        first, second = self.outcomes(params, omega1, 1.0, tolerance,
+                                                      max_half_order)
+                        assert first == second
+
+    @pytest.mark.parametrize("name, bad", [
+        pytest.param(name, bad.values[0], id=f"{name}-{bad.id}")
+        for name in ("omega1", "omega3", "d2_tolerance") for bad in REFUSED_NUMBERS
+        # None as d2_tolerance takes the default tolerance
+        if not (name == "d2_tolerance" and bad.values == (None,))])
+    def test_verdict_refuses_as_verdict_from_d2(self, name, bad):
+        args = {"omega1": 0.3, "omega3": 1.0, "d2_tolerance": None, name: bad}
+        first, second = self.outcomes(REFERENCE_POINT, *args.values())
+        assert first == second
+        assert first[0] is ValueError
+
+    def test_verdict_checks_each_frequency_once(self, monkeypatch):
+        calls = []
+        for module in (rtbpmodel, closedform):
+            def counted(name, v, check=module.check_frequency):
+                calls.append(name)
+                return check(name, v)
+            monkeypatch.setattr(module, "check_frequency", counted)
+        stability_verdict(REFERENCE_POINT, 0.3, 1.0)
+        assert sorted(calls) == ["omega1", "omega3"]
 
     def test_guard_band_gives_pole_status(self):
         verdict = stability_verdict(REFERENCE_POINT, 0.5, 1.0)
