@@ -10,6 +10,7 @@ from .closedform import (
     k0022,
     k1111,
     k2200,
+    tabulated_kernel,
 )
 from .normalform import (
     NormalFormReport,
@@ -18,10 +19,7 @@ from .normalform import (
     normalize,
 )
 from .polyalg import (
-    COMPLEX_CHART,
-    REAL_CHART,
     CanonicalPolynomial,
-    ChartMismatchError,
     Frequencies,
     GradedHamiltonian,
     complexify,
@@ -31,7 +29,6 @@ from .polyalg import (
 from .rtbpmodel import (
     CoefficientSet,
     D2Result,
-    ModelDomainError,
     ModelParams,
     ScanRow,
     StabilityStatus,
@@ -47,16 +44,12 @@ from .rtbpmodel import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "COMPLEX_CHART",
-    "REAL_CHART",
     "CanonicalPolynomial",
-    "ChartMismatchError",
     "CoefficientSet",
     "CubicQuarticCoefficients",
     "D2Result",
     "Frequencies",
     "GradedHamiltonian",
-    "ModelDomainError",
     "ModelParams",
     "NormalFormReport",
     "PoleError",
@@ -80,6 +73,7 @@ __all__ = [
     "realify",
     "scan_omega1",
     "stability_verdict",
+    "tabulated_kernel",
     "verdict_from_d2",
     "__version__",
 ]

@@ -15,7 +15,7 @@ import itertools
 import json
 import sys
 
-from .closedform import CubicQuarticCoefficients, PoleError, tabulated_kernel
+from .closedform import CubicQuarticCoefficients, PoleError, d2_closed, k0022, k1111, k2200
 from .normalform import ResonanceError, normalize
 from .polyalg import Frequencies, GradedHamiltonian
 from .rtbpmodel import ModelParams, d2_eval, scan_omega1, verdict_from_d2
@@ -144,13 +144,12 @@ def _run_normalize(args) -> int:
 def _run_closed_form(args) -> int:
     coeffs = CubicQuarticCoefficients._make(
         getattr(args, name) for name in CubicQuarticCoefficients._fields)
-    # Frequencies checks omega1, then omega3, before the kernel is built
+    # Frequencies checks omega1, then omega3, before any form is evaluated
     freqs = Frequencies(args.omega1, args.omega3)
-    k2200, k1111, k0022, d2 = tabulated_kernel(coeffs, freqs.omega3)
-    w1 = freqs.omega1
-    # d2 first: it names an overflow of the forms, which the K functions
+    # D2 first: it names an overflow of the forms, which the K functions
     # alone would raise as a bare OverflowError
-    values = {"D2": d2(w1), "K2200": k2200(w1), "K1111": k1111(w1), "K0022": k0022(w1)}
+    values = {"D2": d2_closed(coeffs, freqs), "K2200": k2200(coeffs, freqs),
+              "K1111": k1111(coeffs, freqs), "K0022": k0022(coeffs, freqs)}
     if args.format == "csv":
         text = ("K2200,K1111,K0022,D2\n"
                 + ",".join(_CSV_FLOAT % values[k] for k in ("K2200", "K1111", "K0022", "D2")))

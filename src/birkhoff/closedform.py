@@ -17,8 +17,9 @@ The tabulated K2200, K1111 and K0022 are transcribed once, in
 them and D2 as functions of omega1.  :func:`k2200`, :func:`k1111`,
 :func:`k0022` and :func:`d2_closed` are that kernel applied at one point;
 scans build one kernel per grid.  The determinant is composed from the three
-coefficients by :func:`d2_from_k`, the one spelling of that formula, which
-the kernel and the engine share.
+coefficients by :func:`d2_from_k`, the one spelling of that formula: the
+kernel's d2 calls it, and so does the engine's
+:func:`birkhoff.normalform.normalize`.
 :func:`d2_expanded` writes the same determinant out as one rational
 expression; it is the reference that the tests and the benchmark check
 :func:`d2_closed` against, and the program never calls it at run time.
@@ -206,7 +207,7 @@ def tabulated_kernel(c: CubicQuarticCoefficients,
     def d2(w1, w3=w3, k2200=k2200, k1111=k1111, k0022=k0022):
         """-(K2200*w3^2 + K1111*w1*w3 + K0022*w1^2)."""
         try:
-            return _determinant(k2200(w1), k1111(w1), k0022(w1), w1, w3)
+            return d2_from_k(k2200(w1), k1111(w1), k0022(w1), w1, w3)
         except OverflowError as err:
             raise _overflow(w1, w3) from err
 
@@ -262,9 +263,14 @@ def _overflow(omega1: float, omega3: float, why: str = "an intermediate power is
         f"determinant overflows at omega1={omega1!r}, omega3={omega3!r} ({why})")
 
 
-def _determinant(k2200: float, k1111: float, k0022: float,
-                 omega1: float, omega3: float) -> float:
-    """The body of d2_from_k, on the two frequencies as floats."""
+def d2_from_k(k2200: float, k1111: float, k0022: float,
+              omega1: float, omega3: float) -> float:
+    """Arnold determinant from the three resonant degree-4 coefficients.
+
+    Raises DeterminantOverflowError (a ValueError) when the value, or a power
+    of a frequency on the way to it, is not finite, so no nan or inf reaches
+    a caller.
+    """
     try:
         value = -(k2200 * omega3 ** 2 + k1111 * omega1 * omega3 + k0022 * omega1 ** 2)
     except OverflowError as err:
@@ -272,16 +278,6 @@ def _determinant(k2200: float, k1111: float, k0022: float,
     if not math.isfinite(value):
         raise _overflow(omega1, omega3, f"got {value!r}")
     return value
-
-
-def d2_from_k(k2200: float, k1111: float, k0022: float, freqs: Frequencies) -> float:
-    """Arnold determinant from the three resonant degree-4 coefficients.
-
-    Raises DeterminantOverflowError (a ValueError) when the value, or a power
-    of a frequency on the way to it, is not finite, so no nan or inf reaches
-    a caller.
-    """
-    return _determinant(k2200, k1111, k0022, freqs.omega1, freqs.omega3)
 
 
 def d2_closed(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:

@@ -186,7 +186,7 @@ def normalize(ham: GradedHamiltonian) -> NormalFormReport:
         k2200=k2200,
         k1111=k1111,
         k0022=k0022,
-        d2=d2_from_k(k2200, k1111, k0022, freqs),
+        d2=d2_from_k(k2200, k1111, k0022, *freqs),
         resonance_flags=tuple(flags3 + flags4),
         generating=GradedHamiltonian._from_checked(
             {3: w_deg3, 4: w_deg4}, COMPLEX_CHART, freqs),

@@ -395,6 +395,8 @@ def _degeneracy_cut(d2_tolerance: float | None, scale) -> float:
 
 
 class StabilityStatus(str, Enum):
+    """Status of a stability verdict; its value is the word the CLI writes."""
+
     STABLE = "stable"
     RESONANT = "resonant"
     DEGENERATE = "degenerate"
@@ -505,6 +507,8 @@ def stability_verdict(params: ModelParams, omega1: float, omega3: float,
 
 
 class ScanRow(NamedTuple):
+    """One row of a scan: omega1, D2 there and the row's flag."""
+
     omega1: float
     d2: float
     flag: str  # "ok" | "pole" | "resonant" | "degenerate"

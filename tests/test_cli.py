@@ -114,6 +114,28 @@ class TestClosedFormCommand:
         assert payload["error"] == "resonance"
         assert "omega1 = 2*omega3" in payload["relation"]
 
+    @pytest.mark.parametrize("argv, code, digest", [
+        (["--b5", "1", "--omega1", "1", "--omega3", "3"], 0,
+         "1c24d9da882eef615ff1b16d4f5b7b34f65082fc3319804a994684039395f407"),
+        (["--b5", "1", "--omega1", "1", "--omega3", "3", "--format", "csv"], 0,
+         "6ccf1af191a001b57a6a0ab7205af09232d2c542bf0fd1d93db8436e212132c1"),
+        (["--a1", "0.4", "--a2", "-0.3", "--a3", "-0.9", "--a4", "0.2", "--b1", "0.7",
+          "--b3", "-0.5", "--b5", "1.1", "--omega1", "1.07", "--omega3", "0.41"], 0,
+         "64315ab0571bdde48766142d94a87918f817cec3a63cb186c1488d589f37934e"),
+        (["--a3", "1", "--omega1", "2", "--omega3", "1"], 4,
+         "b8f298863632a07fd27d1e94b0b6f9b885f44882d95ce36c841f176410956518"),
+        (["--a1", "1e200", "--omega1", "0.3", "--omega3", "1"], 3,
+         "4d98b1b279b1d26d4d8acb3ac29de1f922ca8341bc755a7b42780b2fd75f52d2"),
+        (["--a1", "1", "--omega1", "1e-100", "--omega3", "1e-100"], 3,
+         "fdccdca877cc2b9e983217fa843e4e5bb5b2b0167a8ffabd5ebaf1730420d4d5"),
+    ], ids=["readme-json", "readme-csv", "seven-coefficients", "exact-pole",
+            "coefficient-overflow", "underflowing-denominator"])
+    def test_golden_output_bytes(self, capsys, argv, code, digest):
+        # SHA-256 of stdout and stderr when the command built one tabulated
+        # kernel and applied its four functions at the point (CPython 3.11)
+        got, out, err = run(capsys, ["closed-form", *argv])
+        assert (got, sha256(out + err)) == (code, digest)
+
     def test_underflowing_denominator_is_domain_error(self, capsys):
         for argv in (
                 # omega3 = 2*omega1 does not hold; both terms of the K2200
@@ -168,7 +190,7 @@ class TestNormalizeCommand:
         payload = json.loads(out)
         from birkhoff import Frequencies
         recomposed = d2_from_k(payload["K2200"], payload["K1111"],
-                               payload["K0022"], Frequencies(1.07, 0.41))
+                               payload["K0022"], *Frequencies(1.07, 0.41))
         assert payload["D2"] == recomposed
 
     def test_resonant_hamiltonian_exits_with_offender(self, capsys, tmp_path):
@@ -531,8 +553,9 @@ class TestRtbpScanCommand:
         assert peak / steps < 32
 
     def test_no_non_finite_token_without_debug_checks(self):
-        # d2_closed checks the composed value itself, so the overflow exits 3
-        # under -O as well and no nan or inf token is written
+        # the kernel's d2 checks the composed value itself, through d2_from_k,
+        # so the overflow exits 3 under -O as well and no nan or inf token is
+        # written
         src = os.path.dirname(os.path.dirname(birkhoff.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(

@@ -112,7 +112,7 @@ class TestDeterminant:
                 continue
             freqs = Frequencies(w1, w3)
             composed = d2_from_k(k2200(c, freqs), k1111(c, freqs), k0022(c, freqs),
-                                 freqs)
+                                 *freqs)
             assert d2_closed(c, freqs) == composed
 
     def test_expanded_form_agrees(self):
@@ -200,4 +200,4 @@ class TestDeterminant:
     def test_overflowing_composition_raises_domain_error(self, ks, freqs):
         # d2_from_k is the engine's route too, so normalize cannot report an inf D2
         with pytest.raises(DeterminantOverflowError, match="determinant overflows"):
-            d2_from_k(*ks, Frequencies(*freqs))
+            d2_from_k(*ks, *Frequencies(*freqs))

@@ -5,6 +5,7 @@ import importlib
 import math
 import re
 import shlex
+import types
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,43 @@ def test_overview_names_are_module_attributes(module):
 
 def test_every_exported_name_resolves():
     assert [name for name in birkhoff.__all__ if not hasattr(birkhoff, name)] == []
+
+
+def sentence_names(opening):
+    """Backticked names of the README sentence that starts with opening."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index(opening)
+    return re.findall(r"`([^`]+)`", text[start:text.index(".\n", start)])
+
+
+def test_exports_are_the_documented_api():
+    # the four library rows, the records sentence and the errors sentence
+    documented = set(sentence_names("The records are immutable named tuples:"))
+    documented.update(sentence_names("Errors:"))
+    for module in ("polyalg", "normalform", "closedform", "rtbpmodel"):
+        documented.update(overview_names(module))
+    assert set(birkhoff.__all__) - {"__version__"} == documented
+
+
+def test_package_binds_no_other_public_name():
+    extra = [name for name, value in vars(birkhoff).items()
+             if not name.startswith("_") and name not in birkhoff.__all__
+             and not isinstance(value, types.ModuleType)]
+    assert extra == []
+
+
+def test_every_exported_name_has_its_own_docstring():
+    undocumented = []
+    for name in birkhoff.__all__:
+        if name == "__version__":
+            continue
+        value = getattr(birkhoff, name)
+        # a class's own docstring; namedtuple writes "Name(field, ...)" when there is none
+        doc = vars(value).get("__doc__") if isinstance(value, type) else value.__doc__
+        generated = f"{name}({', '.join(getattr(value, '_fields', ()))})"
+        if not (doc and doc.strip()) or doc == generated:
+            undocumented.append(name)
+    assert undocumented == []
 
 
 def fenced_block(heading, language):

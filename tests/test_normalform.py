@@ -68,13 +68,13 @@ class TestHomologicalRule:
 
 class TestD2FromK:
     def test_zero_coefficients(self):
-        assert d2_from_k(0.0, 0.0, 0.0, Frequencies(0.9, 2.2)) == 0.0
+        assert d2_from_k(0.0, 0.0, 0.0, *Frequencies(0.9, 2.2)) == 0.0
 
     def test_single_coefficient(self):
-        assert d2_from_k(1.0, 0.0, 0.0, Frequencies(5.0, 1.0)) == -1.0
+        assert d2_from_k(1.0, 0.0, 0.0, *Frequencies(5.0, 1.0)) == -1.0
 
     def test_equal_coefficients_unit_frequencies(self):
-        assert d2_from_k(1.0, 1.0, 1.0, Frequencies(1.0, 1.0)) == -3.0
+        assert d2_from_k(1.0, 1.0, 1.0, *Frequencies(1.0, 1.0)) == -3.0
 
 
 class TestNormalize:
@@ -241,7 +241,7 @@ class TestNormalize:
         coeffs = CubicQuarticCoefficients(0.4, -1.0, 0.8, 0.3, 1.1, -0.6, 0.9)
         freqs = Frequencies(1.07, 0.41)
         report = normalize(build_model_hamiltonian(coeffs, freqs).complexify())
-        assert report.d2 == d2_from_k(report.k2200, report.k1111, report.k0022, freqs)
+        assert report.d2 == d2_from_k(report.k2200, report.k1111, report.k0022, *freqs)
 
     def test_overflow_inside_the_engine_raises(self):
         # {H3, w3deg} overflows a double; it used to vanish, leaving the b1 term

@@ -11,7 +11,6 @@ import pytest
 
 from birkhoff import (
     CanonicalPolynomial,
-    ChartMismatchError,
     Frequencies,
     GradedHamiltonian,
     complexify,
@@ -19,6 +18,7 @@ from birkhoff import (
     realify,
 )
 from birkhoff import polyalg
+from birkhoff.polyalg import ChartMismatchError
 from conftest import (REFUSED_NUMBERS, assert_record_refuses, homogeneous_part,
                       max_abs_coefficient, poly_product, poly_scaled, poly_sum,
                       random_exact_polynomial, reference_model_hamiltonian)

@@ -11,7 +11,6 @@ import pytest
 from birkhoff import (
     CubicQuarticCoefficients,
     Frequencies,
-    ModelDomainError,
     ModelParams,
     StabilityStatus,
     build_model_hamiltonian,
@@ -28,7 +27,7 @@ from birkhoff import (
 from birkhoff import closedform, rtbpmodel
 from birkhoff.closedform import DeterminantOverflowError, PoleError, tabulated_kernel
 from birkhoff.cli import main
-from birkhoff.rtbpmodel import DEGENERACY_FRACTION
+from birkhoff.rtbpmodel import DEGENERACY_FRACTION, ModelDomainError
 from conftest import REFUSED_NUMBERS, assert_record_refuses
 
 REFERENCE_POINT = ModelParams(mu=0.00025, q=0.025, Q=0.00025, A=0.00025)
