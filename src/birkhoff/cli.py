@@ -13,6 +13,7 @@ import argparse
 import functools
 import itertools
 import json
+import operator
 import sys
 
 from .closedform import CubicQuarticCoefficients, PoleError, d2_closed, k0022, k1111, k2200
@@ -180,31 +181,51 @@ def _run_rtbp_scan(args) -> int:
     rows = scan_omega1(params, args.omega3, lo, hi, steps,
                        d2_tolerance=args.d2_tolerance,
                        max_half_order=args.max_half_order)
-    # row by row, so neither the rows nor the text of a long scan are held
+    # block by block, so neither the rows nor the text of a long scan are held
     if args.format == "csv":
-        row_format = f"{_CSV_FLOAT},{_CSV_FLOAT},%s\n"
-        lines = (row_format % row for row in rows)
-        _write(itertools.chain(("omega1,D2,flag\n",), lines), args.output)
+        blocks = _blocks(rows, f"{_CSV_FLOAT},{_CSV_FLOAT},%s\n")
+        _write(itertools.chain(("omega1,D2,flag\n",), blocks), args.output)
     else:
         _write(_json_rows(rows), args.output)
     return 0
 
 
+#: scan rows formatted and written at a time: one % and one write per block
+_BLOCK_ROWS = 1024
+
+
+def _blocks(rows, row_format: str):
+    """row_format % fields of each row, joined, one string per _BLOCK_ROWS rows.
+
+    Every row has three fields, so a block is one % over its rows' fields,
+    flattened into one tuple.
+    """
+    rows, block_format = iter(rows), row_format * _BLOCK_ROWS
+    while True:
+        fields = tuple(itertools.chain.from_iterable(itertools.islice(rows, _BLOCK_ROWS)))
+        if len(fields) < 3 * _BLOCK_ROWS:
+            break
+        yield block_format % fields
+    if fields:
+        yield row_format * (len(fields) // 3) % fields
+
+
 #: _json_text of one scan row's object inside the list, keys sorted
-_JSON_ROW = '{\n    "D2": %s,\n    "flag": "%s",\n    "omega1": %s\n  }'
+_JSON_ROW = '{\n    "D2": %r,\n    "flag": "%s",\n    "omega1": %r\n  }'
+
+#: a row's fields in _JSON_ROW's order
+_JSON_FIELDS = operator.itemgetter(1, 2, 0)
 
 
 def _json_rows(rows):
-    """The text of _json_text(list of row objects) and its final newline, row by row.
+    """The text of _json_text(list of row objects) and its final newline, block by block.
 
-    A row's floats are finite and its flag needs no escaping, so each object
-    is the fixed template _JSON_ROW.
+    A row's floats are finite (%r writes them as float.__repr__ does) and its
+    flag needs no escaping, so each object is the fixed template _JSON_ROW.
     """
-    separator = "\n  "
-    yield "["
-    for w, d2, flag in rows:
-        yield separator + _JSON_ROW % (float.__repr__(d2), flag, float.__repr__(w))
-        separator = ",\n  "
+    blocks = _blocks(map(_JSON_FIELDS, rows), ",\n  " + _JSON_ROW)
+    yield "[" + next(blocks)[1:]  # a scan has at least two rows; the first takes no comma
+    yield from blocks
     yield "\n]\n"
 
 

@@ -18,8 +18,8 @@ them and D2 as functions of omega1.  :func:`k2200`, :func:`k1111`,
 :func:`k0022` and :func:`d2_closed` are that kernel applied at one point;
 scans build one kernel per grid.  The determinant is composed from the three
 coefficients by :func:`d2_from_k`, the one spelling of that formula: the
-kernel's d2 calls it, and so does the engine's
-:func:`birkhoff.normalform.normalize`.
+engine's :func:`birkhoff.normalform.normalize` calls it, and the kernel's d2
+calls its body without the frequency checks, once per scan row.
 :func:`d2_expanded` writes the same determinant out as one rational
 expression; it is the reference that the tests and the benchmark check
 :func:`d2_closed` against, and the program never calls it at run time.
@@ -207,7 +207,7 @@ def tabulated_kernel(c: CubicQuarticCoefficients,
     def d2(w1, w3=w3, k2200=k2200, k1111=k1111, k0022=k0022):
         """-(K2200*w3^2 + K1111*w1*w3 + K0022*w1^2)."""
         try:
-            return d2_from_k(k2200(w1), k1111(w1), k0022(w1), w1, w3)
+            return _d2_from_k(k2200(w1), k1111(w1), k0022(w1), w1, w3)
         except OverflowError as err:
             raise _overflow(w1, w3) from err
 
@@ -267,10 +267,20 @@ def d2_from_k(k2200: float, k1111: float, k0022: float,
               omega1: float, omega3: float) -> float:
     """Arnold determinant from the three resonant degree-4 coefficients.
 
-    Raises DeterminantOverflowError (a ValueError) when the value, or a power
-    of a frequency on the way to it, is not finite, so no nan or inf reaches
-    a caller.
+    Each frequency must be a positive finite real (ValueError naming it
+    otherwise, omega1 first).  Raises DeterminantOverflowError (a ValueError)
+    when the value, or a power of a frequency on the way to it, is not
+    finite, so no nan or inf reaches a caller.
     """
+    check_frequency("omega1", omega1)
+    check_frequency("omega3", omega3)
+    return _d2_from_k(k2200, k1111, k0022, omega1, omega3)
+
+
+def _d2_from_k(k2200: float, k1111: float, k0022: float,
+               omega1: float, omega3: float) -> float:
+    """d2_from_k without the frequency checks, for the kernel's d2, which runs
+    it per scan row on frequencies checked once per kernel and grid."""
     try:
         value = -(k2200 * omega3 ** 2 + k1111 * omega1 * omega3 + k0022 * omega1 ** 2)
     except OverflowError as err:

@@ -26,6 +26,8 @@ import itertools
 import math
 from array import array
 from enum import Enum
+from functools import partial
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
 from .closedform import (CubicQuarticCoefficients, DeterminantOverflowError,
@@ -334,7 +336,9 @@ def _d2_point(d2: Callable[[float], float], omega1: float, omega3: float) -> flo
     An exactly-on-pole pair does not raise: the value is computed at the
     nearest omega1 above it, at most POLE_NUDGE_STEPS ulps up, where no
     denominator of the closed forms rounds to 0; past that it raises
-    DeterminantOverflowError.  _status names the pole.
+    DeterminantOverflowError.  _status names the pole.  This is the one
+    nudge rule: d2_eval calls it, and scan_omega1 calls d2 itself and comes
+    here only for a grid point where d2 raises PoleError.
     """
     w1, steps = omega1, 0
     while True:
@@ -530,7 +534,9 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
 
     Every grid point is evaluated before this returns, so any error is raised
     here; only D2 (8 bytes) is kept per row.  The rows are returned as an
-    iterator that builds each one as it is taken.
+    iterator that builds each ScanRow as it is taken, from the grid point,
+    its D2 and its flag, with no Python frame per row but _status's and the
+    grid's.
     """
     for name, bound in (("lo", lo), ("hi", hi)):
         if not is_finite_real(bound):
@@ -545,12 +551,25 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
         # an invalid explicit tolerance fails before any grid point is evaluated
         d2_tolerance = _degeneracy_cut(d2_tolerance, None)
     _, _, _, d2 = tabulated_kernel(coefficients(params, max_half_order), omega3)
-    values = array("d", (_d2_point(d2, omega1, omega3) for omega1 in _grid(lo, hi, steps)))
+    values = array("d")
+    append = values.append
+    # d2 itself per row; an exact pole alone goes through the nudge of _d2_point
+    for omega1 in _grid(lo, hi, steps):
+        try:
+            append(d2(omega1))
+        except PoleError:
+            append(_d2_point(d2, omega1, omega3))
 
     # the kernel never returns a non-finite value, and the grid is not empty
     cut = _degeneracy_cut(d2_tolerance, lambda: _median_abs(values))
-    return (ScanRow(omega1, value, _status(value, omega1, omega3, cut)[1])
-            for omega1, value in zip(_grid(lo, hi, steps), values))
+    flags = map(_FLAG, map(_status, values, _grid(lo, hi, steps),
+                           itertools.repeat(omega3), itertools.repeat(cut)))
+    return map(_SCAN_ROW, zip(_grid(lo, hi, steps), values, flags))
+
+
+#: the scan flag of a _status triple, and a ScanRow from a 3-tuple of fields
+_FLAG = itemgetter(1)
+_SCAN_ROW = partial(tuple.__new__, ScanRow)
 
 
 def _grid(lo: float, hi: float, steps: int) -> Iterator[float]:

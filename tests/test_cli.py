@@ -473,12 +473,21 @@ class TestRtbpScanCommand:
          "d3f2902a20dd299b69d9ae546d98ddc41a4c03323160203c6fffcd044f06b072"),
         (["--grid", "0.25:2.25:9", "--max-half-order", "2", "--format", "csv"],
          "316be61b057ef9352fb8dfd644ae47b2bce3dc74e18971a2adde759cfad54ac2"),
-    ], ids=["csv-181-rows", "json-10000-rows", "csv-9-rows-half-order-2"])
+        (["--grid", "0.05:4.0:10000", "--format", "csv"],
+         "83d2e57265463217635778fdb02cb345e870ffe94915c777b65a6af8c9b1c19d"),
+        (["--grid", "0.25:2.25:8193", "--format", "csv"],
+         "4bb8de13e4a1b795d2c888341a0b5d9f0bfca5a6390791fc60874b1665586a4b"),
+        (["--grid", "0.25:2.25:8193", "--format", "json"],
+         "ba755a229f489c7fd726f094399912e754841c1d0183dd18e25c1a153489aaf2"),
+    ], ids=["csv-181-rows", "json-10000-rows", "csv-9-rows-half-order-2", "csv-10000-rows",
+            "csv-8193-rows-on-poles", "json-8193-rows-on-poles"])
     def test_golden_output_bytes(self, capsys, extra, digest):
         # SHA-256 of the output of the per-row scan that evaluated the
         # coefficient series at every grid point (CPython 3.11); the 9-point
         # grid's row at omega1 = 1 has been flagged resonant, as rtbp-eval
-        # reports it, since the scan and the verdict share one band rule
+        # reports it, since the scan and the verdict share one band rule.
+        # The larger grids end inside a block of written rows, and the
+        # 8193-point grid holds the exact poles 0.5 and 2.0 and omega1 = 1
         code, out, _ = run(capsys, ["rtbp-scan", *REF_FLAGS, "--omega3", "1", *extra])
         assert code == 0
         assert sha256(out) == digest
@@ -551,6 +560,33 @@ class TestRtbpScanCommand:
         finally:
             tracemalloc.stop()
         assert peak / steps < 32
+
+    @pytest.mark.parametrize("steps", [2 * cli._BLOCK_ROWS, 2 * cli._BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_are_written_a_block_at_a_time(self, monkeypatch, fmt, steps):
+        # each chunk handed to the writer holds at most one block of rows, so
+        # the text held at once is bounded whatever the grid size, and the
+        # chunks join to the row-by-row document
+        chunks = []
+
+        class Sink:
+            def writelines(self, lines):
+                chunks.extend(lines)
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        assert main(["rtbp-scan", *REF_FLAGS, "--omega3", "1", "--format", fmt,
+                     "--grid", f"0.05:4.0:{steps}"]) == 0
+        rows = list(scan_omega1(REFERENCE_POINT, 1.0, 0.05, 4.0, steps))
+        if fmt == "csv":
+            whole = "omega1,D2,flag\n" + "".join("%.16e,%.16e,%s\n" % row for row in rows)
+        else:
+            whole = json.dumps([{"omega1": w, "D2": d2, "flag": flag} for w, d2, flag in rows],
+                               indent=2, sort_keys=True) + "\n"
+        assert "".join(chunks) == whole
+        # a CSV row is one line, and a JSON row is the one object with a flag
+        marker = {"csv": "\n", "json": '"flag"'}[fmt]
+        assert max(chunk.count(marker) for chunk in chunks) == cli._BLOCK_ROWS
+        assert len(chunks) >= 3
 
     def test_no_non_finite_token_without_debug_checks(self):
         # the kernel's d2 checks the composed value itself, through d2_from_k,

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -15,7 +16,7 @@ from birkhoff import (
     k2200,
 )
 from birkhoff.closedform import DeterminantOverflowError, d2_expanded
-from conftest import CANCELLATION_POINT, scaled_coefficients
+from conftest import CANCELLATION_POINT, REFUSED_NUMBERS, scaled_coefficients
 
 
 def coeffs(**kw):
@@ -201,3 +202,13 @@ class TestDeterminant:
         # d2_from_k is the engine's route too, so normalize cannot report an inf D2
         with pytest.raises(DeterminantOverflowError, match="determinant overflows"):
             d2_from_k(*ks, *Frequencies(*freqs))
+
+    @pytest.mark.parametrize("bad", [*REFUSED_NUMBERS, 0.0, -1.0], ids=repr)
+    @pytest.mark.parametrize("name", ["omega1", "omega3"])
+    def test_frequencies_must_be_positive_finite_reals(self, name, bad):
+        # checked before the formula, which would return a value for -1.0,
+        # report nan as an overflow and raise a bare TypeError for "x"
+        freqs = {"omega1": 1.0, "omega3": 1.0, name: bad}
+        message = f"^{name} must be a positive finite real, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            d2_from_k(1.0, 1.0, 1.0, **freqs)

@@ -12,6 +12,7 @@ from birkhoff import (
     CubicQuarticCoefficients,
     Frequencies,
     ModelParams,
+    ScanRow,
     StabilityStatus,
     build_model_hamiltonian,
     coefficient_series,
@@ -522,6 +523,7 @@ class TestScan:
         rows = scan_omega1(REFERENCE_POINT, 1.0, 0.1, 0.9, 5)
         assert iter(rows) is rows
         first = next(rows)
+        assert type(first) is ScanRow
         assert first == (first.omega1, first.d2, first.flag)
         assert first.omega1 == 0.1
         assert len(list(rows)) == 4
