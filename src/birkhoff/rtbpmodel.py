@@ -5,7 +5,8 @@ cubic/quartic Hamiltonian coefficients (a1..a4, b1, b3, b5) in powers of
 sqrt(A), evaluates the stability determinant over frequency grids, and issues
 the stability verdict.  A verdict and a scan row are classified by one
 rule, in _status: pole guard band, exact low-order resonance, then |D2|
-against the degeneracy cut.  The model Hamiltonian itself is built by
+against the degeneracy cut; a scan leaves out the first two for rows far
+from every band and resonance.  The model Hamiltonian itself is built by
 :func:`birkhoff.closedform.build_model_hamiltonian`.
 
 The expansions are transcribed literally, term by term, from their tabulated
@@ -25,9 +26,10 @@ import heapq
 import itertools
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import partial
-from operator import itemgetter
+from operator import itemgetter, le
 from typing import Callable, Iterator, NamedTuple
 
 from .closedform import (CubicQuarticCoefficients, DeterminantOverflowError,
@@ -51,6 +53,14 @@ DEGENERACY_FRACTION = 1e-6
 #: |D2| values sorted at a time when a scan takes its median; bounds the
 #: transient list of float objects that sorting builds
 MEDIAN_CHUNK = 1 << 16
+
+#: rows whose flags a scan decides at a time; bounds the slice of D2 values
+#: that deciding them copies
+FLAG_BLOCK = 1 << 12
+
+#: ulps of a void relation's outer edge by which a scan widens its window,
+#: far past any rounding in _status's gaps or in the window's own edges
+WINDOW_MARGIN_ULPS = 1 << 20
 
 
 class ModelDomainError(ValueError):
@@ -413,10 +423,10 @@ class StabilityStatus(str, Enum):
 _VOID_RELATIONS = ("omega3 = 2*omega1", "omega1 = 2*omega3", "omega1 = 0",
                    "omega1 = omega3", "omega3 = 3*omega1", "omega1 = 3*omega3")
 
-#: (status, scan flag, notes) of a point off every void relation, by |D2|;
-#: a scan writes stable as "ok"
-_DEGENERATE = (StabilityStatus.DEGENERATE, StabilityStatus.DEGENERATE.value, ())
-_STABLE = (StabilityStatus.STABLE, "ok", ())
+#: (status, scan flag, notes) of a point off every void relation, indexed by
+#: abs(D2) <= cut; a scan writes stable as "ok"
+_BY_SIZE = ((StabilityStatus.STABLE, "ok", ()),
+            (StabilityStatus.DEGENERATE, StabilityStatus.DEGENERATE.value, ()))
 
 
 def _status(d2: float, omega1: float, omega3: float,
@@ -426,9 +436,10 @@ def _status(d2: float, omega1: float, omega3: float,
     The first rule that applies decides: a pole guard band (within
     RESONANCE_GUARD * omega3 of a pole of D2), an exact low-order resonance
     (a gap below normalize's small-divisor rule, DIVISOR_REL_TOL times the
-    larger frequency), |D2| at or below cut (degenerate), else stable.
-    Plain comparisons decide, since a scan runs this per row; notes are
-    built only when a relation is hit, and are empty when |D2| decided.
+    larger frequency), else _BY_SIZE by |D2| against cut (degenerate at or
+    below it).  Notes are built only when a relation is hit, and are empty
+    when |D2| decided.  A scan calls this only on the rows in _void_windows,
+    and flags every other row by the same _BY_SIZE lookup.
     """
     guard = RESONANCE_GUARD * omega3
     half, double = abs(2.0 * omega1 - omega3), abs(omega1 - 2.0 * omega3)
@@ -440,11 +451,47 @@ def _status(d2: float, omega1: float, omega3: float,
         one, third, triple = (abs(omega1 - omega3), abs(3.0 * omega1 - omega3),
                               abs(omega1 - 3.0 * omega3))
         if not (one < limit or third < limit or triple < limit):
-            return _DEGENERATE if abs(d2) <= cut else _STABLE
+            return _BY_SIZE[abs(d2) <= cut]
         status, kind, gaps = StabilityStatus.RESONANT, "resonance", (one, third, triple)
         names = _VOID_RELATIONS[3:]
     return status, status.value, tuple(
         f"{kind}:{name}" for name, gap in zip(names, gaps) if gap < limit)
+
+
+def _void_windows(omega3: float, lo: float, hi: float,
+                  steps: int) -> list[tuple[int, int]]:
+    """Sorted (start, stop) row ranges of a scan's grid that hold every row
+    where _status can hit a void relation.
+
+    Each relation of _VOID_RELATIONS holds only for omega1 within a
+    half-width h of a centre c: a pole band within guard/2 of omega3/2 and
+    within guard of 2*omega3 and of 0, an exact resonance within
+    2*DIVISOR_REL_TOL*c of omega3, omega3/3 and 3*omega3 (twice the reach of
+    its gap rule, as DIVISOR_REL_TOL is far below 1/2).  A window takes the
+    rows whose omega1 is in [c - h, c + h] widened by WINDOW_MARGIN_ULPS
+    ulps, so neither rounding nor a grid step however small lets a row slip
+    out.  The rows are found by bisecting the grid's first steps - 1 points,
+    which never decrease; the last row, hi itself, may sit an ulp below the
+    one before it, so it is tested on its own.  The ranges are disjoint, as
+    the six omega1 intervals are.
+    """
+    guard, reach = RESONANCE_GUARD * omega3, 2.0 * DIVISOR_REL_TOL
+    relations = [(omega3 / 2.0, guard / 2.0), (2.0 * omega3, guard), (0.0, guard)]
+    relations += [(c, reach * c) for c in (omega3, omega3 / 3.0, 3.0 * omega3)]
+    rows = range(steps - 1)
+
+    def point(k):
+        return next(_grid(lo, hi, steps, k))
+
+    windows = []
+    for c, h in relations:
+        margin = WINDOW_MARGIN_ULPS * math.ulp(c + h)
+        low, high = c - h - margin, c + h + margin
+        windows.append((bisect_left(rows, low, key=point),
+                        bisect_right(rows, high, key=point)))
+        if low <= hi <= high:
+            windows.append((steps - 1, steps))
+    return sorted(windows)
 
 
 class StabilityVerdict(NamedTuple):
@@ -535,8 +582,10 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
     Every grid point is evaluated before this returns, so any error is raised
     here; only D2 (8 bytes) is kept per row.  The rows are returned as an
     iterator that builds each ScanRow as it is taken, from the grid point,
-    its D2 and its flag, with no Python frame per row but _status's and the
-    grid's.
+    its D2 and its flag.  Flags are decided FLAG_BLOCK rows at a time: rows
+    in a window of _void_windows go through _status, and every other row
+    takes _BY_SIZE's flag for abs(D2) <= cut by C-level maps over its
+    block, with no Python frame per row but the grid's.
     """
     for name, bound in (("lo", lo), ("hi", hi)):
         if not is_finite_real(bound):
@@ -562,17 +611,39 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
 
     # the kernel never returns a non-finite value, and the grid is not empty
     cut = _degeneracy_cut(d2_tolerance, lambda: _median_abs(values))
-    flags = map(_FLAG, map(_status, values, _grid(lo, hi, steps),
-                           itertools.repeat(omega3), itertools.repeat(cut)))
+    flags = itertools.chain.from_iterable(_flag_blocks(
+        values, _void_windows(omega3, lo, hi, steps), omega3, lo, hi, cut))
     return map(_SCAN_ROW, zip(_grid(lo, hi, steps), values, flags))
 
 
-#: the scan flag of a _status triple, and a ScanRow from a 3-tuple of fields
+#: the scan flag of a _status triple and of each _BY_SIZE entry, and a
+#: ScanRow from a 3-tuple of fields
 _FLAG = itemgetter(1)
+_FLAG_BY_SIZE = tuple(map(_FLAG, _BY_SIZE))
 _SCAN_ROW = partial(tuple.__new__, ScanRow)
 
 
-def _grid(lo: float, hi: float, steps: int) -> Iterator[float]:
-    """The steps points of a uniform grid: lo + k*step, then hi itself."""
+def _flag_blocks(values, windows, omega3, lo, hi, cut) -> Iterator[Iterator[str]]:
+    """Iterators over the flags of a scan's rows, in order, one per block of
+    at most FLAG_BLOCK rows that lies wholly inside or wholly outside the
+    windows."""
+    by_size, at = _FLAG_BY_SIZE.__getitem__, 0
+    for start, stop in (*windows, (len(values), len(values))):
+        for b in range(at, start, FLAG_BLOCK):
+            block = values[b:min(b + FLAG_BLOCK, start)]
+            yield map(by_size, map(le, map(abs, block), itertools.repeat(cut)))
+        for b in range(start, stop, FLAG_BLOCK):
+            e = min(b + FLAG_BLOCK, stop)
+            yield map(_FLAG, map(_status, values[b:e], _grid(lo, hi, len(values), b, e),
+                                 itertools.repeat(omega3), itertools.repeat(cut)))
+        at = stop
+
+
+def _grid(lo: float, hi: float, steps: int, start: int = 0,
+          stop: int | None = None) -> Iterator[float]:
+    """Points start to stop - 1 (default all) of the steps-point uniform grid
+    on [lo, hi]: lo + k*step, then hi itself for the last."""
     step = (hi - lo) / (steps - 1)
-    return itertools.chain((lo + k * step for k in range(steps - 1)), (hi,))
+    stop = steps if stop is None else stop
+    points = (lo + k * step for k in range(start, min(stop, steps - 1)))
+    return itertools.chain(points, (hi,)) if stop == steps else points

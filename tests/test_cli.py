@@ -547,19 +547,21 @@ class TestRtbpScanCommand:
         # rows are written as they are made; D2 (8 B) and the median's sorted
         # runs of |D2| (8 B) are held per row, about 17 B/row in all.  Small
         # runs make the merge take the median: one sorted list of every |D2|
-        # costs 32 B/row
+        # costs 32 B/row.  The second grid lies wholly inside the pole band
+        # at 0.5, so every row's flag comes from _status
         monkeypatch.setattr(rtbpmodel, "MEDIAN_CHUNK", 1024)
         steps = 50_000
         argv = ["rtbp-scan", *REF_FLAGS, "--omega3", "1", "--format", fmt,
                 "--output", str(tmp_path / f"scan.{fmt}")]
-        assert main([*argv, "--grid", "0.05:4.0:2"]) == 0  # warm caches
-        tracemalloc.start()
-        try:
-            assert main([*argv, "--grid", f"0.05:4.0:{steps}"]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / steps < 32
+        for lo, hi in [("0.05", "4.0"), ("0.4995", "0.5005")]:
+            assert main([*argv, "--grid", f"{lo}:{hi}:2"]) == 0  # warm caches
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--grid", f"{lo}:{hi}:{steps}"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / steps < 32, (lo, hi)
 
     @pytest.mark.parametrize("steps", [2 * cli._BLOCK_ROWS, 2 * cli._BLOCK_ROWS + 5])
     @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -583,3 +583,89 @@ class TestScan:
         message = f"^grid bound {name} must be finite, got {re.escape(repr(bad))}$"
         with pytest.raises(ValueError, match=message):
             scan_omega1(REFERENCE_POINT, 1.0, lo, hi, 3)
+
+    # grids for the flag-equality test: (omega3, lo, hi, steps)
+    FLAG_GRIDS = [
+        pytest.param(1.0, 0.25, 2.25, 8193, id="poles-and-1:1-on-grid-points"),
+        pytest.param(1.0, 1.0 / 3.0, 3.0, 9, id="1:3-1:1-3:1-on-grid-points"),
+        pytest.param(1.0, 0.4995, 0.5005, 500, id="inside-a-pole-band"),
+        pytest.param(1.0, 0.001, 0.6, 700, id="lo-below-the-guard"),
+        pytest.param(1.0, 0.5, 0.5000000000000001, 4, id="step-below-an-ulp-at-a-pole"),
+        pytest.param(1.0, 1.0, 1.0000000000000004, 9, id="step-below-an-ulp-at-1:1"),
+        pytest.param(1.0, 0.3, 0.3 + 1e-9, 2, id="two-rows-narrow"),
+        pytest.param(1.0, 0.495, 2.0, 2, id="two-rows-both-in-bands"),
+        pytest.param(1.0, 0.05, 4.0, 2, id="two-rows-wide"),
+        pytest.param(1e-3, 1e-4, 4e-3, 3001, id="omega3-1e-3"),
+        pytest.param(50.0, 1.0, 200.0, 3001, id="omega3-50"),
+        pytest.param(1e-300, 1e-302, 4e-300, 50, id="omega3-1e-300"),
+    ]
+
+    @staticmethod
+    def assert_flags_match_status(omega3, lo, hi, steps, d2_tolerance):
+        # every row carries the flag _status gives it at the scan's cut, whether
+        # or not the scan asked _status; returns the rows
+        try:
+            rows = list(scan_omega1(REFERENCE_POINT, omega3, lo, hi, steps,
+                                    d2_tolerance=d2_tolerance))
+        except DeterminantOverflowError:
+            # a tiny omega3 leaves the closed forms in pass 1, as a point does
+            with pytest.raises(DeterminantOverflowError):
+                d2_eval(REFERENCE_POINT, lo, omega3)
+            return []
+        cut = rtbpmodel._degeneracy_cut(
+            d2_tolerance, lambda: statistics.median(abs(r.d2) for r in rows))
+        assert len(rows) == steps
+        for row in rows:
+            assert row.flag == rtbpmodel._status(row.d2, row.omega1, omega3, cut)[1], row
+        return rows
+
+    @pytest.mark.parametrize("d2_tolerance", [None, 1e24])
+    @pytest.mark.parametrize("omega3, lo, hi, steps", FLAG_GRIDS)
+    def test_flags_match_status(self, omega3, lo, hi, steps, d2_tolerance):
+        self.assert_flags_match_status(omega3, lo, hi, steps, d2_tolerance)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flags_match_status_on_seeded_grids(self, seed):
+        # narrow and wide grids around each void relation and anywhere else
+        rng = random.Random(seed)
+        for _ in range(15):
+            omega3 = rng.choice((1.0, 1e-3, 50.0, rng.uniform(0.1, 10.0)))
+            centre = rng.choice((0.0, omega3 / 2, 2 * omega3, omega3, omega3 / 3,
+                                 3 * omega3, rng.uniform(0.0, 4 * omega3)))
+            width = omega3 * rng.choice((1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 3.0))
+            lo = max(centre - width * rng.random(), omega3 * 1e-6)
+            hi = lo + width * rng.uniform(0.01, 1.0)
+            if lo < hi:
+                self.assert_flags_match_status(omega3, lo, hi, rng.choice((2, 3, 17, 400)),
+                                               rng.choice((None, 1e22, 1e26)))
+
+    @pytest.mark.parametrize("lo, hi, steps", [(0.05, 4.0, 2001), (0.4995, 0.5005, 64),
+                                               (0.3333, 0.3334, 100)])
+    def test_a_size_tie_at_the_cut_is_degenerate(self, lo, hi, steps):
+        # a tolerance equal to some row's |D2| flags that row degenerate,
+        # whether the row lies in a void relation's window or not
+        rows = list(scan_omega1(REFERENCE_POINT, 1.0, lo, hi, steps))
+        for k in (0, steps // 2, steps - 1):
+            tied = self.assert_flags_match_status(1.0, lo, hi, steps, abs(rows[k].d2))
+            if rows[k].flag in ("ok", "degenerate"):
+                assert tied[k].flag == "degenerate"
+
+    @pytest.mark.parametrize("lo, hi, steps, most", [
+        (0.05, 4.0, 100_000, 1000),  # about 760 rows near a void relation
+        (0.4995, 0.5005, 5000, 5000),  # every row inside the pole band at 0.5
+    ])
+    def test_status_runs_only_near_a_void_relation(self, monkeypatch, lo, hi, steps, most):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return status(*args)
+
+        status = rtbpmodel._status
+        monkeypatch.setattr(rtbpmodel, "_status", counted)
+        rows = scan_omega1(REFERENCE_POINT, 1.0, lo, hi, steps)
+        flagged = [r.omega1 for r in rows if r.flag in ("pole", "resonant")]
+        assert len(calls) <= most
+        assert set(flagged) <= set(calls)
+        if most == steps:
+            assert len(calls) == steps
