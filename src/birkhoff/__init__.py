@@ -36,6 +36,7 @@ from .rtbpmodel import (
     coefficient_series,
     coefficients,
     d2_eval,
+    scan_blocks,
     scan_omega1,
     stability_verdict,
     verdict_from_d2,
@@ -71,6 +72,7 @@ __all__ = [
     "normalize",
     "poisson_bracket",
     "realify",
+    "scan_blocks",
     "scan_omega1",
     "stability_verdict",
     "tabulated_kernel",

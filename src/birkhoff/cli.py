@@ -13,13 +13,12 @@ import argparse
 import functools
 import itertools
 import json
-import operator
 import sys
 
 from .closedform import CubicQuarticCoefficients, PoleError, d2_closed, k0022, k1111, k2200
 from .normalform import ResonanceError, normalize
 from .polyalg import Frequencies, GradedHamiltonian
-from .rtbpmodel import ModelParams, d2_eval, scan_omega1, verdict_from_d2
+from .rtbpmodel import ModelParams, d2_eval, scan_blocks, verdict_from_d2
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 3
@@ -178,54 +177,40 @@ def _run_rtbp_scan(args) -> int:
     params = ModelParams(mu=args.mu, q=args.q, Q=args.Q, A=args.A)
     lo, hi, steps = args.grid
     # every grid point is evaluated here, so an error leaves no output behind
-    rows = scan_omega1(params, args.omega3, lo, hi, steps,
-                       d2_tolerance=args.d2_tolerance,
-                       max_half_order=args.max_half_order)
+    blocks = scan_blocks(params, args.omega3, lo, hi, steps,
+                         d2_tolerance=args.d2_tolerance,
+                         max_half_order=args.max_half_order)
     # block by block, so neither the rows nor the text of a long scan are held
     if args.format == "csv":
-        blocks = _blocks(rows, f"{_CSV_FLOAT},{_CSV_FLOAT},%s\n")
-        _write(itertools.chain(("omega1,D2,flag\n",), blocks), args.output)
+        row = f"{_CSV_FLOAT},{_CSV_FLOAT},%s\n"
+        texts = (_block_text(row, *block) for block in blocks)
+        _write(itertools.chain(("omega1,D2,flag\n",), texts), args.output)
     else:
-        _write(_json_rows(rows), args.output)
+        _write(_json_rows(blocks), args.output)
     return 0
 
 
-#: scan rows formatted and written at a time: one % and one write per block
-_BLOCK_ROWS = 1024
-
-
-def _blocks(rows, row_format: str):
-    """row_format % fields of each row, joined, one string per _BLOCK_ROWS rows.
-
-    Every row has three fields, so a block is one % over its rows' fields,
-    flattened into one tuple.
-    """
-    rows, block_format = iter(rows), row_format * _BLOCK_ROWS
-    while True:
-        fields = tuple(itertools.chain.from_iterable(itertools.islice(rows, _BLOCK_ROWS)))
-        if len(fields) < 3 * _BLOCK_ROWS:
-            break
-        yield block_format % fields
-    if fields:
-        yield row_format * (len(fields) // 3) % fields
+def _block_text(row_format: str, *columns) -> str:
+    """row_format % the fields of each row of the columns, joined: one % over
+    the fields, row by row in column order."""
+    return row_format * len(columns[0]) % tuple(itertools.chain.from_iterable(zip(*columns)))
 
 
 #: _json_text of one scan row's object inside the list, keys sorted
 _JSON_ROW = '{\n    "D2": %r,\n    "flag": "%s",\n    "omega1": %r\n  }'
 
-#: a row's fields in _JSON_ROW's order
-_JSON_FIELDS = operator.itemgetter(1, 2, 0)
 
-
-def _json_rows(rows):
-    """The text of _json_text(list of row objects) and its final newline, block by block.
+def _json_rows(blocks):
+    """The text of _json_text(list of row objects) and its final newline,
+    one string per (omega1s, d2s, flags) block of scan_blocks.
 
     A row's floats are finite (%r writes them as float.__repr__ does) and its
     flag needs no escaping, so each object is the fixed template _JSON_ROW.
     """
-    blocks = _blocks(map(_JSON_FIELDS, rows), ",\n  " + _JSON_ROW)
-    yield "[" + next(blocks)[1:]  # a scan has at least two rows; the first takes no comma
-    yield from blocks
+    row = ",\n  " + _JSON_ROW
+    texts = (_block_text(row, d2s, flags, omega1s) for omega1s, d2s, flags in blocks)
+    yield "[" + next(texts)[1:]  # a scan has at least two rows; the first takes no comma
+    yield from texts
     yield "\n]\n"
 
 

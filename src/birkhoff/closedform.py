@@ -12,14 +12,19 @@ The quadratic-in-cubic sectors of these forms disagree with the Lie-transform
 engine in :mod:`birkhoff.normalform`; see DISCREPANCIES.md for the term-by-term
 comparison.  The linear-in-quartic sectors agree exactly.
 
-The tabulated K2200, K1111 and K0022 are transcribed once, in
+The tabulated K2200, K1111 and K0022 are transcribed in
 :func:`tabulated_kernel`, which takes the coefficients and omega3 and returns
 them and D2 as functions of omega1.  :func:`k2200`, :func:`k1111`,
 :func:`k0022` and :func:`d2_closed` are that kernel applied at one point;
-scans build one kernel per grid.  The determinant is composed from the three
-coefficients by :func:`d2_from_k`, the one spelling of that formula: the
-engine's :func:`birkhoff.normalform.normalize` calls it, and the kernel's d2
-calls its body without the frequency checks, once per scan row.
+scans build one kernel per grid.  The kernel spells the three coefficients
+twice: once as its three K functions, and once more inside its d2, which
+composes the determinant from them in the same body, with the same operation
+order, checks and errors.  A scan calls d2 once per row before it writes
+anything, and one frame with one w1**2 instead of five frames with three
+takes about a fifth off that pass; a test holds the two spellings to the
+same outcome, bit for bit, on poles, subnormals and overflows.  :func:`d2_from_k` composes the
+determinant from three given coefficients; the engine's
+:func:`birkhoff.normalform.normalize` calls it.
 :func:`d2_expanded` writes the same determinant out as one rational
 expression; it is the reference that the tests and the benchmark check
 :func:`d2_closed` against, and the program never calls it at run time.
@@ -204,12 +209,48 @@ def tabulated_kernel(c: CubicQuarticCoefficients,
             _raise_pole("K0022", lead, "omega1 = 2*omega3", w1, w3)
         return 0.125 * (b5_a4 + a3_2 * (4.0 / w1 + 2.0 * w1 / den))
 
-    def d2(w1, w3=w3, k2200=k2200, k1111=k1111, k0022=k0022):
-        """-(K2200*w3^2 + K1111*w1*w3 + K0022*w1^2)."""
+    # K2200, K1111 and K0022 spelled once more, in one body with D2: one frame
+    # and one w1**2 per scan row instead of five frames and three w1**2
+    def d2(w1, w3=w3, w3_3=w3_3, w3_2=w3_2, a1_2x5=a1_2x5, b1x6=b1x6, a2_2x2=a2_2x2,
+           w3x2=w3x2, b3x8=b3x8, a1a3x12=a1a3x12, a3_2=a3_2, a2_2=a2_2, a2a4x6=a2a4x6,
+           w3_2x4=w3_2x4, b5_a4=b5_a4):
+        """-(K2200*w3^2 + K1111*w1*w3 + K0022*w1^2), each K as its function above."""
         try:
-            return _d2_from_k(k2200(w1), k1111(w1), k0022(w1), w1, w3)
+            lead = 16.0 * w1 ** 3 * w3
+            den = lead - 4.0 * w1 * w3_3
+            if den == 0.0:
+                _raise_pole("K2200", lead, "omega3 = 2*omega1", w1, w3)
+            w1_2 = w1 ** 2
+            w1_2x4 = 4.0 * w1_2
+            k2200 = ((a1_2x5 - b1x6 * w1) * w3 * (w1_2x4 - w3_2)
+                     + a2_2x2 * w1 * (w1_2x4 + w1 * w3 - w3_2)) / den
+
+            double = w1 - w3x2
+            if double == 0.0:
+                raise PoleError("omega1 = 2*omega3")
+            w1x2 = 2.0 * w1
+            half = w1x2 - w3
+            if half == 0.0:
+                raise PoleError("omega3 = 2*omega1")
+            k1111 = 0.125 * (b3x8
+                             + a1a3x12 / w1
+                             + a3_2 / double
+                             + a2_2 / half
+                             + a2a4x6
+                             + a2_2 / (w1x2 + w3)
+                             + a3_2 / (w1 + w3x2))
+
+            den = w1_2 - w3_2x4
+            if den == 0.0:
+                _raise_pole("K0022", w1_2, "omega1 = 2*omega3", w1, w3)
+            k0022 = 0.125 * (b5_a4 + a3_2 * (4.0 / w1 + 2.0 * w1 / den))
+
+            value = -(k2200 * w3_2 + k1111 * w1 * w3 + k0022 * w1_2)
         except OverflowError as err:
             raise _overflow(w1, w3) from err
+        if not math.isfinite(value):
+            raise _overflow(w1, w3, f"got {value!r}")
+        return value
 
     return k2200, k1111, k0022, d2
 
@@ -274,13 +315,6 @@ def d2_from_k(k2200: float, k1111: float, k0022: float,
     """
     check_frequency("omega1", omega1)
     check_frequency("omega3", omega3)
-    return _d2_from_k(k2200, k1111, k0022, omega1, omega3)
-
-
-def _d2_from_k(k2200: float, k1111: float, k0022: float,
-               omega1: float, omega3: float) -> float:
-    """d2_from_k without the frequency checks, for the kernel's d2, which runs
-    it per scan row on frequencies checked once per kernel and grid."""
     try:
         value = -(k2200 * omega3 ** 2 + k1111 * omega1 * omega3 + k0022 * omega1 ** 2)
     except OverflowError as err:

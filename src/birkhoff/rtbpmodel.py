@@ -565,10 +565,11 @@ class ScanRow(NamedTuple):
     flag: str  # "ok" | "pole" | "resonant" | "degenerate"
 
 
-def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
+def scan_blocks(params: ModelParams, omega3: float, lo: float, hi: float,
                 steps: int, d2_tolerance: float | None = None,
-                max_half_order: int | None = None) -> Iterator[ScanRow]:
-    """Uniform scan of the determinant over omega1 in [lo, hi], endpoints included.
+                max_half_order: int | None = None) -> Iterator[tuple[list, array, list]]:
+    """Uniform scan of the determinant over omega1 in [lo, hi], endpoints
+    included, as column blocks.
 
     Each row's flag is the scan flag _status gives it at the scan's
     degeneracy tolerance, verdict_from_d2's status with stable written "ok":
@@ -581,11 +582,13 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
 
     Every grid point is evaluated before this returns, so any error is raised
     here; only D2 (8 bytes) is kept per row.  The rows are returned as an
-    iterator that builds each ScanRow as it is taken, from the grid point,
-    its D2 and its flag.  Flags are decided FLAG_BLOCK rows at a time: rows
-    in a window of _void_windows go through _status, and every other row
-    takes _BY_SIZE's flag for abs(D2) <= cut by C-level maps over its
-    block, with no Python frame per row but the grid's.
+    iterator of (omega1s, d2s, flags) column blocks in grid order, each
+    built as it is taken: a list of grid points, an array("d") of their D2
+    and a list of their flags, at most FLAG_BLOCK rows long.  A block lies
+    wholly inside or wholly outside the windows of _void_windows: rows
+    inside go through _status, and every other row takes _BY_SIZE's flag
+    for abs(D2) <= cut by C-level maps over its block, with no Python frame
+    per row but the grid's.
     """
     for name, bound in (("lo", lo), ("hi", hi)):
         if not is_finite_real(bound):
@@ -611,9 +614,19 @@ def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
 
     # the kernel never returns a non-finite value, and the grid is not empty
     cut = _degeneracy_cut(d2_tolerance, lambda: _median_abs(values))
-    flags = itertools.chain.from_iterable(_flag_blocks(
-        values, _void_windows(omega3, lo, hi, steps), omega3, lo, hi, cut))
-    return map(_SCAN_ROW, zip(_grid(lo, hi, steps), values, flags))
+    return _column_blocks(values, _void_windows(omega3, lo, hi, steps), omega3, lo, hi, cut)
+
+
+def scan_omega1(params: ModelParams, omega3: float, lo: float, hi: float,
+                steps: int, d2_tolerance: float | None = None,
+                max_half_order: int | None = None) -> Iterator[ScanRow]:
+    """The rows of scan_blocks, one ScanRow each, built as they are taken.
+
+    Every grid point is evaluated before this returns, so any error is raised
+    here, as scan_blocks raises it.
+    """
+    blocks = scan_blocks(params, omega3, lo, hi, steps, d2_tolerance, max_half_order)
+    return map(_SCAN_ROW, itertools.chain.from_iterable(itertools.starmap(zip, blocks)))
 
 
 #: the scan flag of a _status triple and of each _BY_SIZE entry, and a
@@ -623,19 +636,22 @@ _FLAG_BY_SIZE = tuple(map(_FLAG, _BY_SIZE))
 _SCAN_ROW = partial(tuple.__new__, ScanRow)
 
 
-def _flag_blocks(values, windows, omega3, lo, hi, cut) -> Iterator[Iterator[str]]:
-    """Iterators over the flags of a scan's rows, in order, one per block of
-    at most FLAG_BLOCK rows that lies wholly inside or wholly outside the
+def _column_blocks(values, windows, omega3, lo, hi, cut) -> Iterator[tuple[list, array, list]]:
+    """The (omega1s, d2s, flags) column blocks of a scan's rows, in order,
+    each of at most FLAG_BLOCK rows and wholly inside or wholly outside the
     windows."""
-    by_size, at = _FLAG_BY_SIZE.__getitem__, 0
-    for start, stop in (*windows, (len(values), len(values))):
-        for b in range(at, start, FLAG_BLOCK):
-            block = values[b:min(b + FLAG_BLOCK, start)]
-            yield map(by_size, map(le, map(abs, block), itertools.repeat(cut)))
-        for b in range(start, stop, FLAG_BLOCK):
-            e = min(b + FLAG_BLOCK, stop)
-            yield map(_FLAG, map(_status, values[b:e], _grid(lo, hi, len(values), b, e),
-                                 itertools.repeat(omega3), itertools.repeat(cut)))
+    steps, by_size, at = len(values), _FLAG_BY_SIZE.__getitem__, 0
+    for start, stop in (*windows, (steps, steps)):
+        for first, last, inside in ((at, start, False), (start, stop, True)):
+            for b in range(first, last, FLAG_BLOCK):
+                e = min(b + FLAG_BLOCK, last)
+                omega1s, d2s = list(_grid(lo, hi, steps, b, e)), values[b:e]
+                if inside:
+                    flags = list(map(_FLAG, map(_status, d2s, omega1s,
+                                                itertools.repeat(omega3), itertools.repeat(cut))))
+                else:
+                    flags = list(map(by_size, map(le, map(abs, d2s), itertools.repeat(cut))))
+                yield omega1s, d2s, flags
         at = stop
 
 

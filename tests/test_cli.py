@@ -544,31 +544,50 @@ class TestRtbpScanCommand:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_scan_memory_is_bounded_per_row(self, monkeypatch, tmp_path, fmt):
-        # rows are written as they are made; D2 (8 B) and the median's sorted
-        # runs of |D2| (8 B) are held per row, about 17 B/row in all.  Small
-        # runs make the merge take the median: one sorted list of every |D2|
-        # costs 32 B/row.  The second grid lies wholly inside the pole band
-        # at 0.5, so every row's flag comes from _status
+        # the scan call keeps D2 (8 B) and the median's sorted runs of |D2|
+        # (8 B) per row, about 17 B/row in all.  Small runs make the merge
+        # take the median: one sorted list of every |D2| costs 32 B/row.
+        # The flag and write pass that follows holds one block of rows and
+        # its text at a time, whatever the grid size; its peak is read apart
+        # from the scan call's, which the median sets.  The second grid lies
+        # wholly inside the pole band at 0.5, so every row's flag comes from
+        # _status
         monkeypatch.setattr(rtbpmodel, "MEDIAN_CHUNK", 1024)
-        steps = 50_000
+        scan_blocks, held = cli.scan_blocks, []
+
+        def measured(*args, **kwargs):
+            blocks = scan_blocks(*args, **kwargs)
+            current, peak = tracemalloc.get_traced_memory()
+            held.append((current, peak))
+            tracemalloc.reset_peak()
+            return blocks
+
+        monkeypatch.setattr(cli, "scan_blocks", measured)
         argv = ["rtbp-scan", *REF_FLAGS, "--omega3", "1", "--format", fmt,
                 "--output", str(tmp_path / f"scan.{fmt}")]
         for lo, hi in [("0.05", "4.0"), ("0.4995", "0.5005")]:
             assert main([*argv, "--grid", f"{lo}:{hi}:2"]) == 0  # warm caches
-            tracemalloc.start()
-            try:
-                assert main([*argv, "--grid", f"{lo}:{hi}:{steps}"]) == 0
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak / steps < 32, (lo, hi)
+            for steps in (50_000, 100_000):
+                held.clear()
+                tracemalloc.start()
+                try:
+                    assert main([*argv, "--grid", f"{lo}:{hi}:{steps}"]) == 0
+                    write_peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                [(at_return, scan_peak)] = held
+                assert scan_peak / steps < 32, (lo, hi, steps)
+                # one block's columns, fields, format and text take about
+                # 180 (CSV) and 270 (JSON) B a row
+                assert write_peak - at_return < 512 * rtbpmodel.FLAG_BLOCK, (lo, hi, steps)
 
-    @pytest.mark.parametrize("steps", [2 * cli._BLOCK_ROWS, 2 * cli._BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("steps", [2 * rtbpmodel.FLAG_BLOCK, 2 * rtbpmodel.FLAG_BLOCK + 5])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rows_are_written_a_block_at_a_time(self, monkeypatch, fmt, steps):
         # each chunk handed to the writer holds at most one block of rows, so
         # the text held at once is bounded whatever the grid size, and the
-        # chunks join to the row-by-row document
+        # chunks join to the row-by-row document.  Above omega1 = 3 the grid
+        # is clear of every void relation's window, so whole blocks fill it
         chunks = []
 
         class Sink:
@@ -577,8 +596,8 @@ class TestRtbpScanCommand:
 
         monkeypatch.setattr(sys, "stdout", Sink())
         assert main(["rtbp-scan", *REF_FLAGS, "--omega3", "1", "--format", fmt,
-                     "--grid", f"0.05:4.0:{steps}"]) == 0
-        rows = list(scan_omega1(REFERENCE_POINT, 1.0, 0.05, 4.0, steps))
+                     "--grid", f"0.05:40.0:{steps}"]) == 0
+        rows = list(scan_omega1(REFERENCE_POINT, 1.0, 0.05, 40.0, steps))
         if fmt == "csv":
             whole = "omega1,D2,flag\n" + "".join("%.16e,%.16e,%s\n" % row for row in rows)
         else:
@@ -587,7 +606,7 @@ class TestRtbpScanCommand:
         assert "".join(chunks) == whole
         # a CSV row is one line, and a JSON row is the one object with a flag
         marker = {"csv": "\n", "json": '"flag"'}[fmt]
-        assert max(chunk.count(marker) for chunk in chunks) == cli._BLOCK_ROWS
+        assert max(chunk.count(marker) for chunk in chunks) == rtbpmodel.FLAG_BLOCK
         assert len(chunks) >= 3
 
     def test_no_non_finite_token_without_debug_checks(self):

@@ -96,6 +96,7 @@ def check_contract(argv, fmt="json"):
                        NUMBERS, max_size=7),
        NUMBERS, NUMBERS, FORMATS)
 @example({"a1": 1.0}, 1e-100, 1e-100, "json")  # both denominator terms underflow
+@example({}, 5e-324, 1e308, "json")  # omega3**2 overflows
 def test_closed_form(coefficients, omega1, omega3, fmt):
     argv = ["closed-form", *(flag(k, v) for k, v in coefficients.items()),
             flag("omega1", omega1), flag("omega3", omega3), f"--format={fmt}"]
@@ -110,6 +111,7 @@ def test_closed_form(coefficients, omega1, omega3, fmt):
 
 @CONTRACT
 @given(NUMBERS, NUMBERS, st.none() | NUMBERS)
+@example(0.3, 1e308, None)  # omega3**2 overflows
 def test_rtbp_eval(omega1, omega3, d2_tolerance):
     argv = ["rtbp-eval", *MODEL, flag("omega1", omega1), flag("omega3", omega3)]
     if d2_tolerance is not None:
@@ -120,10 +122,24 @@ def test_rtbp_eval(omega1, omega3, d2_tolerance):
 @CONTRACT
 @given(NUMBERS, NUMBERS, st.integers(min_value=-3, max_value=40), NUMBERS, FORMATS)
 @example(0.5, 1.5, 3, 1.0, "csv")  # rows flagged pole, resonant and ok
+@example(0.05, 4.0, 5, 1e308, "csv")  # omega3**2 overflows
 def test_rtbp_scan(lo, hi, steps, omega3, fmt):
     argv = ["rtbp-scan", *MODEL, f"--grid={lo!r}:{hi!r}:{steps}",
             flag("omega3", omega3), f"--format={fmt}"]
     check_contract(argv, fmt)
+
+
+@pytest.mark.parametrize("argv", [
+    ["closed-form", "--omega1=5e-324", "--omega3=1e308"],
+    ["rtbp-eval", *MODEL, "--omega1=0.3", "--omega3=1e308"],
+    ["rtbp-scan", *MODEL, "--grid=0.05:4.0:5", "--omega3=1e308"],
+], ids=["closed-form", "rtbp-eval", "rtbp-scan"])
+def test_an_overflowing_omega3_is_named(argv):
+    # the examples above, pinned: the power of omega3 that overflows is
+    # reported as the determinant's overflow at the pair, not as errno text
+    code, err = check_contract(argv)
+    assert code == 3
+    assert json.loads(err)["message"].startswith("determinant overflows at omega1="), err
 
 
 # -- Hamiltonian files through `birkhoff normalize` ---------------------------

@@ -18,11 +18,12 @@ from birkhoff import (
     ModelParams,
     d2_closed,
     d2_eval,
+    d2_from_k,
     k0022,
     k1111,
     k2200,
 )
-from birkhoff.closedform import tabulated_kernel
+from birkhoff.closedform import _overflow, tabulated_kernel
 from conftest import assert_digest
 
 #: SHA-256 of the lines of outcomes(); recorded before the kernel was hoisted
@@ -116,3 +117,58 @@ def test_one_kernel_per_group_gives_the_per_point_outcomes():
             for per_point, reused in ((d2_closed, d2_at), (k2200, k2200_at),
                                       (k1111, k1111_at), (k0022, k0022_at)):
                 assert _outcome(reused, w1) == _outcome(per_point, c, freqs)
+
+
+def _composed(k2200_at, k1111_at, k0022_at, w1, w3):
+    """D2 from the kernel's three K functions, composed as d2_from_k does; a
+    K's OverflowError is the kernel's overflow error at (w1, w3)."""
+    try:
+        ks = k2200_at(w1), k1111_at(w1), k0022_at(w1)
+    except OverflowError as err:
+        raise _overflow(w1, w3) from err
+    return d2_from_k(*ks, w1, w3)
+
+
+def _hex_outcome(f, *args):
+    try:
+        return f(*args).hex()
+    except Exception as err:  # every exception is an outcome to compare
+        return f"{type(err).__name__}: {err}"
+
+
+def spelling_points():
+    """[(coefficients, omega3, [omega1, ...]), ...]: seeded draws around the
+    poles and the ends of the double range, then the pinned hard pairs."""
+    rng = random.Random(20261020)
+    rare_omega3 = _RARE_OMEGA3 + (1e308, 5e-324, 1e154, 1e-154, 2.2e-308)
+    out = []
+    for _ in range(400):
+        c = CubicQuarticCoefficients(*[_coefficient(rng) for _ in range(7)])
+        w3 = (rng.choice(rare_omega3) if rng.random() < 0.3
+              else rng.uniform(0.1, 4.0))
+        out.append((c, w3, _omega1s(rng, w3)))
+    hard = [(1e308, 1.0), (1.0, 6e102), (5e-324, 1e308), SUBNORMAL_PAIR, TWO_ULP_POLE,
+            (math.nextafter(TWO_ULP_POLE[0], math.inf), TWO_ULP_POLE[1]),
+            (0.5, 1.0), (2.0, 1.0), (1.0, 1.0), (1e-320, 1.0), (1e154, 1.0)]
+    squares = [CubicQuarticCoefficients(**{field: 1e200, "b3": 1.0})
+               for field in ("a1", "a2", "a3", "a4")]
+    for c in [CubicQuarticCoefficients(a1=1.0, a2=-0.5, a3=0.7, a4=0.3, b1=2.0, b3=-1.0,
+                                       b5=0.5), *squares]:
+        for w1, w3 in hard:
+            out.append((c, w3, [w1]))
+    return out
+
+
+def test_kernel_d2_equals_the_composition_of_its_ks():
+    # the kernel's d2 spells the three Ks a second time; it must give the
+    # outcome of composing them, bit for bit or error for error
+    checked = 0
+    for c, w3, omega1s in spelling_points():
+        k2200_at, k1111_at, k0022_at, d2_at = tabulated_kernel(c, w3)
+        for w1 in omega1s:
+            fused = _hex_outcome(d2_at, w1)
+            assert fused == _hex_outcome(_composed, k2200_at, k1111_at, k0022_at, w1, w3), \
+                (c, w1, w3)
+            assert not fused.startswith("OverflowError"), (c, w1, w3)
+            checked += 1
+    assert checked > 4000

@@ -15,17 +15,21 @@ from birkhoff.cli import _json_rows, main  # noqa: E402
 # finite floats, subnormals and zeros of both signs included
 ROW_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
               | st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e-300, -1e300, 1e300]))
-SCAN_ROWS = st.lists(st.tuples(ROW_FLOATS, ROW_FLOATS,
-                               st.sampled_from(["ok", "pole", "resonant", "degenerate"])),
-                     min_size=1, max_size=20)
+SCAN_ROW = st.tuples(ROW_FLOATS, ROW_FLOATS,
+                     st.sampled_from(["ok", "pole", "resonant", "degenerate"]))
+#: rows split into one or more blocks
+SCAN_BLOCKS = st.lists(st.lists(SCAN_ROW, min_size=1, max_size=8), min_size=1, max_size=4)
 
 
-@given(SCAN_ROWS)
-@example([(0.0, -0.0, "ok"), (5e-324, 1e300, "pole"), (-1e-300, -1e300, "resonant"),
-          (2.0, 1.5, "degenerate")])
-def test_scan_rows_equal_json_text_of_the_row_objects(rows):
+@given(SCAN_BLOCKS)
+@example([[(0.0, -0.0, "ok"), (5e-324, 1e300, "pole")],
+          [(-1e-300, -1e300, "resonant")], [(2.0, 1.5, "degenerate")]])
+def test_scan_rows_equal_json_text_of_the_row_objects(blocks):
+    # each block goes in as scan_blocks gives it, (omega1s, d2s, flags)
+    rows = list(itertools.chain.from_iterable(blocks))
     objects = [{"omega1": w, "D2": d2, "flag": flag} for w, d2, flag in rows]
-    assert "".join(_json_rows(rows)) == json.dumps(objects, indent=2, sort_keys=True) + "\n"
+    columns = (tuple(zip(*block)) for block in blocks)
+    assert "".join(_json_rows(columns)) == json.dumps(objects, indent=2, sort_keys=True) + "\n"
 
 
 # every frequency pair is off the exact resonances; the second and third put

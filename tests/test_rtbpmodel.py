@@ -20,6 +20,7 @@ from birkhoff import (
     d2_closed,
     d2_eval,
     normalize,
+    scan_blocks,
     scan_omega1,
     stability_verdict,
     verdict_from_d2,
@@ -527,6 +528,26 @@ class TestScan:
         assert first == (first.omega1, first.d2, first.flag)
         assert first.omega1 == 0.1
         assert len(list(rows)) == 4
+
+    @pytest.mark.parametrize("steps", [3, 2 * rtbpmodel.FLAG_BLOCK + 5])
+    def test_blocks_are_the_rows_as_columns(self, steps):
+        # grid order, at most FLAG_BLOCK rows a block, the same rows as
+        # scan_omega1; above omega1 = 3 whole blocks are clear of every window
+        blocks = list(scan_blocks(REFERENCE_POINT, 1.0, 0.05, 40.0, steps))
+        for omega1s, d2s, flags in blocks:
+            assert (type(omega1s), type(d2s), type(flags)) == (list, array, list)
+            assert 1 <= len(omega1s) == len(d2s) == len(flags) <= rtbpmodel.FLAG_BLOCK
+        rows = [row for block in blocks for row in zip(*block)]
+        assert rows == list(scan_omega1(REFERENCE_POINT, 1.0, 0.05, 40.0, steps))
+        if steps > rtbpmodel.FLAG_BLOCK:
+            assert max(len(d2s) for _, d2s, _ in blocks) == rtbpmodel.FLAG_BLOCK
+
+    def test_blocks_raise_before_the_first_is_taken(self):
+        # scan_blocks is not a generator function: the scan runs when it is called
+        with pytest.raises(DeterminantOverflowError):
+            scan_blocks(REFERENCE_POINT, 1e308, 0.05, 4.0, 5)
+        with pytest.raises(ValueError, match="at least 2 steps"):
+            scan_blocks(REFERENCE_POINT, 1.0, 0.05, 4.0, 1)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 16, 17, 100, 101])
     def test_chunked_median_matches_statistics_median(self, monkeypatch, n):
