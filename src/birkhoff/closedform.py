@@ -12,19 +12,16 @@ The quadratic-in-cubic sectors of these forms disagree with the Lie-transform
 engine in :mod:`birkhoff.normalform`; see DISCREPANCIES.md for the term-by-term
 comparison.  The linear-in-quartic sectors agree exactly.
 
-The tabulated K2200, K1111 and K0022 are transcribed in
-:func:`tabulated_kernel`, which takes the coefficients and omega3 and returns
-them and D2 as functions of omega1.  :func:`k2200`, :func:`k1111`,
-:func:`k0022` and :func:`d2_closed` are that kernel applied at one point;
-scans build one kernel per grid.  The kernel spells the three coefficients
-twice: once as its three K functions, and once more inside its d2, which
-composes the determinant from them in the same body, with the same operation
-order, checks and errors.  A scan calls d2 once per row before it writes
-anything, and one frame with one w1**2 instead of five frames with three
-takes about a fifth off that pass; a test holds the two spellings to the
-same outcome, bit for bit, on poles, subnormals and overflows.  :func:`d2_from_k` composes the
-determinant from three given coefficients; the engine's
-:func:`birkhoff.normalform.normalize` calls it.
+The tabulated K2200, K1111 and K0022 are transcribed as :func:`k2200`,
+:func:`k1111` and :func:`k0022`, each at one frequency pair.
+:func:`tabulated_kernel` takes the coefficients and omega3 and returns D2 as a
+function of omega1; scans build one kernel per grid, and :func:`d2_closed`
+applies it at one point.  Its d2 spells the three coefficients a second time,
+in one body with the determinant and with their operation order, checks and
+errors, since a scan calls it once per row; a test holds it to the
+composition of the three K functions, bit for bit, on poles, subnormals and
+overflows.  :func:`d2_from_k` composes the determinant from three given
+coefficients; the engine's :func:`birkhoff.normalform.normalize` calls it.
 :func:`d2_expanded` writes the same determinant out as one rational
 expression; it is the reference that the tests and the benchmark check
 :func:`d2_closed` against, and the program never calls it at run time.
@@ -137,23 +134,22 @@ def _power(x: float, n: int, scale: float = 1.0):
         return _Overflowed(err)
 
 
-def tabulated_kernel(c: CubicQuarticCoefficients,
-                     omega3: float) -> tuple[Callable[[float], float], ...]:
-    """(k2200, k1111, k0022, d2) of the tabulated forms, each a function of omega1.
+def tabulated_kernel(c: CubicQuarticCoefficients, omega3: float) -> Callable[[float], float]:
+    """D2 of the tabulated forms as a function of omega1.
 
-    Every product that does not depend on omega1 is taken here, once; each
-    function does the rest of the arithmetic in the order of the tabulated
+    Every product that does not depend on omega1 is taken here, once; the
+    returned d2 does the rest of the arithmetic in the order of the tabulated
     expressions, so a value is the same double whether one kernel serves one
     point or a whole scan.  omega3 must be a positive finite real (ValueError
-    otherwise).  Each function is called with omega1 alone, which is taken to
-    be a positive finite real and not checked; its other parameters hold the
+    otherwise).  d2 is called with omega1 alone, which is taken to be a
+    positive finite real and not checked; its other parameters hold the
     hoisted products.
 
-    Each K raises PoleError on an exact pole of its own denominators,
-    DeterminantOverflowError when a denominator is 0 because both its terms
-    underflowed, and OverflowError when a power overflows.  d2 checks K2200,
-    K1111 and K0022 in that order and raises DeterminantOverflowError for an
-    overflowing power or a value that is not a finite double.
+    d2 spells K2200, K1111 and K0022 as :func:`k2200`, :func:`k1111` and
+    :func:`k0022` do and checks them in that order.  It raises PoleError on an
+    exact pole, and DeterminantOverflowError when a denominator is 0 because
+    both its terms underflowed, when a power overflows, or when the value is
+    not a finite double.
     """
     check_frequency("omega3", omega3)
     w3 = omega3
@@ -171,50 +167,13 @@ def tabulated_kernel(c: CubicQuarticCoefficients,
     if not isinstance(b5_a4, _Overflowed):
         b5_a4 = -12.0 * c.b5 + b5_a4 / w3
 
-    # the products are bound as defaults, which are locals: four closures over
-    # seventeen cells made a one-point evaluation slower than the unhoisted forms
-    def k2200(w1, w3=w3, w3_3=w3_3, w3_2=w3_2, a1_2x5=a1_2x5, b1x6=b1x6, a2_2x2=a2_2x2):
-        """Coefficient of (X1 Y1)^2; pole on omega3 = 2*omega1."""
-        lead = 16.0 * w1 ** 3 * w3
-        den = lead - 4.0 * w1 * w3_3
-        if den == 0.0:
-            _raise_pole("K2200", lead, "omega3 = 2*omega1", w1, w3)
-        w1_2x4 = 4.0 * w1 ** 2
-        return ((a1_2x5 - b1x6 * w1) * w3 * (w1_2x4 - w3_2)
-                + a2_2x2 * w1 * (w1_2x4 + w1 * w3 - w3_2)) / den
-
-    def k1111(w1, w3=w3, w3x2=w3x2, b3x8=b3x8, a1a3x12=a1a3x12, a3_2=a3_2, a2_2=a2_2,
-              a2a4x6=a2a4x6):
-        """Coefficient of X1 Y1 X2 Y2; poles on omega1 = 2*omega3 and omega3 = 2*omega1."""
-        double = w1 - w3x2
-        if double == 0.0:
-            raise PoleError("omega1 = 2*omega3")
-        w1x2 = 2.0 * w1
-        half = w1x2 - w3
-        if half == 0.0:
-            raise PoleError("omega3 = 2*omega1")
-        return 0.125 * (b3x8
-                        + a1a3x12 / w1
-                        + a3_2 / double
-                        + a2_2 / half
-                        + a2a4x6
-                        + a2_2 / (w1x2 + w3)
-                        + a3_2 / (w1 + w3x2))
-
-    def k0022(w1, w3=w3, w3_2x4=w3_2x4, b5_a4=b5_a4, a3_2=a3_2):
-        """Coefficient of (X2 Y2)^2; pole on omega1 = 2*omega3."""
-        lead = w1 ** 2
-        den = lead - w3_2x4
-        if den == 0.0:
-            _raise_pole("K0022", lead, "omega1 = 2*omega3", w1, w3)
-        return 0.125 * (b5_a4 + a3_2 * (4.0 / w1 + 2.0 * w1 / den))
-
-    # K2200, K1111 and K0022 spelled once more, in one body with D2: one frame
-    # and one w1**2 per scan row instead of five frames and three w1**2
+    # the products are bound as defaults, which are locals: cheaper per row
+    # than the cells of a closure
     def d2(w1, w3=w3, w3_3=w3_3, w3_2=w3_2, a1_2x5=a1_2x5, b1x6=b1x6, a2_2x2=a2_2x2,
            w3x2=w3x2, b3x8=b3x8, a1a3x12=a1a3x12, a3_2=a3_2, a2_2=a2_2, a2a4x6=a2a4x6,
            w3_2x4=w3_2x4, b5_a4=b5_a4):
-        """-(K2200*w3^2 + K1111*w1*w3 + K0022*w1^2), each K as its function above."""
+        """-(K2200*w3^2 + K1111*w1*w3 + K0022*w1^2) with the three Ks in this
+        one body: one frame and one w1**2 per scan row, not a call per K."""
         try:
             lead = 16.0 * w1 ** 3 * w3
             den = lead - 4.0 * w1 * w3_3
@@ -252,25 +211,64 @@ def tabulated_kernel(c: CubicQuarticCoefficients,
             raise _overflow(w1, w3, f"got {value!r}")
         return value
 
-    return k2200, k1111, k0022, d2
+    return d2
 
 
 def k2200(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
-    """Coefficient of (X1 Y1)^2; pole on omega3 = 2*omega1."""
-    k2200_at, _, _, _ = tabulated_kernel(c, freqs.omega3)
-    return k2200_at(freqs.omega1)
+    """Coefficient of (X1 Y1)^2; pole on omega3 = 2*omega1.
+
+    Raises PoleError on that pole, DeterminantOverflowError when the
+    denominator is 0 because both its terms underflowed, and a bare
+    OverflowError when a power overflows.
+    """
+    w1, w3 = freqs.omega1, freqs.omega3
+    lead = 16.0 * w1 ** 3 * w3
+    den = lead - 4.0 * w1 * w3 ** 3
+    if den == 0.0:
+        _raise_pole("K2200", lead, "omega3 = 2*omega1", w1, w3)
+    w1_2x4 = 4.0 * w1 ** 2
+    return ((5.0 * c.a1 ** 2 - 6.0 * c.b1 * w1) * w3 * (w1_2x4 - w3 ** 2)
+            + 2.0 * c.a2 ** 2 * w1 * (w1_2x4 + w1 * w3 - w3 ** 2)) / den
 
 
 def k1111(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
-    """Coefficient of X1 Y1 X2 Y2; poles on omega1 = 2*omega3 and omega3 = 2*omega1."""
-    _, k1111_at, _, _ = tabulated_kernel(c, freqs.omega3)
-    return k1111_at(freqs.omega1)
+    """Coefficient of X1 Y1 X2 Y2; poles on omega1 = 2*omega3 and omega3 = 2*omega1.
+
+    Raises PoleError on either pole and a bare OverflowError when a power
+    overflows; its denominators are differences, so none underflows to 0.
+    """
+    w1, w3 = freqs.omega1, freqs.omega3
+    w3x2 = 2.0 * w3
+    double = w1 - w3x2
+    if double == 0.0:
+        raise PoleError("omega1 = 2*omega3")
+    w1x2 = 2.0 * w1
+    half = w1x2 - w3
+    if half == 0.0:
+        raise PoleError("omega3 = 2*omega1")
+    return 0.125 * (-8.0 * c.b3
+                    + 12.0 * c.a1 * c.a3 / w1
+                    + c.a3 ** 2 / double
+                    + c.a2 ** 2 / half
+                    + 6.0 * c.a2 * c.a4 / w3
+                    + c.a2 ** 2 / (w1x2 + w3)
+                    + c.a3 ** 2 / (w1 + w3x2))
 
 
 def k0022(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
-    """Coefficient of (X2 Y2)^2; pole on omega1 = 2*omega3."""
-    _, _, k0022_at, _ = tabulated_kernel(c, freqs.omega3)
-    return k0022_at(freqs.omega1)
+    """Coefficient of (X2 Y2)^2; pole on omega1 = 2*omega3.
+
+    Raises PoleError on that pole, DeterminantOverflowError when the
+    denominator is 0 because both its terms underflowed, and a bare
+    OverflowError when a power overflows.
+    """
+    w1, w3 = freqs.omega1, freqs.omega3
+    lead = w1 ** 2
+    den = lead - 4.0 * w3 ** 2
+    if den == 0.0:
+        _raise_pole("K0022", lead, "omega1 = 2*omega3", w1, w3)
+    return 0.125 * (-12.0 * c.b5 + 10.0 * c.a4 ** 2 / w3
+                    + c.a3 ** 2 * (4.0 / w1 + 2.0 * w1 / den))
 
 
 def d2_expanded(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
@@ -325,10 +323,9 @@ def d2_from_k(k2200: float, k1111: float, k0022: float,
 
 
 def d2_closed(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
-    """-(k2200*w3^2 + k1111*w1*w3 + k0022*w1^2) from the tabulated coefficients.
+    """-(k2200*w3^2 + k1111*w1*w3 + k0022*w1^2): tabulated_kernel at one point.
 
-    Raises DeterminantOverflowError as d2_from_k does, and also when a power
-    of a coefficient inside the tabulated forms overflows.
+    Raises PoleError on an exact pole, and DeterminantOverflowError as
+    d2_from_k does and also when a power inside the tabulated forms overflows.
     """
-    _, _, _, d2 = tabulated_kernel(c, freqs.omega3)
-    return d2(freqs.omega1)
+    return tabulated_kernel(c, freqs.omega3)(freqs.omega1)

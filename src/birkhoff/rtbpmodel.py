@@ -341,7 +341,7 @@ class D2Result(NamedTuple):
 
 
 def _d2_point(d2: Callable[[float], float], omega1: float, omega3: float) -> float:
-    """Determinant at omega1 from the d2 of a tabulated kernel built at omega3.
+    """Determinant at omega1 from a tabulated kernel built at omega3.
 
     An exactly-on-pole pair does not raise: the value is computed at the
     nearest omega1 above it, at most POLE_NUDGE_STEPS ulps up, where no
@@ -371,7 +371,7 @@ def d2_eval(params: ModelParams, omega1: float, omega3: float,
     """
     coeffs = coefficients(params, max_half_order)
     check_frequency("omega1", omega1)
-    _, _, _, d2 = tabulated_kernel(coeffs, omega3)
+    d2 = tabulated_kernel(coeffs, omega3)
     return D2Result(value=_d2_point(d2, omega1, omega3), coefficients=coeffs)
 
 
@@ -602,7 +602,7 @@ def scan_blocks(params: ModelParams, omega3: float, lo: float, hi: float,
     if d2_tolerance is not None:
         # an invalid explicit tolerance fails before any grid point is evaluated
         d2_tolerance = _degeneracy_cut(d2_tolerance, None)
-    _, _, _, d2 = tabulated_kernel(coefficients(params, max_half_order), omega3)
+    d2 = tabulated_kernel(coefficients(params, max_half_order), omega3)
     values = array("d")
     append = values.append
     # d2 itself per row; an exact pole alone goes through the nudge of _d2_point

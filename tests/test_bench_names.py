@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from birkhoff import (CanonicalPolynomial, CubicQuarticCoefficients, Frequencies,
-                      ResonanceError, build_model_hamiltonian, normalize, poisson_bracket)
+from birkhoff import (CanonicalPolynomial, CubicQuarticCoefficients, Frequencies, ModelParams,
+                      ResonanceError, build_model_hamiltonian, coefficients, normalize,
+                      poisson_bracket)
 from birkhoff.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -41,6 +42,16 @@ def test_workloads_imports_every_name_it_uses():
     # its `from birkhoff... import ...` lines run here; a missing name raises
     # ImportError
     load("workloads")
+
+
+def test_workloads_calls_the_k_functions_as_bench_does():
+    # the cross-check screen calls k2200, k1111 and k0022 at a (coefficients,
+    # Frequencies) pair: at the README point, and at the exact pole
+    # omega1 = 0.5, where it steps to the next double
+    cross_check_fails = load("workloads").cross_check_fails
+    cq = coefficients(ModelParams(mu=0.00025, q=0.025, Q=0.00025, A=0.00025)).cubic_quartic()
+    for omega1 in (0.3, 0.5):
+        assert type(cross_check_fails(cq, omega1)) is bool
 
 
 def test_every_hook_counts_a_real_call(tmp_path):

@@ -610,9 +610,8 @@ class TestRtbpScanCommand:
         assert len(chunks) >= 3
 
     def test_no_non_finite_token_without_debug_checks(self):
-        # the kernel's d2 checks the composed value itself, through d2_from_k,
-        # so the overflow exits 3 under -O as well and no nan or inf token is
-        # written
+        # the kernel's d2 checks the composed value in its own body, so the
+        # overflow exits 3 under -O as well and no nan or inf token is written
         src = os.path.dirname(os.path.dirname(birkhoff.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(

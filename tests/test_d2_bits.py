@@ -111,19 +111,18 @@ def test_outcomes_match_the_recorded_digest(tmp_path):
 def test_one_kernel_per_group_gives_the_per_point_outcomes():
     # a scan builds one kernel and calls it at every omega1 of its grid
     for c, w3, omega1s in groups():
-        k2200_at, k1111_at, k0022_at, d2_at = tabulated_kernel(c, w3)
+        d2_at = tabulated_kernel(c, w3)
         for w1 in omega1s:
-            freqs = Frequencies(w1, w3)
-            for per_point, reused in ((d2_closed, d2_at), (k2200, k2200_at),
-                                      (k1111, k1111_at), (k0022, k0022_at)):
-                assert _outcome(reused, w1) == _outcome(per_point, c, freqs)
+            assert _outcome(d2_at, w1) == _outcome(d2_closed, c, Frequencies(w1, w3))
 
 
-def _composed(k2200_at, k1111_at, k0022_at, w1, w3):
-    """D2 from the kernel's three K functions, composed as d2_from_k does; a
-    K's OverflowError is the kernel's overflow error at (w1, w3)."""
+def _composed(c, w1, w3):
+    """D2 from the three K functions, composed as d2_from_k does; a K's
+    OverflowError is the kernel's overflow error at (w1, w3).  The pair is
+    built without Frequencies' checks, since some omega1 here are 0.0 or inf."""
+    freqs = tuple.__new__(Frequencies, (w1, w3))
     try:
-        ks = k2200_at(w1), k1111_at(w1), k0022_at(w1)
+        ks = k2200(c, freqs), k1111(c, freqs), k0022(c, freqs)
     except OverflowError as err:
         raise _overflow(w1, w3) from err
     return d2_from_k(*ks, w1, w3)
@@ -161,14 +160,15 @@ def spelling_points():
 
 def test_kernel_d2_equals_the_composition_of_its_ks():
     # the kernel's d2 spells the three Ks a second time; it must give the
-    # outcome of composing them, bit for bit or error for error
-    checked = 0
+    # outcome of composing k2200, k1111 and k0022, bit for bit or error for
+    # error, also at the omega1 = 0.0 and inf that Frequencies refuses
+    checked = outside = 0
     for c, w3, omega1s in spelling_points():
-        k2200_at, k1111_at, k0022_at, d2_at = tabulated_kernel(c, w3)
+        d2_at = tabulated_kernel(c, w3)
         for w1 in omega1s:
             fused = _hex_outcome(d2_at, w1)
-            assert fused == _hex_outcome(_composed, k2200_at, k1111_at, k0022_at, w1, w3), \
-                (c, w1, w3)
+            assert fused == _hex_outcome(_composed, c, w1, w3), (c, w1, w3)
             assert not fused.startswith("OverflowError"), (c, w1, w3)
             checked += 1
-    assert checked > 4000
+            outside += w1 in (0.0, math.inf)
+    assert checked > 4000 and outside == 75
