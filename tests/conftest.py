@@ -11,7 +11,6 @@ Lie-transform engine; they differ from birkhoff.closedform in the
 quadratic-in-cubic sectors (see DISCREPANCIES.md).
 """
 
-import hashlib
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -25,6 +24,7 @@ from birkhoff import (
     build_model_hamiltonian,
     coefficients,
 )
+from pins import assert_digest  # re-exported for the test modules
 
 #: (mu, q, Q, A, omega1) with omega3 = 1: a model point inside the supported
 #: domain (A <= 0.01) next to a root of D2, where the composed and expanded
@@ -40,20 +40,6 @@ CANCELLATION_POINT = (0.002720043807294557, 0.5463885506276273, 0.38667530342332
 REFUSED_NUMBERS = [pytest.param(value, id=f"refused-{label}") for label, value in (
     ("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf), ("True", True),
     ("Decimal('1')", Decimal("1")), ("'x'", "x"), ("None", None), ("10**400", 10**400))]
-
-
-def assert_digest(lines, digest, tmp_path):
-    """Assert that the SHA-256 of the joined lines is digest.
-
-    On a mismatch the lines are written to a file under tmp_path, which the
-    failure names, so a re-pin can be diffed against the old outcomes.
-    """
-    text = "\n".join(lines)
-    got = hashlib.sha256(text.encode()).hexdigest()
-    if got != digest:
-        path = tmp_path / "outcomes.txt"
-        path.write_text(text + "\n", encoding="utf-8")
-        raise AssertionError(f"digest {got} != pinned {digest}; outcome lines in {path}")
 
 
 def reference_model_hamiltonian():

@@ -24,7 +24,7 @@ from birkhoff import (
     k2200,
 )
 from birkhoff.closedform import _overflow, tabulated_kernel
-from conftest import assert_digest
+from pins import assert_digest
 
 #: SHA-256 of the lines of outcomes(); recorded before the kernel was hoisted
 DIGEST = "ff9779098006e44b3c2a87b75fd87ab856d4dd046d1324788ecdfc514500c259"

@@ -15,7 +15,7 @@ finite under truncation.
 import random
 
 from birkhoff import ModelParams, coefficient_series, coefficients
-from conftest import assert_digest
+from pins import assert_digest
 
 #: SHA-256 of the lines of outcomes(); recorded from the per-quantity series,
 #: then re-pinned when a sum that is not finite came to name its model point
