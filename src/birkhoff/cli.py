@@ -13,6 +13,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 
 from .closedform import CubicQuarticCoefficients, PoleError, d2_closed, k0022, k1111, k2200
@@ -30,9 +31,22 @@ _CSV_FLOAT = "%.16e"
 
 
 def _write(chunks, path: str | None):
-    """Write an iterable of strings to stdout ("-" or None) or to a file."""
+    """Write an iterable of strings to stdout ("-" or None) or to a file.
+
+    A reader of stdout that closes its end early, as `| head -1` does, ends
+    the write as a success: the rest of the text is dropped and nothing is
+    written to stderr.
+    """
     if path is None or path == "-":
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the text still buffered goes to os.devnull, so the interpreter's
+            # final flush of stdout does not raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)

@@ -13,11 +13,16 @@ The expansions are transcribed literally, term by term, from their tabulated
 form; square roots of squares are simplified with sqrt(x^2) = |x| while the
 sign structure of odd powers of (mu - 1) is kept as printed.  Each expansion
 stops after the A^2 term.  a2 and a4 vanish at A = 0 (their expansions begin
-at sqrt(A)).  All nine are written in the one body of coefficient_series,
-which takes each distinct power once and the two numerators that b1 and b3
-share once; nothing else is regrouped, so every term keeps the value it has
-as printed, bit for bit.  coefficients takes each power of sqrt(A) it needs
-once.
+at sqrt(A)).  All nine are written in the one flat transcription
+_series_terms, which returns their 30 terms as one tuple laid out by
+_LAYOUT.  It takes each distinct power, the two numerators that b1 and b3
+share and every other operation that recurs with the same operands in the
+same grouping once, and each product of sqrt(3) by a number is a module
+constant; nothing is regrouped, so every term keeps the value it has as
+printed, bit for bit.  coefficient_series is the per-order view of that
+tuple as nested mappings.  coefficients sums each quantity's terms times
+A**(h/2) in ascending half-order h by plain float addition, and takes each
+power of sqrt(A) it needs once.
 """
 
 from __future__ import annotations
@@ -106,183 +111,263 @@ class CoefficientSet(checked_record(
 
 # -- expansion term tables ----------------------------------------------------
 
-def coefficient_series(params: ModelParams) -> dict[str, dict[int, float]]:
-    """Per-half-order expansion coefficients for every model quantity.
+#: the products of sqrt(3) by a number that the series take, each once
+_3_SQRT3, _4_SQRT3, _6_SQRT3 = 3.0 * _SQRT3, 4.0 * _SQRT3, 6.0 * _SQRT3
+_15_SQRT3, _36_SQRT3, _45_SQRT3 = 15.0 * _SQRT3, 36.0 * _SQRT3, 45.0 * _SQRT3
+_75_SQRT3, _M6_SQRT3, _M135_SQRT3 = 75.0 * _SQRT3, -6.0 * _SQRT3, -135.0 * _SQRT3
 
-    The returned inner mappings give the coefficient of A**(h/2) for each
-    half-order h present in the corresponding expansion, in ascending h.  A
-    mass ratio or radiation factor so small that a denominator underflows to
-    0 raises ModelDomainError; a quotient that overflows is left infinite,
-    and coefficients rejects any sum it enters.
+#: (quantity, half-orders h of its terms A**(h/2)) of every series, in
+#: CoefficientSet's field order; _series_terms returns the terms in this
+#: order, each quantity's in ascending h
+_LAYOUT = (("a1", (0, 2, 3, 4)), ("a2", (1, 3, 4)), ("a3", (0, 2, 3, 4)),
+           ("a4", (1, 3, 4)), ("b1", (0, 2, 3, 4)), ("b3", (0, 2, 3, 4)),
+           ("b5", (0, 2, 3, 4)), ("a", (0, 3)), ("c", (1, 4)))
+
+
+def _kept_terms(bound: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per CoefficientSet field, the (position in _series_terms, h) of each
+    of its terms with h <= bound, in ascending h."""
+    positions = itertools.count()
+    return tuple(tuple((i, h) for h, i in zip(orders, positions) if h <= bound)
+                 for _, orders in _LAYOUT)
+
+
+#: _kept_terms of each bound in HALF_ORDERS, indexed by the bound
+_KEPT_TERMS = tuple(map(_kept_terms, HALF_ORDERS))
+
+#: the exponent h/2 of A for each half-order h in HALF_ORDERS
+_EXPONENTS = tuple(h / 2.0 for h in HALF_ORDERS)
+
+
+def _series_terms(params: ModelParams) -> tuple[float, ...]:
+    """The 30 terms of the printed series, flat, in _LAYOUT's order.
+
+    A mass ratio or radiation factor so small that a denominator underflows
+    to 0 raises ModelDomainError; a quotient that overflows is left
+    infinite, and coefficients rejects any sum it enters.
     """
     mu, q, Q = params.mu, params.q, params.Q
     # s1m stands for sqrt((1-mu)^2) == sqrt((-1+mu)^2) == |1-mu|, am for
     # sqrt(mu^2) == |mu| and m1 for mu - 1, whose odd powers stay negative as
-    # printed.  Each power the tables use is taken once, here, and named by
+    # printed.  Each power the terms use is taken once, here, and named by
     # base and exponent (one_mu6 is (1 - mu)**6, kept apart from s1m as
     # printed); every base lies in (-1, 1], so none of them can overflow.
-    s1m, am, m1 = abs(1.0 - mu), abs(mu), mu - 1.0
-    mu3, mu4, mu5, mu6, mu7, mu8, mu9 = (
-        mu ** 3, mu ** 4, mu ** 5, mu ** 6, mu ** 7, mu ** 8, mu ** 9)
-    s1m5, s1m7, am3, q2 = s1m ** 5, s1m ** 7, am ** 3, q ** 2
-    m1_2, m1_3, m1_4, m1_5, m1_6, m1_7 = (
-        m1 ** 2, m1 ** 3, m1 ** 4, m1 ** 5, m1 ** 6, m1 ** 7)
-    one_mu2, one_mu3, one_mu4, one_mu6, one_mu8, one_mu10 = (
-        (1.0 - mu) ** 2, (1.0 - mu) ** 3, (1.0 - mu) ** 4,
-        (1.0 - mu) ** 6, (1.0 - mu) ** 8, (1.0 - mu) ** 10)
-    # shared numerator of the sqrt(A)^3 corrections of b1 and b3
-    mixed_cubic = (_SQRT3 * q * mu6 - _SQRT3 * q2 * mu6
-                   - _SQRT3 * Q * s1m * am + _SQRT3 * q * Q * s1m * am
-                   + 4.0 * _SQRT3 * Q * s1m * mu * am
-                   - 4.0 * _SQRT3 * q * Q * s1m * mu * am
-                   + 4.0 * _SQRT3 * Q * s1m * mu3 * am
-                   - 4.0 * _SQRT3 * q * Q * s1m * mu3 * am
-                   - _SQRT3 * Q * s1m * mu4 * am + _SQRT3 * q * Q * s1m * mu4 * am
-                   - 6.0 * _SQRT3 * Q * s1m * am3 + 6.0 * _SQRT3 * q * Q * s1m * am3)
-    # shared numerator of the A^2 corrections of b1 and b3
-    mixed_quartic = (q * mu9 - Q * s1m * am + 7.0 * Q * s1m * mu * am
-                     + 35.0 * Q * s1m * mu3 * am - 35.0 * Q * s1m * mu4 * am
-                     + 21.0 * Q * s1m * mu5 * am - 7.0 * Q * s1m * mu6 * am
-                     + Q * s1m * mu7 * am - 21.0 * Q * s1m * am3)
+    one_mu, one_q = 1.0 - mu, 1.0 - q
+    s1m, am, m1 = abs(one_mu), abs(mu), mu - 1.0
+    mu3, mu4, mu5 = mu ** 3, mu ** 4, mu ** 5
+    mu6, mu7 = mu ** 6, mu ** 7
+    mu8, mu9 = mu ** 8, mu ** 9
+    s1m5, s1m7 = s1m ** 5, s1m ** 7
+    am3, q2 = am ** 3, q ** 2
+    m1_2, m1_3, m1_4 = m1 ** 2, m1 ** 3, m1 ** 4
+    m1_5, m1_6, m1_7 = m1 ** 5, m1 ** 6, m1 ** 7
+    one_mu2, one_mu3, one_mu4 = one_mu ** 2, one_mu ** 3, one_mu ** 4
+    one_mu6, one_mu8, one_mu10 = one_mu ** 6, one_mu ** 8, one_mu ** 10
     try:
-        return {
-            "a": {
-                0: 1.0 - mu,
-                3: 6.0 * _SQRT3 * (1.0 - mu) * (1.0 - q) / (mu * Q),
-            },
-            "c": {
-                1: _SQRT3,
-                4: -9.0 * (1.0 - mu) * q / (mu * Q),
-            },
-            "a1": {
-                0: ((-q * mu4 + Q * s1m * am - 2.0 * Q * s1m * mu * am
-                     + Q * s1m * am3)
-                    / (m1_2 * s1m * mu4)),
-                2: -(5.0 * (-3.0 * q * mu6 + 2.0 * Q * s1m * am - 8.0 * Q * s1m * mu * am
-                            - 8.0 * Q * s1m * mu3 * am + 2.0 * Q * s1m * mu4 * am
-                            + 12.0 * Q * s1m * am3)
-                     / (m1_4 * s1m * mu6)),
-                3: (24.0 * (_SQRT3 * q * mu5 - _SQRT3 * q2 * mu5
-                            + _SQRT3 * Q * s1m * am - _SQRT3 * q * Q * s1m * am
-                            - 3.0 * _SQRT3 * Q * s1m * mu * am
-                            + 3.0 * _SQRT3 * q * Q * s1m * mu * am
-                            - _SQRT3 * Q * s1m * mu3 * am
-                            + _SQRT3 * q * Q * s1m * mu3 * am
-                            + 3.0 * _SQRT3 * Q * s1m * am3
-                            - 3.0 * _SQRT3 * q * Q * s1m * am3)
-                    / (Q * m1_2 * s1m * mu6)),
-                4: -(945.0 * (q * mu8 + Q * s1m * am - 6.0 * Q * s1m * mu * am
-                              - 20.0 * Q * s1m * mu3 * am + 15.0 * Q * s1m * mu4 * am
-                              - 6.0 * Q * s1m * mu5 * am + Q * s1m * mu6 * am
-                              + 15.0 * Q * s1m * am3)
-                     / (8.0 * m1_6 * s1m * mu8)),
-            },
-            "a2": {
-                1: (-6.0 * _SQRT3 * q / s1m5
-                    + 15.0 * _SQRT3 * q * mu / (2.0 * s1m5)
-                    - 3.0 * _SQRT3 * q * s1m * mu / (2.0 * one_mu6)
-                    - 6.0 * _SQRT3 * Q * am / mu5),
-                3: -135.0 * _SQRT3 * q / (2.0 * m1_5 * s1m),
-                4: (54.0 * (-10.0 * q * mu6 + 9.0 * q2 * mu6 + q2 * mu7
-                            + 10.0 * Q * s1m * am - 10.0 * q * Q * s1m * am
-                            - 40.0 * Q * s1m * mu * am + 39.0 * q * Q * s1m * mu * am
-                            - 40.0 * Q * s1m * mu3 * am + 34.0 * q * Q * s1m * mu3 * am
-                            + 10.0 * Q * s1m * mu4 * am - 6.0 * q * Q * s1m * mu4 * am
-                            - q * Q * s1m * mu5 * am
-                            + 60.0 * Q * s1m * am3 - 56.0 * q * Q * s1m * am3)
-                    / (Q * m1_3 * s1m * mu7)),
-            },
-            "a3": {
-                0: (3.0 * q * (1.0 - mu) / (2.0 * s1m5)
-                    - 3.0 * q * (1.0 - mu) * mu / (2.0 * s1m5)
-                    - 3.0 * Q * am / (2.0 * mu4)),
-                2: (-45.0 * q * (1.0 - mu) / (2.0 * s1m7)
-                    - 45.0 * q / (4.0 * (1.0 - mu) * s1m5)
-                    + 45.0 * q * (1.0 - mu) * mu / (2.0 * s1m7)
-                    + 45.0 * q * mu / (4.0 * (1.0 - mu) * s1m5)
-                    + 45.0 * Q * am / (2.0 * mu6)),
-                3: (36.0 * _SQRT3 * (1.0 - q) * q * (1.0 - mu) / (Q * s1m5)
-                    - 36.0 * _SQRT3 * (1.0 - q) * q * (1.0 - mu) / (Q * s1m5 * mu)
-                    - 36.0 * _SQRT3 * am / mu6
-                    + 36.0 * _SQRT3 * q * am / mu6
-                    + 36.0 * _SQRT3 * am / mu5
-                    - 36.0 * _SQRT3 * q * am / mu5),
-                4: (945.0 * q / (4.0 * (1.0 - mu) * s1m7)
-                    + 945.0 * q / (16.0 * one_mu3 * s1m5)
-                    - 945.0 * q * mu / (4.0 * (1.0 - mu) * s1m7)
-                    - 945.0 * q * mu / (16.0 * one_mu3 * s1m5)
-                    + 4725.0 * Q * am / (16.0 * mu8)),
-            },
-            "a4": {
-                1: (3.0 * _SQRT3 * q / (2.0 * s1m5)
-                    - 3.0 * _SQRT3 * q * s1m * mu / (2.0 * one_mu6)
-                    + 3.0 * _SQRT3 * Q * am / (2.0 * mu5)),
-                3: 75.0 * _SQRT3 * q / (4.0 * m1_5 * s1m),
-                4: (1.5 * q * ((9.0 * q / Q - 9.0 * q / (Q * mu)) / s1m5
-                               - 90.0 * (1.0 - q) / (Q * s1m5 * mu))
-                    + 135.0 * q * s1m / (Q * one_mu6)
-                    - 243.0 * q2 * s1m / (2.0 * Q * one_mu6)
-                    - 27.0 * q2 * s1m * mu / (2.0 * Q * one_mu6)
-                    + 135.0 * am / mu7
-                    - 135.0 * q * am / mu7
-                    - 135.0 * am / mu6
-                    + 243.0 * q * am / (2.0 * mu6)
-                    + 27.0 * q * am / (2.0 * mu5)),
-            },
-            "b1": {
-                0: ((-q * mu5 - Q * s1m * am + 3.0 * Q * s1m * mu * am
-                     + Q * s1m * mu3 * am - 3.0 * Q * s1m * am3)
-                    / (m1_3 * s1m * mu5)),
-                2: -(15.0 * (-3.0 * q * mu7 - 2.0 * Q * s1m * am + 10.0 * Q * s1m * mu * am
-                             + 20.0 * Q * s1m * mu3 * am - 10.0 * Q * s1m * mu4 * am
-                             + 2.0 * Q * s1m * mu5 * am - 20.0 * Q * s1m * am3)
-                     / (2.0 * m1_5 * s1m * mu7)),
-                3: 30.0 * mixed_cubic / (Q * m1_3 * s1m * mu7),
-                4: -(945.0 * mixed_quartic / (4.0 * m1_7 * s1m * mu9)),
-            },
-            "b3": {
-                0: (-3.0 * q / s1m5
-                    + 3.0 * q * mu / s1m5
-                    + 15.0 * Q * am / (4.0 * mu7)
-                    - 15.0 * Q * one_mu2 * am / (4.0 * mu7)
-                    - 15.0 * Q * am / (2.0 * mu6)
-                    + 3.0 * Q * am / (4.0 * mu5)),
-                2: (945.0 * q / (8.0 * s1m7)
-                    - 45.0 * q / (8.0 * one_mu2 * s1m5)
-                    - 45.0 * q * s1m / (4.0 * one_mu8)
-                    - 945.0 * q * mu / (8.0 * s1m7)
-                    + 45.0 * q * mu / (8.0 * one_mu2 * s1m5)
-                    + 45.0 * q * s1m * mu / (4.0 * one_mu8)
-                    + 135.0 * Q * am / (2.0 * mu7)),
-                3: -90.0 * mixed_cubic / (Q * m1_3 * s1m * mu7),
-                4: 4725.0 * mixed_quartic / (4.0 * m1_7 * s1m * mu9),
-            },
-            "b5": {
-                0: (3.0 * q / (8.0 * s1m5)
-                    - 3.0 * q * mu / (8.0 * s1m5)
-                    + 3.0 * Q * am / (8.0 * mu5)),
-                2: (-45.0 * q / (16.0 * one_mu2 * s1m5)
-                    - 45.0 * q * s1m / (4.0 * one_mu8)
-                    + 45.0 * q * mu / (16.0 * one_mu2 * s1m5)
-                    + 45.0 * q * s1m * mu / (4.0 * one_mu8)
-                    - 75.0 * Q * am / (8.0 * mu7)),
-                3: (45.0 * _SQRT3 * (1.0 - q) * q / (4.0 * Q * s1m5)
-                    - 45.0 * _SQRT3 * (1.0 - q) * q / (4.0 * Q * s1m5 * mu)
-                    + 45.0 * _SQRT3 * am / (4.0 * mu7)
-                    - 45.0 * _SQRT3 * q * am / (4.0 * mu7)
-                    - 45.0 * _SQRT3 * am / (4.0 * mu6)
-                    + 45.0 * _SQRT3 * q * am / (4.0 * mu6)),
-                4: (945.0 * q / (64.0 * one_mu4 * s1m5)
-                    + 315.0 * q * s1m / (2.0 * one_mu10)
-                    - 945.0 * q * mu / (64.0 * one_mu4 * s1m5)
-                    - 315.0 * q * s1m * mu / (2.0 * one_mu10)
-                    - 11025.0 * Q * am / (64.0 * mu9)),
-            },
-        }
+        # each operation that recurs below with the same operands in the
+        # same grouping, taken once and named by its operands in order:
+        # c45 is 45.0, cm3 is -3.0, r3 is sqrt(3), neg_q is -q and x_over_y
+        # is x / y (a Python product a * b * c is (a * b) * c, so
+        # c2_Q_s1m, 2.0 * Q * s1m, is c2_Q * s1m and not 2.0 * Q_s1m)
+        neg_q, c3_q = -q, 3.0 * q
+        cm3_q, c9_q = -3.0 * q, 9.0 * q
+        c45_q, cm45_q = 45.0 * q, -45.0 * q
+        c135_q, c945_q = 135.0 * q, 945.0 * q
+        r3_q, r3_q2 = _SQRT3 * q, _SQRT3 * q2
+        c3_r3_q, c315_q_s1m = _3_SQRT3 * q, 315.0 * q * s1m
+        c2_Q, c3_Q = 2.0 * Q, 3.0 * Q
+        c15_Q, mu_Q = 15.0 * Q, mu * Q
+        c3_r3_Q, c6_r3_Q = _3_SQRT3 * Q, _6_SQRT3 * Q
+        Q_s1m5, c4_Q_s1m5 = Q * s1m5, 4.0 * Q * s1m5
+        Q_s1m, c6_Q_s1m = Q * s1m, 6.0 * Q * s1m
+        c7_Q_s1m, c8_Q_s1m = 7.0 * Q * s1m, 8.0 * Q * s1m
+        c10_Q_s1m, c20_Q_s1m, c21_Q_s1m = 10.0 * Q * s1m, 20.0 * Q * s1m, 21.0 * Q * s1m
+        c35_Q_s1m, c40_Q_s1m, r3_Q_s1m = 35.0 * Q * s1m, 40.0 * Q * s1m, _SQRT3 * Q * s1m
+        c4_r3_Q_s1m, c4_r3_q_Q_s1m = _4_SQRT3 * Q * s1m, _4_SQRT3 * q * Q * s1m
+        c135_am, c36_r3_am, c45_r3_am = 135.0 * am, _36_SQRT3 * am, _45_SQRT3 * am
+        c36_r3_q_am, c45_r3_q_am = _36_SQRT3 * q * am, _45_SQRT3 * q * am
+        c2_mu5, c2_mu6 = 2.0 * mu5, 2.0 * mu6
+        c4_mu6, c4_mu7 = 4.0 * mu6, 4.0 * mu7
+        c2_s1m5, c8_s1m5 = 2.0 * s1m5, 8.0 * s1m5
+        c2_s1m7, c8_s1m7 = 2.0 * s1m7, 8.0 * s1m7
+        c4_one_mu, c4_one_mu8, c2_one_mu10 = 4.0 * one_mu, 4.0 * one_mu8, 2.0 * one_mu10
+        c8_one_mu2_s1m5, c16_one_mu2_s1m5 = 8.0 * one_mu2 * s1m5, 16.0 * one_mu2 * s1m5
+        c16_one_mu3_s1m5, c64_one_mu4_s1m5 = 16.0 * one_mu3 * s1m5, 64.0 * one_mu4 * s1m5
+        c2_m1_5_s1m, c4_m1_7_s1m_mu9 = 2.0 * m1_5 * s1m, 4.0 * m1_7 * s1m * mu9
+        Q_m1_3_s1m_mu7 = Q * m1_3 * s1m * mu7
+        c3_q_mu, c45_q_mu, c945_q_mu = c3_q * mu, c45_q * mu, c945_q * mu
+        c3_q_one_mu, c45_q_s1m = c3_q * one_mu, c45_q * s1m
+        c3_Q_am, c15_Q_am = c3_Q * am, c15_Q * am
+        c2_Q_one_mu6, Q_s1m5_mu, Q_s1m_am = c2_Q * one_mu6, Q_s1m5 * mu, Q_s1m * am
+        c2_Q_s1m, c3_Q_s1m, c15_Q_s1m = c2_Q * s1m, c3_Q * s1m, c15_Q * s1m
+        c10_Q_s1m_mu4_am, c20_Q_s1m_mu3_am = c10_Q_s1m * mu4 * am, c20_Q_s1m * mu3 * am
+        r3_Q_s1m_am, r3_q_Q_s1m, c3_r3_Q_s1m = r3_Q_s1m * am, r3_q * Q * s1m, c3_r3_Q * s1m
+        c3_r3_q_Q_s1m, c45_r3_one_q_q = c3_r3_q * Q * s1m, _45_SQRT3 * one_q * q
+        c36_r3_one_q_q_one_mu = _36_SQRT3 * one_q * q * one_mu
+        c3_r3_q_s1m_mu_over_c2_one_mu6 = c3_r3_q * s1m * mu / (2.0 * one_mu6)
+        c4_one_mu_s1m5, c4_one_mu_s1m7, c2_Q_s1m_am = (
+            c4_one_mu * s1m5, c4_one_mu * s1m7, c2_Q_s1m * am)
+        r3_q_Q_s1m_am = r3_q_Q_s1m * am
+        c45_q_s1m_over_c4_one_mu8 = c45_q_s1m / c4_one_mu8
+        c45_q_s1m_mu_over_c4_one_mu8 = c45_q_s1m * mu / c4_one_mu8
+        # shared numerator of the sqrt(A)^3 corrections of b1 and b3
+        mixed_cubic = (r3_q * mu6 - r3_q2 * mu6
+                       - r3_Q_s1m_am + r3_q_Q_s1m_am
+                       + c4_r3_Q_s1m * mu * am
+                       - c4_r3_q_Q_s1m * mu * am
+                       + c4_r3_Q_s1m * mu3 * am
+                       - c4_r3_q_Q_s1m * mu3 * am
+                       - r3_Q_s1m * mu4 * am + r3_q_Q_s1m * mu4 * am
+                       - c6_r3_Q * s1m * am3 + _6_SQRT3 * q * Q * s1m * am3)
+        # shared numerator of the A^2 corrections of b1 and b3
+        mixed_quartic = (q * mu9 - Q_s1m_am + c7_Q_s1m * mu * am
+                         + c35_Q_s1m * mu3 * am - c35_Q_s1m * mu4 * am
+                         + c21_Q_s1m * mu5 * am - c7_Q_s1m * mu6 * am
+                         + Q_s1m * mu7 * am - c21_Q_s1m * am3)
+        return (
+            # a1: half-orders 0, 2, 3, 4
+            ((neg_q * mu4 + Q_s1m_am - c2_Q_s1m * mu * am
+              + Q_s1m * am3)
+             / (m1_2 * s1m * mu4)),
+            -(5.0 * (cm3_q * mu6 + c2_Q_s1m_am - c8_Q_s1m * mu * am
+                     - c8_Q_s1m * mu3 * am + c2_Q_s1m * mu4 * am
+                     + 12.0 * Q * s1m * am3)
+              / (m1_4 * s1m * mu6)),
+            (24.0 * (r3_q * mu5 - r3_q2 * mu5
+                     + r3_Q_s1m_am - r3_q_Q_s1m_am
+                     - c3_r3_Q_s1m * mu * am
+                     + c3_r3_q_Q_s1m * mu * am
+                     - r3_Q_s1m * mu3 * am
+                     + r3_q_Q_s1m * mu3 * am
+                     + c3_r3_Q_s1m * am3
+                     - c3_r3_q_Q_s1m * am3)
+             / (Q * m1_2 * s1m * mu6)),
+            -(945.0 * (q * mu8 + Q_s1m_am - c6_Q_s1m * mu * am
+                       - c20_Q_s1m_mu3_am + c15_Q_s1m * mu4 * am
+                       - c6_Q_s1m * mu5 * am + Q_s1m * mu6 * am
+                       + c15_Q_s1m * am3)
+              / (8.0 * m1_6 * s1m * mu8)),
+            # a2: half-orders 1, 3, 4
+            (_M6_SQRT3 * q / s1m5
+             + _15_SQRT3 * q * mu / c2_s1m5
+             - c3_r3_q_s1m_mu_over_c2_one_mu6
+             - c6_r3_Q * am / mu5),
+            _M135_SQRT3 * q / c2_m1_5_s1m,
+            (54.0 * (-10.0 * q * mu6 + 9.0 * q2 * mu6 + q2 * mu7
+                     + c10_Q_s1m * am - 10.0 * q * Q * s1m * am
+                     - c40_Q_s1m * mu * am + 39.0 * q * Q * s1m * mu * am
+                     - c40_Q_s1m * mu3 * am + 34.0 * q * Q * s1m * mu3 * am
+                     + c10_Q_s1m_mu4_am - 6.0 * q * Q * s1m * mu4 * am
+                     - q * Q * s1m * mu5 * am
+                     + 60.0 * Q * s1m * am3 - 56.0 * q * Q * s1m * am3)
+             / Q_m1_3_s1m_mu7),
+            # a3: half-orders 0, 2, 3, 4
+            (c3_q_one_mu / c2_s1m5
+             - c3_q_one_mu * mu / c2_s1m5
+             - c3_Q_am / (2.0 * mu4)),
+            (cm45_q * one_mu / c2_s1m7
+             - c45_q / c4_one_mu_s1m5
+             + c45_q * one_mu * mu / c2_s1m7
+             + c45_q_mu / c4_one_mu_s1m5
+             + 45.0 * Q * am / c2_mu6),
+            (c36_r3_one_q_q_one_mu / Q_s1m5
+             - c36_r3_one_q_q_one_mu / Q_s1m5_mu
+             - c36_r3_am / mu6
+             + c36_r3_q_am / mu6
+             + c36_r3_am / mu5
+             - c36_r3_q_am / mu5),
+            (c945_q / c4_one_mu_s1m7
+             + c945_q / c16_one_mu3_s1m5
+             - c945_q_mu / c4_one_mu_s1m7
+             - c945_q_mu / c16_one_mu3_s1m5
+             + 4725.0 * Q * am / (16.0 * mu8)),
+            # a4: half-orders 1, 3, 4
+            (c3_r3_q / c2_s1m5
+             - c3_r3_q_s1m_mu_over_c2_one_mu6
+             + c3_r3_Q * am / c2_mu5),
+            _75_SQRT3 * q / (4.0 * m1_5 * s1m),
+            (1.5 * q * ((c9_q / Q - c9_q / (Q * mu)) / s1m5
+                        - 90.0 * one_q / Q_s1m5_mu)
+             + c135_q * s1m / (Q * one_mu6)
+             - 243.0 * q2 * s1m / c2_Q_one_mu6
+             - 27.0 * q2 * s1m * mu / c2_Q_one_mu6
+             + c135_am / mu7
+             - c135_q * am / mu7
+             - c135_am / mu6
+             + 243.0 * q * am / c2_mu6
+             + 27.0 * q * am / c2_mu5),
+            # b1: half-orders 0, 2, 3, 4
+            ((neg_q * mu5 - Q_s1m_am + c3_Q_s1m * mu * am
+              + Q_s1m * mu3 * am - c3_Q_s1m * am3)
+             / (m1_3 * s1m * mu5)),
+            -(15.0 * (cm3_q * mu7 - c2_Q_s1m_am + c10_Q_s1m * mu * am
+                      + c20_Q_s1m_mu3_am - c10_Q_s1m_mu4_am
+                      + c2_Q_s1m * mu5 * am - c20_Q_s1m * am3)
+              / (c2_m1_5_s1m * mu7)),
+            30.0 * mixed_cubic / Q_m1_3_s1m_mu7,
+            -(945.0 * mixed_quartic / c4_m1_7_s1m_mu9),
+            # b3: half-orders 0, 2, 3, 4
+            (cm3_q / s1m5
+             + c3_q_mu / s1m5
+             + c15_Q_am / c4_mu7
+             - c15_Q * one_mu2 * am / c4_mu7
+             - c15_Q_am / c2_mu6
+             + c3_Q_am / (4.0 * mu5)),
+            (c945_q / c8_s1m7
+             - c45_q / c8_one_mu2_s1m5
+             - c45_q_s1m_over_c4_one_mu8
+             - c945_q_mu / c8_s1m7
+             + c45_q_mu / c8_one_mu2_s1m5
+             + c45_q_s1m_mu_over_c4_one_mu8
+             + 135.0 * Q * am / (2.0 * mu7)),
+            -90.0 * mixed_cubic / Q_m1_3_s1m_mu7,
+            4725.0 * mixed_quartic / c4_m1_7_s1m_mu9,
+            # b5: half-orders 0, 2, 3, 4
+            (c3_q / c8_s1m5
+             - c3_q_mu / c8_s1m5
+             + c3_Q_am / (8.0 * mu5)),
+            (cm45_q / c16_one_mu2_s1m5
+             - c45_q_s1m_over_c4_one_mu8
+             + c45_q_mu / c16_one_mu2_s1m5
+             + c45_q_s1m_mu_over_c4_one_mu8
+             - 75.0 * Q * am / (8.0 * mu7)),
+            (c45_r3_one_q_q / c4_Q_s1m5
+             - c45_r3_one_q_q / (c4_Q_s1m5 * mu)
+             + c45_r3_am / c4_mu7
+             - c45_r3_q_am / c4_mu7
+             - c45_r3_am / c4_mu6
+             + c45_r3_q_am / c4_mu6),
+            (c945_q / c64_one_mu4_s1m5
+             + c315_q_s1m / c2_one_mu10
+             - c945_q_mu / c64_one_mu4_s1m5
+             - c315_q_s1m * mu / c2_one_mu10
+             - 11025.0 * Q * am / (64.0 * mu9)),
+            # a: half-orders 0, 3
+            one_mu,
+            _6_SQRT3 * one_mu * one_q / mu_Q,
+            # c: half-orders 1, 4
+            _SQRT3,
+            -9.0 * one_mu * q / mu_Q,
+        )
+
     except ZeroDivisionError as err:
         raise ModelDomainError(
             f"the expansions are not representable as doubles at "
             f"(mu, q, Q) = ({mu!r}, {q!r}, {Q!r}): {err}") from err
+
+
+def coefficient_series(params: ModelParams) -> dict[str, dict[int, float]]:
+    """Per-half-order expansion coefficients for every model quantity.
+
+    The returned inner mappings give the coefficient of A**(h/2) for each
+    half-order h present in the corresponding expansion, in ascending h; the
+    model constants a and c come first, then a1..b5.  The values are the
+    terms of _series_terms, the one transcription of the series, laid out
+    by _LAYOUT; errors are raised as _series_terms raises them.
+    """
+    terms = iter(_series_terms(params))
+    table = {name: dict(zip(orders, terms)) for name, orders in _LAYOUT}
+    return {name: table[name] for name in ("a", "c", *CubicQuarticCoefficients._fields)}
 
 
 def coefficients(params: ModelParams,
@@ -301,29 +386,30 @@ def coefficients(params: ModelParams,
         raise ValueError(f"max_half_order must be an int, got {max_half_order!r}")
     elif max_half_order < 0:
         raise ValueError(f"max_half_order must be >= 0, got {max_half_order!r}")
-    table = coefficient_series(params)
+    terms = _series_terms(params)
     try:
         # powers[h] is A**(h/2), HALF_ORDERS counting up from 0; only the
         # powers a kept term multiplies, so truncation still avoids overflow
-        powers = [params.A ** (h / 2.0) for h in HALF_ORDERS if h <= max_half_order]
+        powers = [params.A ** e for e in _EXPONENTS[:max_half_order + 1]]
     except OverflowError as err:
         raise ModelDomainError(
             f"a power of A = {params.A!r} is not a finite double") from err
     sums = []
-    for name in CoefficientSet._fields:
+    for kept in _KEPT_TERMS[min(max_half_order, HALF_ORDERS[-1])]:
         # ascending h by plain float addition, the same bits on every CPython
         total = 0.0
-        for h, coeff in table[name].items():
-            if h <= max_half_order:
-                total += coeff * powers[h]
+        for i, h in kept:
+            total += terms[i] * powers[h]
         sums.append(total)
-    try:
-        return CoefficientSet(*sums)
-    except ValueError as err:  # a sum that is not finite
-        raise ModelDomainError(
-            f"the expansions summed through half-order {max_half_order} at "
-            f"(mu, q, Q, A) = ({params.mu!r}, {params.q!r}, {params.Q!r}, {params.A!r}) "
-            f"are not finite: {err}") from err
+    if not all(map(math.isfinite, sums)):
+        try:
+            CoefficientSet(*sums)  # names the first field that is not finite
+        except ValueError as err:
+            raise ModelDomainError(
+                f"the expansions summed through half-order {max_half_order} at "
+                f"(mu, q, Q, A) = ({params.mu!r}, {params.q!r}, {params.Q!r}, {params.A!r}) "
+                f"are not finite: {err}") from err
+    return tuple.__new__(CoefficientSet, sums)
 
 
 # -- determinant evaluation and verdicts --------------------------------------
@@ -347,8 +433,9 @@ def _d2_point(d2: Callable[[float], float], omega1: float, omega3: float) -> flo
     nearest omega1 above it, at most POLE_NUDGE_STEPS ulps up, where no
     denominator of the closed forms rounds to 0; past that it raises
     DeterminantOverflowError.  _status names the pole.  This is the one
-    nudge rule: d2_eval calls it, and scan_omega1 calls d2 itself and comes
-    here only for a grid point where d2 raises PoleError.
+    nudge rule: _model_d2 calls it for d2_eval and stability_verdict, and
+    scan_omega1 calls d2 itself and comes here only for a grid point where
+    d2 raises PoleError.
     """
     w1, steps = omega1, 0
     while True:
@@ -369,10 +456,16 @@ def d2_eval(params: ModelParams, omega1: float, omega3: float,
     An exactly-on-pole pair does not raise: the value is computed a few ulps
     above omega1 instead, as _d2_point does.
     """
+    return D2Result(*_model_d2(params, omega1, omega3, max_half_order))
+
+
+def _model_d2(params: ModelParams, omega1: float, omega3: float,
+              max_half_order: int | None) -> tuple[float, CoefficientSet]:
+    """(D2, coefficients) of d2_eval, which returns them as a D2Result and
+    stability_verdict as a verdict."""
     coeffs = coefficients(params, max_half_order)
     check_frequency("omega1", omega1)
-    d2 = tabulated_kernel(coeffs, omega3)
-    return D2Result(value=_d2_point(d2, omega1, omega3), coefficients=coeffs)
+    return _d2_point(tabulated_kernel(coeffs, omega3), omega1, omega3), coeffs
 
 
 def _median_abs(values) -> float:
@@ -535,14 +628,13 @@ def verdict_from_d2(d2: float, omega1: float, omega3: float,
 
 def _verdict(d2: float, omega1: float, omega3: float,
              d2_tolerance: float | None) -> StabilityVerdict:
-    """verdict_from_d2 on a D2 and frequencies that d2_eval has checked."""
+    """verdict_from_d2 on a D2 and frequencies that _model_d2 has checked."""
     d2_tolerance = _degeneracy_cut(d2_tolerance, lambda: abs(d2))
     status, _, notes = _status(d2, omega1, omega3, d2_tolerance)
     if not notes:
         relation = "<=" if status is StabilityStatus.DEGENERATE else ">"
         notes = (f"abs(D2)={abs(d2):.6g} {relation} tolerance={d2_tolerance:.6g}",)
-    return StabilityVerdict(status=status, d2=d2, omega1=omega1, omega3=omega3,
-                            notes=notes)
+    return StabilityVerdict(status, d2, omega1, omega3, notes)
 
 
 def stability_verdict(params: ModelParams, omega1: float, omega3: float,
@@ -551,10 +643,10 @@ def stability_verdict(params: ModelParams, omega1: float, omega3: float,
     """Evaluate the model at one frequency pair and classify the outcome.
 
     Without an explicit tolerance the degeneracy cut is the single-point rule
-    of verdict_from_d2; only d2_eval checks the frequencies.
+    of verdict_from_d2; only _model_d2, as d2_eval, checks the frequencies.
     """
-    result = d2_eval(params, omega1, omega3, max_half_order)
-    return _verdict(result.value, omega1, omega3, d2_tolerance)
+    d2, _ = _model_d2(params, omega1, omega3, max_half_order)
+    return _verdict(d2, omega1, omega3, d2_tolerance)
 
 
 class ScanRow(NamedTuple):

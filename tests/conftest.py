@@ -24,7 +24,6 @@ from birkhoff import (
     build_model_hamiltonian,
     coefficients,
 )
-from pins import assert_digest  # re-exported for the test modules
 
 #: (mu, q, Q, A, omega1) with omega3 = 1: a model point inside the supported
 #: domain (A <= 0.01) next to a root of D2, where the composed and expanded

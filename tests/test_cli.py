@@ -594,6 +594,9 @@ class TestRtbpScanCommand:
             def writelines(self, lines):
                 chunks.extend(lines)
 
+            def flush(self):
+                pass
+
         monkeypatch.setattr(sys, "stdout", Sink())
         assert main(["rtbp-scan", *REF_FLAGS, "--omega3", "1", "--format", fmt,
                      "--grid", f"0.05:40.0:{steps}"]) == 0
@@ -608,6 +611,35 @@ class TestRtbpScanCommand:
         marker = {"csv": "\n", "json": '"flag"'}[fmt]
         assert max(chunk.count(marker) for chunk in chunks) == rtbpmodel.FLAG_BLOCK
         assert len(chunks) >= 3
+
+    def test_closed_pipe_on_stdout_is_a_normal_end(self):
+        # the reader takes one line of a 10^5-row scan and closes its end
+        src = os.path.dirname(os.path.dirname(birkhoff.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "birkhoff.cli", "rtbp-scan", *REF_FLAGS,
+             "--grid", "0.05:4:100000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert first == b"omega1,D2,flag\n"
+        assert err == b""
+
+    def test_unwritable_output_is_a_domain_error(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(birkhoff.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "birkhoff.cli", "rtbp-scan", *REF_FLAGS,
+             "--grid", "0.05:4:100", "--output", str(tmp_path / "missing" / "scan.csv")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        error = json.loads(proc.stderr)
+        assert error["error"] == "domain"
+        assert "No such file or directory" in error["message"]
 
     def test_no_non_finite_token_without_debug_checks(self):
         # the kernel's d2 checks the composed value in its own body, so the

@@ -24,7 +24,7 @@ from birkhoff import (
 from birkhoff import polyalg
 from birkhoff.cli import main
 from birkhoff.polyalg import complexify, poisson_bracket, realify
-from conftest import assert_digest
+from pins import assert_digest
 
 #: SHA-256 of the lines of outcomes(); recorded before the loops were flattened
 DIGEST = "d0be7a5637d4f811e5b4030383474157f0ec49a89a8315222fad5ee49bd3afff"

@@ -12,7 +12,7 @@ bracket and chart change by exponent tuples.
 
 import random
 
-from conftest import assert_digest
+from pins import assert_digest
 from test_normalize_bits import RESONANT, outcomes, payloads
 
 #: SHA-256 of the outcome lines of shuffled(); recorded before the engine

@@ -69,9 +69,12 @@ class TestCoefficients:
 
     def test_series_are_summed_in_ascending_half_order(self, monkeypatch):
         # plain left-to-right float addition: 1e16 + 1.0 rounds back to 1e16,
-        # where a compensated sum would keep the 1.0
-        monkeypatch.setattr(rtbpmodel, "coefficient_series", lambda params: {
-            name: {0: 1e16, 2: 1.0, 4: -1e16} for name in rtbpmodel.CoefficientSet._fields})
+        # where a compensated sum (builtin sum from CPython 3.12 on) would
+        # keep the 1.0; each quantity's terms are 1e16, then 1.0 for every
+        # middle half-order, then -1e16
+        monkeypatch.setattr(rtbpmodel, "_series_terms", lambda params: tuple(
+            term for _, orders in rtbpmodel._LAYOUT
+            for term in (1e16, *[1.0] * (len(orders) - 2), -1e16)))
         point = ModelParams(mu=0.5, q=1.0, Q=1.0, A=1.0)
         assert coefficients(point) == (0.0,) * 9
         assert coefficients(point, max_half_order=2) == (1e16,) * 9
@@ -118,13 +121,13 @@ class TestCoefficients:
     def test_coefficients_evaluate_the_series_once_through_the_module(
             self, monkeypatch, max_half_order):
         calls = []
-        series = rtbpmodel.coefficient_series
+        series = rtbpmodel._series_terms
 
         def counting(params):
             calls.append(params)
             return series(params)
 
-        monkeypatch.setattr(rtbpmodel, "coefficient_series", counting)
+        monkeypatch.setattr(rtbpmodel, "_series_terms", counting)
         expected = coefficients(REFERENCE_POINT, max_half_order)
         assert calls == [REFERENCE_POINT]
         stability_verdict(REFERENCE_POINT, 0.3, 1.0, max_half_order=max_half_order)
