@@ -24,7 +24,6 @@ from .polyalg import (
     GradedHamiltonian,
     complexify,
     poisson_bracket,
-    realify,
 )
 from .rtbpmodel import (
     CoefficientSet,
@@ -71,7 +70,6 @@ __all__ = [
     "k2200",
     "normalize",
     "poisson_bracket",
-    "realify",
     "scan_blocks",
     "scan_omega1",
     "stability_verdict",

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import partial
 from typing import Callable
 
 from .polyalg import (CanonicalPolynomial, Frequencies, GradedHamiltonian, check_frequency,
@@ -109,31 +110,6 @@ def _raise_pole(name: str, lead: float, relation: str, omega1: float, omega3: fl
     raise PoleError(relation)
 
 
-class _Overflowed:
-    """A power hoisted by _power that is not a finite double; any arithmetic
-    on it raises the power's OverflowError, so the error comes where the power
-    is first used, after the denominator checks that come before that use."""
-
-    __slots__ = ("args",)
-
-    def __init__(self, err: OverflowError):
-        self.args = err.args
-
-    def _raise(self, *_):
-        raise OverflowError(*self.args)
-
-    __add__ = __radd__ = __sub__ = __rsub__ = _raise
-    __mul__ = __rmul__ = __truediv__ = __rtruediv__ = _raise
-
-
-def _power(x: float, n: int, scale: float = 1.0):
-    """scale * x**n, or an _Overflowed if the power overflows."""
-    try:
-        return scale * x ** n
-    except OverflowError as err:
-        return _Overflowed(err)
-
-
 def tabulated_kernel(c: CubicQuarticCoefficients, omega3: float) -> Callable[[float], float]:
     """D2 of the tabulated forms as a function of omega1.
 
@@ -149,23 +125,26 @@ def tabulated_kernel(c: CubicQuarticCoefficients, omega3: float) -> Callable[[fl
     :func:`k0022` do and checks them in that order.  It raises PoleError on an
     exact pole, and DeterminantOverflowError when a denominator is 0 because
     both its terms underflowed, when a power overflows, or when the value is
-    not a finite double.
+    not a finite double.  When an omega1-free power overflows, no omega1 has
+    a value, and the kernel is the composition of the three K functions,
+    which raises the same errors in the same order.
     """
     check_frequency("omega3", omega3)
     w3 = omega3
-    # only a power can overflow, and each goes through _power (see _Overflowed)
     w3x2, b1x6, b3x8 = 2.0 * w3, 6.0 * c.b1, -8.0 * c.b3
     a1a3x12, a2a4x6 = 12.0 * c.a1 * c.a3, 6.0 * c.a2 * c.a4 / w3
-    w3_2 = _power(w3, 2)
-    w3_2x4 = _power(w3, 2, 4.0)
-    w3_3 = _power(w3, 3)
-    a1_2x5 = _power(c.a1, 2, 5.0)
-    a2_2 = _power(c.a2, 2)
-    a2_2x2 = _power(c.a2, 2, 2.0)
-    a3_2 = _power(c.a3, 2)
-    b5_a4 = _power(c.a4, 2, 10.0)
-    if not isinstance(b5_a4, _Overflowed):
-        b5_a4 = -12.0 * c.b5 + b5_a4 / w3
+    # only a power can overflow
+    try:
+        w3_2 = w3 ** 2
+        w3_2x4 = 4.0 * w3_2
+        w3_3 = w3 ** 3
+        a1_2x5 = 5.0 * c.a1 ** 2
+        a2_2 = c.a2 ** 2
+        a2_2x2 = 2.0 * a2_2
+        a3_2 = c.a3 ** 2
+        b5_a4 = -12.0 * c.b5 + 10.0 * c.a4 ** 2 / w3
+    except OverflowError:
+        return partial(_composed, c, w3)
 
     # the products are bound as defaults, which are locals: cheaper per row
     # than the cells of a closure
@@ -269,6 +248,18 @@ def k0022(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:
         _raise_pole("K0022", lead, "omega1 = 2*omega3", w1, w3)
     return 0.125 * (-12.0 * c.b5 + 10.0 * c.a4 ** 2 / w3
                     + c.a3 ** 2 * (4.0 / w1 + 2.0 * w1 / den))
+
+
+def _composed(c: CubicQuarticCoefficients, w3: float, w1: float) -> float:
+    """D2 as d2_from_k composes k2200, k1111 and k0022, a K's OverflowError
+    being the overflow error at (w1, w3); the pair skips Frequencies' checks,
+    as the kernel's d2 does for omega1."""
+    freqs = tuple.__new__(Frequencies, (w1, w3))
+    try:
+        ks = k2200(c, freqs), k1111(c, freqs), k0022(c, freqs)
+    except OverflowError as err:
+        raise _overflow(w1, w3) from err
+    return d2_from_k(*ks, w1, w3)
 
 
 def d2_expanded(c: CubicQuarticCoefficients, freqs: Frequencies) -> float:

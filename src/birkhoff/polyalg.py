@@ -4,14 +4,14 @@ Polynomials live in four variables read either as the real canonical chart
 (q1, p1, q2, p2) or the complex diagonalizing chart (X1, Y1, X2, Y2).
 A CanonicalPolynomial keeps its terms sparsely, exponent tuple to
 coefficient, and offers construction and reading only; the Poisson bracket
-and the two chart changes are the functions poisson_bracket, complexify and
-realify.  Coefficients may be floats/complex for numerical work or exact
+and the chart change, real to complex, are the functions poisson_bracket and
+complexify.  Coefficients may be floats/complex for numerical work or exact
 types (int, Fraction) when exact arithmetic is wanted; all operations are
 pure and values are immutable after construction.  Exponent tuples are
 checked once, where they enter through the public constructors; results the
 module builds itself skip that check.
 
-The bracket and the chart changes read their per-monomial work from one
+The bracket and the chart change read their per-monomial work from one
 table of memo dicts, filled on first use: each monomial met gets a small
 number, and the bracket of two numbered monomials (output numbers and
 integer multiplicities for both canonical pairs) and the chart change of a
@@ -167,21 +167,18 @@ def _expand_linear_power(c1, c2, e: int) -> dict[tuple[int, int], complex]:
     return {(t, e - t): math.comb(e, t) * c1 ** t * c2 ** (e - t) for t in range(e + 1)}
 
 
-def _expand_mode(forms, pair: tuple[int, int]) -> tuple:
-    # the terms ((power of U, power of V), c) of (fa . (U,V))**ea * (fb . (U,V))**eb
-    # for one canonical pair, where forms = (fa, fb) and pair = (ea, eb)
-    (fa, fb), (ea, eb) = forms, pair
+def _expand_mode(pair: tuple[int, int]) -> tuple:
+    # the terms ((power of X, power of Y), c) of (X + i Y)**ea * (i X + Y)**eb,
+    # which is q**ea * p**eb of one canonical pair under complexify's
+    # substitution without its scale; pair = (ea, eb)
+    ea, eb = pair
     out: dict[tuple[int, int], complex] = {}
-    for (u1, v1), ca in _expand_linear_power(fa[0], fa[1], ea).items():
-        for (u2, v2), cb in _expand_linear_power(fb[0], fb[1], eb).items():
+    for (u1, v1), ca in _expand_linear_power(1, 1j, ea).items():
+        for (u2, v2), cb in _expand_linear_power(1j, 1, eb).items():
             key = (u1 + u2, v1 + v2)
             out[key] = out.get(key, 0) + ca * cb
     return tuple(out.items())
 
-
-#: the linear forms each canonical pair is substituted with, keyed by the
-#: chart the substitution leads to: complexify, then realify
-_CHART_FORMS = {COMPLEX_CHART: ((1, 1j), (1j, 1)), REAL_CHART: ((1, -1j), (-1j, 1))}
 
 #: entries a monomial table may keep between operations; an operation that
 #: leaves its table above this hands the next one a new, empty table
@@ -220,9 +217,9 @@ class _MonomialTable:
     index maps an exponent tuple to its number and exponents maps it back.
     rows[e1][j] is the bracket of e1 with monomial j, (k1, m1, k2, m2): m1
     times monomial k1 from the (X1, Y1) pair plus m2 times monomial k2 from
-    the (X2, Y2) pair, k being -1 where m is 0.  expansions[chart][e] is the
-    chart change of e into chart, (scale, ((k, c1, c2), ...)): the factors of
-    its two canonical pairs, from modes[chart], multiplied out with their
+    the (X2, Y2) pair, k being -1 where m is 0.  expansions[e] is the chart
+    change of e into the complex chart, (scale, ((k, c1, c2), ...)): the
+    factors of its two canonical pairs, from modes, multiplied out with their
     coefficients kept apart.  Entries are tuples, so no caller can change
     what the next one reads.  Threads may fill one table at once: a number
     is drawn once and entered in exponents before the index hands it out,
@@ -238,10 +235,8 @@ class _MonomialTable:
         self.exponents: dict[int, Exponents] = {}
         self.index = _Memo(self, self._number, _one)
         self.rows = _Memo(self, self._row, _one)
-        self.modes = {chart: _Memo(self, partial(_expand_mode, forms), len)
-                      for chart, forms in _CHART_FORMS.items()}
-        self.expansions = {chart: _Memo(self, partial(self._expand, chart), _expansion_cost)
-                           for chart in _CHART_FORMS}
+        self.modes = _Memo(self, _expand_mode, len)
+        self.expansions = _Memo(self, self._expand, _expansion_cost)
 
     def _number(self, e: Exponents) -> int:
         k = next(self._numbers)
@@ -261,8 +256,8 @@ class _MonomialTable:
         k2 = index[(a1 + a2, b1 + b2, r1 + r2 - 1, s1 + s2 - 1)] if m2 else -1
         return k1, m1, k2, m2
 
-    def _expand(self, chart: str, e: Exponents):
-        index, modes = self.index, self.modes[chart]
+    def _expand(self, e: Exponents):
+        index, modes = self.index, self.modes
         j, l, r, s = e
         d = j + l + r + s
         scale = 0.5 ** (d // 2) * (_SQRT1_2 if d % 2 else 1.0)
@@ -287,22 +282,6 @@ def _exponent_terms(table: _MonomialTable,
     return terms
 
 
-def _substitute(f: CanonicalPolynomial, new_chart: str) -> CanonicalPolynomial:
-    # Both canonical pairs get the same unit-free linear substitution; the
-    # overall 2**(-degree/2) normalization is applied per term so that even
-    # degrees scale by exact powers of one half.
-    table = _TABLE
-    expansions = table.expansions[new_chart]
-    out: dict[int, complex] = {}
-    get = out.get
-    for e, c in f._terms.items():
-        scale, expansion = expansions[e]
-        base = c * scale
-        for k, c1, c2 in expansion:
-            out[k] = get(k, 0) + base * c1 * c2
-    return CanonicalPolynomial._from_checked(_exponent_terms(table, out), new_chart)
-
-
 def complexify(f: CanonicalPolynomial) -> CanonicalPolynomial:
     """Change chart via qk = (Xk + i Yk)/sqrt(2), pk = (i Xk + Yk)/sqrt(2).
 
@@ -311,14 +290,19 @@ def complexify(f: CanonicalPolynomial) -> CanonicalPolynomial:
     """
     if f.chart != REAL_CHART:
         raise ChartMismatchError("complexify expects a real-chart polynomial")
-    return _substitute(f, COMPLEX_CHART)
-
-
-def realify(f: CanonicalPolynomial) -> CanonicalPolynomial:
-    """Inverse of :func:`complexify`: Xk = (qk - i pk)/sqrt(2), Yk = (pk - i qk)/sqrt(2)."""
-    if f.chart != COMPLEX_CHART:
-        raise ChartMismatchError("realify expects a complex-chart polynomial")
-    return _substitute(f, REAL_CHART)
+    # both canonical pairs get the same unit-free linear substitution; the
+    # overall 2**(-degree/2) normalization is applied per term so that even
+    # degrees scale by exact powers of one half
+    table = _TABLE
+    expansions = table.expansions
+    out: dict[int, complex] = {}
+    get = out.get
+    for e, c in f._terms.items():
+        scale, expansion = expansions[e]
+        base = c * scale
+        for k, c1, c2 in expansion:
+            out[k] = get(k, 0) + base * c1 * c2
+    return CanonicalPolynomial._from_checked(_exponent_terms(table, out), COMPLEX_CHART)
 
 
 def is_finite_real(v) -> bool:

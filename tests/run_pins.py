@@ -1,5 +1,6 @@
-"""Recompute the bit pins of the model series, the tabulated D2 and the
-stability verdict, and compare each with its recorded digest.
+"""Recompute the bit pins of the model series, the tabulated D2, the
+stability verdict and the engine (normalize, in two orders of the input
+terms), and compare each with its recorded digest.
 
 Needs only the standard library, so the pins run on any CPython the package
 supports, pytest or not:
@@ -14,7 +15,8 @@ import sys
 from pathlib import Path
 
 #: the pin modules; each has outcomes() and the DIGEST of their lines
-PIN_MODULES = ("test_series_bits", "test_d2_bits", "test_verdict_bits")
+PIN_MODULES = ("test_series_bits", "test_d2_bits", "test_verdict_bits",
+               "test_normalize_bits", "test_normalize_order_bits")
 
 
 def main() -> int:

@@ -9,6 +9,8 @@ lengths, generator parts, output files), so each is run on a real call too.
 
 import importlib.util
 import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -19,7 +21,8 @@ from birkhoff import (CanonicalPolynomial, CubicQuarticCoefficients, Frequencies
                       poisson_bracket)
 from birkhoff.cli import main
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def load(name):
@@ -42,6 +45,27 @@ def test_workloads_imports_every_name_it_uses():
     # its `from birkhoff... import ...` lines run here; a missing name raises
     # ImportError
     load("workloads")
+
+
+def test_conftest_loads_by_path_with_only_src_on_the_path(tmp_path):
+    # bench/workloads.py::lie_forms runs tests/conftest.py by file path, for
+    # normalize-batch's oracle, where tests/ is not on sys.path: an import of
+    # a module beside conftest.py would fail there, and so it fails here
+    code = "\n".join([
+        "import importlib.util, sys",
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})",
+        "spec = importlib.util.spec_from_file_location(",
+        f"    'birkhoff_test_conftest', {str(ROOT / 'tests' / 'conftest.py')!r})",
+        "module = importlib.util.module_from_spec(spec)",
+        "spec.loader.exec_module(module)",
+        "names = ('lie_k2200', 'lie_k1111', 'lie_k0022', 'lie_d2')",
+        "print(*(n for n in names if callable(getattr(module, n, None))))",
+    ])
+    # -I: no PYTHONPATH, no user site and no script or working directory
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                          text=True, cwd=tmp_path, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["lie_k2200", "lie_k1111", "lie_k0022", "lie_d2"]
 
 
 def test_workloads_calls_the_k_functions_as_bench_does():

@@ -2,16 +2,22 @@
 
 Over a seeded set of Hamiltonians -- fully populated ones in both charts,
 model-form ones and near-resonant ones, plus a few exactly resonant ones --
-every coefficient repr of complexify, realify and poisson_bracket(h3, w3), in
-the order the polynomial holds its terms, and the exit code, stdout and stderr
-of `birkhoff normalize` on the written file are hashed and compared with a
-digest recorded from the nested-loop bracket and chart change and the
-recursive report writer.
+every coefficient repr of complexify, of realify (the test reference in
+reference_chart) and of poisson_bracket(h3, w3), in the order the polynomial
+holds its terms, and the exit code, stdout and stderr of `birkhoff normalize`
+on the written file are hashed and compared with a digest recorded from the
+nested-loop bracket and chart change and the recursive report writer.  Needs
+only the standard library besides the package, so tests/run_pins.py runs it
+too.
 """
 
+import contextlib
+import io
 import itertools
 import json
 import random
+import tempfile
+from pathlib import Path
 
 from birkhoff import (
     CubicQuarticCoefficients,
@@ -23,8 +29,9 @@ from birkhoff import (
 )
 from birkhoff import polyalg
 from birkhoff.cli import main
-from birkhoff.polyalg import complexify, poisson_bracket, realify
+from birkhoff.polyalg import complexify, poisson_bracket
 from pins import assert_digest
+from reference_chart import realify
 
 #: SHA-256 of the lines of outcomes(); recorded before the loops were flattened
 DIGEST = "d0be7a5637d4f811e5b4030383474157f0ec49a89a8315222fad5ee49bd3afff"
@@ -91,38 +98,40 @@ def _terms(poly):
     return " ".join(f"{e}:{c!r}" for e, c in poly.terms.items())
 
 
-def outcomes(tmp_path, capsys, items):
-    """Outcome lines of [(label, payload), ...], in order."""
+def outcomes(items=None):
+    """Outcome lines of [(label, payload), ...], payloads() by default, in order."""
     lines = []
-    for label, payload in items:
-        ham = GradedHamiltonian.from_json_dict(payload)
-        if ham.chart == "real":
-            real = ham
-            cplx = ham.complexify()
-            for d in real.degrees():
-                lines.append(f"{label} complexify {d} {_terms(complexify(real.part(d)))}")
-        else:
-            cplx = ham
-        for d in cplx.degrees():
-            lines.append(f"{label} realify {d} {_terms(realify(cplx.part(d)))}")
-        try:
-            w3 = normalize(cplx).generating.part(3)
-        except ResonanceError as err:
-            lines.append(f"{label} resonance {err}")
-        else:
-            lines.append(f"{label} bracket {_terms(poisson_bracket(cplx.part(3), w3))}")
-        path = tmp_path / f"{label}.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        code = main(["normalize", "--input", str(path)])
-        captured = capsys.readouterr()
-        lines.append(f"{label} exit {code}")
-        lines.append(captured.out)
-        lines.append(captured.err)
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, payload in payloads() if items is None else items:
+            ham = GradedHamiltonian.from_json_dict(payload)
+            if ham.chart == "real":
+                real = ham
+                cplx = ham.complexify()
+                for d in real.degrees():
+                    lines.append(f"{label} complexify {d} {_terms(complexify(real.part(d)))}")
+            else:
+                cplx = ham
+            for d in cplx.degrees():
+                lines.append(f"{label} realify {d} {_terms(realify(cplx.part(d)))}")
+            try:
+                w3 = normalize(cplx).generating.part(3)
+            except ResonanceError as err:
+                lines.append(f"{label} resonance {err}")
+            else:
+                lines.append(f"{label} bracket {_terms(poisson_bracket(cplx.part(3), w3))}")
+            path = Path(tmp) / f"{label}.json"
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            out, errs = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(errs):
+                code = main(["normalize", "--input", str(path)])
+            lines.append(f"{label} exit {code}")
+            lines.append(out.getvalue())
+            lines.append(errs.getvalue())
     return lines
 
 
-def test_outcomes_match_the_recorded_digest(tmp_path, capsys):
-    lines = outcomes(tmp_path, capsys, payloads())
+def test_outcomes_match_the_recorded_digest(tmp_path):
+    lines = outcomes()
     # exit codes: every populated, model and near-resonant file normalizes,
     # every exactly resonant one is refused
     codes = [line.rsplit(" ", 1)[1] for line in lines if " exit " in line]

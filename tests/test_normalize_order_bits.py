@@ -12,8 +12,9 @@ bracket and chart change by exponent tuples.
 
 import random
 
+import test_normalize_bits
 from pins import assert_digest
-from test_normalize_bits import RESONANT, outcomes, payloads
+from test_normalize_bits import RESONANT, payloads
 
 #: SHA-256 of the outcome lines of shuffled(); recorded before the engine
 #: looked its monomials up in a table
@@ -38,8 +39,13 @@ def shuffled():
     return out
 
 
-def test_shuffled_outcomes_match_the_recorded_digest(tmp_path, capsys):
-    lines = outcomes(tmp_path, capsys, shuffled())
+def outcomes():
+    """The outcome lines of test_normalize_bits for shuffled()."""
+    return test_normalize_bits.outcomes(shuffled())
+
+
+def test_shuffled_outcomes_match_the_recorded_digest(tmp_path):
+    lines = outcomes()
     codes = [line.rsplit(" ", 1)[1] for line in lines if " exit " in line]
     assert codes == ["0"] * (len(codes) - len(RESONANT)) + ["4"] * len(RESONANT)
     assert_digest(lines, DIGEST, tmp_path)

@@ -68,16 +68,25 @@ class TestCoefficients:
         assert d2_closed(c, Frequencies(0.3, 1.0)) == d2_eval(REFERENCE_POINT, 0.3, 1.0).value
 
     def test_series_are_summed_in_ascending_half_order(self, monkeypatch):
-        # plain left-to-right float addition: 1e16 + 1.0 rounds back to 1e16,
-        # where a compensated sum (builtin sum from CPython 3.12 on) would
-        # keep the 1.0; each quantity's terms are 1e16, then 1.0 for every
-        # middle half-order, then -1e16
+        # a quantity with three or more terms has 1.0, 1e16, 0.0 for any
+        # further middle half-order, then -1e16: plain float addition in
+        # ascending h rounds the 1.0 away at 1e16 and sums to 0.0, where
+        # descending h, math.fsum and the compensated builtin sum of CPython
+        # 3.12+ all keep it and sum to 1.0; a and c have two terms, 1.0 and
+        # -1.0, whose sum no order changes
+        def seam(orders):
+            if len(orders) == 2:
+                return (1.0, -1.0)
+            return (1.0, 1e16, *[0.0] * (len(orders) - 3), -1e16)
+
         monkeypatch.setattr(rtbpmodel, "_series_terms", lambda params: tuple(
-            term for _, orders in rtbpmodel._LAYOUT
-            for term in (1e16, *[1.0] * (len(orders) - 2), -1e16)))
+            term for _, orders in rtbpmodel._LAYOUT for term in seam(orders)))
         point = ModelParams(mu=0.5, q=1.0, Q=1.0, A=1.0)
         assert coefficients(point) == (0.0,) * 9
-        assert coefficients(point, max_half_order=2) == (1e16,) * 9
+        # through h = 2: 1.0 + 1e16 rounds to 1e16 where h = 2 has a term,
+        # and the h = 0 or h = 1 term stands alone elsewhere
+        assert coefficients(point, max_half_order=2)._asdict() == {
+            name: 1e16 if 2 in orders else 1.0 for name, orders in rtbpmodel._LAYOUT}
 
     @pytest.mark.parametrize("name", ["a", "c", "a1", "b5"])
     def test_coefficient_set_fields_must_be_finite(self, name):

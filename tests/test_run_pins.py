@@ -29,4 +29,5 @@ def test_a_digest_that_differs_exits_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "test_verdict_bits: digest " in out
     assert f"!= pinned {'0' * 64}" in out
-    assert "test_series_bits: ok" in out and "1 of 3 pins differ" in out
+    assert "test_series_bits: ok" in out
+    assert f"1 of {len(run_pins.PIN_MODULES)} pins differ" in out
