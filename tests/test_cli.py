@@ -720,6 +720,95 @@ def test_unevaluable_model_is_domain_error(capsys, model, command):
     assert "Numerical result out of range" not in payload["message"]
 
 
+OUTPUT_COMMANDS = {
+    "normalize": ["normalize", "--input", "h.json"],
+    "closed-form": ["closed-form", "--b5", "1", "--omega1", "1", "--omega3", "3"],
+    "rtbp-eval": ["rtbp-eval", *REF_FLAGS, "--omega1", "0.3"],
+    "rtbp-scan-csv": ["rtbp-scan", *REF_FLAGS, "--grid", "0.05:0.95:181"],
+    "rtbp-scan-json": ["rtbp-scan", *REF_FLAGS, "--grid", "0.05:0.95:181", "--format", "json"],
+}
+
+
+def output_command(name, tmp_path):
+    """OUTPUT_COMMANDS[name], its normalize input written under tmp_path."""
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(populated_payload(11, "real")))
+    return [str(path) if arg == "h.json" else arg for arg in OUTPUT_COMMANDS[name]]
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("name", OUTPUT_COMMANDS)
+    def test_rewriting_a_longer_file_leaves_exactly_the_new_bytes(self, capsys, tmp_path, name):
+        command = output_command(name, tmp_path)
+        code, expected, _ = run(capsys, command)
+        assert code == 0
+        target, link = tmp_path / "out", tmp_path / "link"
+        target.write_bytes(b"x" * (len(expected) + 5000))
+        os.link(target, link)
+        code, out, err = run(capsys, [*command, "--output", str(target)])
+        assert (code, out, err) == (0, "", "")
+        assert target.read_bytes() == expected.encode("utf-8")
+        # the one inode is rewritten, as open(path, "w") rewrote it
+        assert link.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("name", ["normalize", "rtbp-scan-csv"])
+    def test_a_device_is_written_and_not_truncated(self, capsys, tmp_path, name):
+        # truncating a character device fails with EINVAL, so exit 0 says
+        # that no truncation was tried
+        with open(os.devnull, "w") as fh, pytest.raises(OSError):
+            fh.truncate()
+        code, out, err = run(capsys, [*output_command(name, tmp_path), "--output", os.devnull])
+        assert (code, out, err) == (0, "", "")
+
+    def test_a_failed_write_leaves_only_what_was_written(self, tmp_path):
+        failure = RuntimeError("chunk failed")
+
+        def chunks():
+            yield "new\n"
+            raise failure
+
+        def truncating_write(path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks())
+
+        left = []
+        for write in (lambda path: cli._write(chunks(), path), truncating_write):
+            target = tmp_path / f"out{len(left)}"
+            target.write_text("old text, longer than the new\n" * 100)
+            with pytest.raises(RuntimeError) as exc:
+                write(str(target))
+            assert exc.value is failure
+            left.append(target.read_bytes())
+        assert left == [b"new\n", b"new\n"]
+
+    @pytest.mark.parametrize("name", ["normalize", "rtbp-scan-csv"])
+    def test_a_directory_is_a_domain_error(self, capsys, tmp_path, name):
+        code, out, err = run(capsys, [*output_command(name, tmp_path), "--output", str(tmp_path)])
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": "domain",
+                                   "message": f"[Errno 21] Is a directory: {str(tmp_path)!r}"}
+
+    def test_an_existing_file_is_not_emptied_at_open(self, capsys, monkeypatch, tmp_path):
+        # emptying a file at open costs an order of magnitude more than
+        # cutting its tail after the write on some file systems
+        command = output_command("normalize", tmp_path)
+        target = tmp_path / "out.json"
+        target.write_text("{}\n")
+        opened = []
+        os_open = os.open
+
+        def recording_open(path, flags, *args, **kwargs):
+            opened.append((path, flags))
+            return os_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(cli.os, "open", recording_open)
+        assert run(capsys, [*command, "--output", str(target)])[0] == 0
+        flags = [flags for path, flags in opened if path == str(target)]
+        assert len(flags) == 1
+        assert not flags[0] & os.O_TRUNC
+        assert flags[0] & os.O_CREAT
+
+
 class TestInterpreterFlags:
     def test_optimized_interpreter_gives_the_same_bytes(self, tmp_path):
         # the README invocations, and the point next to a root of D2, give
