@@ -152,25 +152,42 @@ def build_parser() -> argparse.ArgumentParser:
 #: its floats are plain, so %r writes them as float.__repr__ does
 _JSON_TERM = ('{\n        "exponents": [\n          %d,\n          %d,\n          %d,\n'
               '          %d\n        ],\n        "im": %r,\n        "re": %r\n      }')
+#: _json_text of one resonance flag inside a normalize report, keys sorted
+_JSON_FLAG = ('{\n      "divisor": %r,\n      "exponents": [\n        %d,\n        %d,\n'
+              '        %d,\n        %d\n      ]\n    }')
+#: _json_text of a normalize report around its term rows and flags, keys sorted
+_JSON_REPORT = ('{\n  "D2": %r,\n  "K0022": %r,\n  "K1111": %r,\n  "K2200": %r,\n'
+                '  "generating": {\n    "chart": "%s",\n    "dof": %d,\n'
+                '    "frequencies": [\n      %r,\n      %r\n    ],\n    "terms": %s\n'
+                '  },\n  "resonances": %s\n}')
+
+
+def _json_list(rows: list[str], indent: str) -> str:
+    """_json_text's list of the rows, each already laid out, whose closing
+    bracket stands at indent: "[]" when there is none."""
+    if not rows:
+        return "[]"
+    return f"[\n{indent}  " + f",\n{indent}  ".join(rows) + f"\n{indent}]"
 
 
 def _report_text(report: dict) -> str:
     """The text of _json_text(report) for a NormalFormReport.to_json_dict().
 
-    The generator terms are nearly all of a report.  A polynomial holds only
-    finite coefficients and their exponents are ints, so each term is the
-    fixed template _JSON_TERM.  The rest goes through _json_text with the
-    terms left empty; its '"terms": []' is then replaced by the rows.  That
-    text is unique: a report's keys are fixed and its one string is "complex".
+    The whole report is written through the fixed templates _JSON_REPORT,
+    _JSON_TERM and _JSON_FLAG.  That holds because a report's keys are
+    fixed, its one string is a chart name, which needs no escaping, its
+    numbers are ints or finite floats, which %d and %r write as json.dumps
+    does, and its only lists are the exponents, the two frequencies, the
+    generator terms and the resonance flags.
     """
     generating = report["generating"]
-    terms = generating["terms"]
-    text = _json_text(dict(report, generating=dict(generating, terms=[])))
-    if not terms:
-        return text
-    rows = ",\n      ".join([
-        _JSON_TERM % (*t["exponents"], t["im"], t["re"]) for t in terms])
-    return text.replace('"terms": []', '"terms": [\n      ' + rows + "\n    ]", 1)
+    terms = _json_list([_JSON_TERM % (*t["exponents"], t["im"], t["re"])
+                        for t in generating["terms"]], "    ")
+    flags = _json_list([_JSON_FLAG % (f["divisor"], *f["exponents"])
+                        for f in report["resonances"]], "  ")
+    return _JSON_REPORT % (report["D2"], report["K0022"], report["K1111"], report["K2200"],
+                           generating["chart"], generating["dof"],
+                           *generating["frequencies"], terms, flags)
 
 
 def _run_normalize(args) -> int:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import namedtuple
 from functools import partial
 from numbers import Real
@@ -352,6 +353,54 @@ def _json_number(value, what: str) -> float:
     return float(value)
 
 
+def _checked_term(i: int, entry) -> tuple[Exponents, int, complex]:
+    """(exponents, degree, coefficient) of term i of a file, or the
+    ValueError that names what is wrong with it."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"term {i} must be an object, got {entry!r}")
+    if "exponents" not in entry:
+        raise ValueError("term without the field 'exponents'")
+    e = _validate_exponents(entry["exponents"])
+    d = sum(e)
+    if d < 2:
+        raise ValueError(f"terms must have degree >= 2, got exponents {e}")
+    return e, d, complex(_json_number(entry.get("re", 0.0), "re"),
+                         _json_number(entry.get("im", 0.0), "im"))
+
+
+_JSON_NUMBER_TYPES = frozenset((int, float))
+
+
+def _term_columns(entries):
+    """The (exponents, degree, coefficient) rows of a term list, checked a
+    column at a time, each check one C-level map, set, min or all over every
+    term; None if any term fails a check of _checked_term."""
+    if not (all(map(isinstance, entries, itertools.repeat(dict)))
+            and all(map(operator.contains, entries, itertools.repeat("exponents")))):
+        return None
+    try:
+        exps = list(map(tuple, map(operator.itemgetter("exponents"), entries)))
+    except TypeError:
+        return None
+    res = list(map(dict.get, entries, itertools.repeat("re"), itertools.repeat(0.0)))
+    ims = list(map(dict.get, entries, itertools.repeat("im"), itertools.repeat(0.0)))
+    flat = list(itertools.chain.from_iterable(exps))
+    # the exact-type tests refuse a bool, as _validate_exponents and
+    # _json_number do
+    if not ({*map(len, exps)} <= {4} and {*map(type, flat)} <= {int}
+            and {*map(type, res), *map(type, ims)} <= _JSON_NUMBER_TYPES):
+        return None
+    degrees = list(map(sum, exps))
+    if min(flat, default=0) < 0 or min(degrees, default=2) < 2:
+        return None
+    try:
+        if not (all(map(math.isfinite, res)) and all(map(math.isfinite, ims))):
+            return None
+    except OverflowError:  # an int too large for a double
+        return None
+    return zip(exps, degrees, map(complex, res, ims))
+
+
 class GradedHamiltonian:
     """Homogeneous pieces of a polynomial Hamiltonian, keyed by degree >= 2.
 
@@ -436,7 +485,10 @@ class GradedHamiltonian:
         """Read the JSON form; any malformed payload raises ValueError.
 
         Coefficients and frequencies must be finite JSON numbers; repeated
-        exponents add up.
+        exponents add up, in file order.  The term list is checked column by
+        column (types, exponents, degrees, finiteness), which is one C-level
+        pass per check; only when a check fails are the terms walked one at
+        a time, so that the error names the first bad term in file order.
         """
         if not isinstance(payload, Mapping):
             raise ValueError(
@@ -452,23 +504,17 @@ class GradedHamiltonian:
         entries = payload.get("terms", [])
         if not isinstance(entries, (list, tuple)):
             raise ValueError(f"terms must be a list of term objects, got {entries!r}")
+        rows = _term_columns(entries)
+        if rows is None:
+            rows = map(_checked_term, itertools.count(), entries)
         by_degree: dict[int, dict[Exponents, complex]] = {}
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise ValueError(f"term {i} must be an object, got {entry!r}")
-            if "exponents" not in entry:
-                raise ValueError("term without the field 'exponents'")
-            e = _validate_exponents(entry["exponents"])
-            d = sum(e)
-            if d < 2:
-                raise ValueError(f"terms must have degree >= 2, got exponents {e}")
-            c = complex(_json_number(entry.get("re", 0.0), "re"),
-                        _json_number(entry.get("im", 0.0), "im"))
+        for e, d, c in rows:
             terms = by_degree.setdefault(d, {})
+            # 0 + c turns a part of -0.0 into 0.0
             terms[e] = terms.get(e, 0) + c
         omega1 = _json_number(freqs[0], "omega1")
         omega3 = _json_number(freqs[1], "omega3")
-        # every key passed _validate_exponents above, and sits in its degree
+        # every key passed the checks of _checked_term, and sits in its degree
         return cls._from_checked({d: CanonicalPolynomial._from_checked(t, chart)
                                   for d, t in sorted(by_degree.items())},
                                  chart, Frequencies(omega1, omega3))

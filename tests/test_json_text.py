@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import random
 
 import pytest
 
@@ -10,7 +11,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
 from birkhoff import GradedHamiltonian, normalize  # noqa: E402
-from birkhoff.cli import _json_rows, main  # noqa: E402
+from birkhoff.cli import _json_rows, _json_text, _report_text, main  # noqa: E402
+from test_normalize_bits import NEAR_RESONANT, populated  # noqa: E402
 
 # finite floats, subnormals and zeros of both signs included
 ROW_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
@@ -81,3 +83,41 @@ def test_normalize_report_examples_cover_the_layout_cases(tmp_path):
     assert empty["generating"]["terms"] == [] and math.copysign(1.0, empty["D2"]) == -1.0
     flagged = json.loads(_cli_report(tmp_path, *NEAR_RESONANCE)[0])
     assert [r["exponents"] for r in flagged["resonances"]] == [[1, 0, 0, 2]]
+
+
+def _report(freqs, terms):
+    return normalize(GradedHamiltonian.from_json_dict(_hamiltonian_file(freqs, terms)))
+
+
+def test_report_template_equals_json_text_for_any_number_of_flags():
+    # no flag off resonance, one for a single near-resonant term, and
+    # one or more for fully populated files at each near-resonant pair
+    rng = random.Random(20261021)
+    reports = [_report((1.07, 0.41), [{"exponents": [1, 0, 0, 2], "re": -0.5, "im": 0.25}]),
+               _report(*NEAR_RESONANCE)]
+    for w1, w3 in NEAR_RESONANT:
+        for chart in ("real", "complex"):
+            ham = GradedHamiltonian.from_json_dict(populated(rng, chart, (w1, w3)))
+            reports.append(normalize(ham))
+    counts = [len(report.resonance_flags) for report in reports]
+    assert counts[:2] == [0, 1] and max(counts) > 1
+    for report in reports:
+        payload = report.to_json_dict()
+        assert _report_text(payload) == _json_text(payload)
+
+
+def test_report_template_equals_json_text_for_an_empty_generator():
+    # every cubic and quartic term of the file is 0, so none is stored
+    zeros = [{"exponents": list(e), "re": 0.0, "im": -0.0}
+             for e in itertools.product(range(5), repeat=4) if sum(e) in (3, 4)]
+    payload = _report((1.07, 0.41), zeros).to_json_dict()
+    assert payload["generating"]["terms"] == [] and payload["resonances"] == []
+    assert _report_text(payload) == _json_text(payload)
+
+
+@pytest.mark.parametrize("field", ["k2200", "k1111", "k0022", "d2"])
+def test_report_template_equals_json_text_for_a_negative_zero(field):
+    report = _report(*NEAR_RESONANCE)._replace(**{field: -0.0})
+    payload = report.to_json_dict()
+    assert _report_text(payload) == _json_text(payload)
+    assert '": -0.0,' in _report_text(payload)
