@@ -174,11 +174,12 @@ def _report_text(report: dict) -> str:
     """The text of _json_text(report) for a NormalFormReport.to_json_dict().
 
     The whole report is written through the fixed templates _JSON_REPORT,
-    _JSON_TERM and _JSON_FLAG.  That holds because a report's keys are
-    fixed, its one string is a chart name, which needs no escaping, its
-    numbers are ints or finite floats, which %d and %r write as json.dumps
-    does, and its only lists are the exponents, the two frequencies, the
-    generator terms and the resonance flags.
+    _JSON_TERM and _JSON_FLAG, with no json.dumps.  That holds because a
+    report's keys are fixed, its one string is a chart name, which needs no
+    escaping, its numbers are ints or finite floats (the frequencies are
+    floats as the file reader returns them), which %d and %r write as
+    json.dumps does, and its only lists are the exponents, the two
+    frequencies, the generator terms and the resonance flags.
     """
     generating = report["generating"]
     terms = _json_list([_JSON_TERM % (*t["exponents"], t["im"], t["re"])

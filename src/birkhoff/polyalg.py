@@ -368,9 +368,6 @@ def _checked_term(i: int, entry) -> tuple[Exponents, int, complex]:
                          _json_number(entry.get("im", 0.0), "im"))
 
 
-_JSON_NUMBER_TYPES = frozenset((int, float))
-
-
 def _term_columns(entries):
     """The (exponents, degree, coefficient) rows of a term list, checked a
     column at a time, each check one C-level map, set, min or all over every
@@ -378,17 +375,19 @@ def _term_columns(entries):
     if not (all(map(isinstance, entries, itertools.repeat(dict)))
             and all(map(operator.contains, entries, itertools.repeat("exponents")))):
         return None
-    try:
-        exps = list(map(tuple, map(operator.itemgetter("exponents"), entries)))
-    except TypeError:
+    raw = list(map(operator.itemgetter("exponents"), entries))
+    # any other iterable goes to _checked_term unread: an iterator read
+    # here would be empty there
+    if not {*map(type, raw)} <= {list, tuple}:
         return None
+    exps = list(map(tuple, raw))
     res = list(map(dict.get, entries, itertools.repeat("re"), itertools.repeat(0.0)))
     ims = list(map(dict.get, entries, itertools.repeat("im"), itertools.repeat(0.0)))
     flat = list(itertools.chain.from_iterable(exps))
     # the exact-type tests refuse a bool, as _validate_exponents and
     # _json_number do
     if not ({*map(len, exps)} <= {4} and {*map(type, flat)} <= {int}
-            and {*map(type, res), *map(type, ims)} <= _JSON_NUMBER_TYPES):
+            and {*map(type, res), *map(type, ims)} <= {int, float}):
         return None
     degrees = list(map(sum, exps))
     if min(flat, default=0) < 0 or min(degrees, default=2) < 2:

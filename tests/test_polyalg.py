@@ -445,6 +445,20 @@ class TestGradedHamiltonian:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             GradedHamiltonian.from_json_dict(payload)
 
+    def test_from_json_reads_iterator_exponents_once(self):
+        # a library caller's iterator is read by the per-term checks alone:
+        # the first bad term is still the one named, and a good file reads
+        # as with lists
+        def payload(second):
+            return {"dof": 2, "chart": "real", "frequencies": [0.3, 1.0],
+                    "terms": [{"exponents": iter([2, 0, 0, 0]), "re": 1.5}, second]}
+
+        with pytest.raises(ValueError, match=r"^re must be a finite number, got inf$"):
+            GradedHamiltonian.from_json_dict(payload({"exponents": [0, 2, 0, 0],
+                                                      "re": math.inf}))
+        ham = GradedHamiltonian.from_json_dict(payload({"exponents": [0, 2, 0, 0], "re": 1.0}))
+        assert ham.part(2).terms == {(2, 0, 0, 0): 1.5, (0, 2, 0, 0): 1.0}
+
     def test_from_json_rejects_other_dof(self):
         payload = {"dof": 3, "chart": "real", "frequencies": [1.0, 1.0], "terms": []}
         with pytest.raises(ValueError):
