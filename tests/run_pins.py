@@ -1,6 +1,7 @@
 """Recompute the bit pins of the model series, the tabulated D2, the
-stability verdict, the engine (normalize, in two orders of the input terms)
-and the Hamiltonian file reader, and compare each with its recorded digest.
+stability verdict, the engine (normalize, in two orders of the input terms),
+the Hamiltonian file reader and a scan's median and rows, and compare each
+with its recorded digest.
 
 Needs only the standard library, so the pins run on any CPython the package
 supports, pytest or not:
@@ -16,7 +17,8 @@ from pathlib import Path
 
 #: the pin modules; each has outcomes() and the DIGEST of their lines
 PIN_MODULES = ("test_series_bits", "test_d2_bits", "test_verdict_bits",
-               "test_normalize_bits", "test_normalize_order_bits", "test_reader_bits")
+               "test_normalize_bits", "test_normalize_order_bits", "test_reader_bits",
+               "test_scan_bits")
 
 
 def main() -> int:
