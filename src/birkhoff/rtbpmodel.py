@@ -27,9 +27,9 @@ power of sqrt(A) it needs once.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
+import struct
 from array import array
 from bisect import bisect_left, bisect_right
 from enum import Enum
@@ -78,13 +78,15 @@ class ModelParams(checked_record("ModelParams", "mu q Q A")):
     __slots__ = ()
 
     def __new__(cls, mu: float, q: float, Q: float, A: float):
-        if not (is_finite_real(mu) and 0.0 < mu < 1.0):
+        # a float in range is finite, so its test spares is_finite_real
+        if not (type(mu) is float and 0.0 < mu < 1.0
+                or is_finite_real(mu) and 0.0 < mu < 1.0):
             raise ModelDomainError(f"mu must lie strictly inside (0, 1), got {mu!r}")
-        if not (is_finite_real(q) and 0.0 < q <= 1.0):
+        if not (type(q) is float and 0.0 < q <= 1.0 or is_finite_real(q) and 0.0 < q <= 1.0):
             raise ModelDomainError(f"q must lie in (0, 1], got {q!r}")
-        if not (is_finite_real(Q) and 0.0 < Q <= 1.0):
+        if not (type(Q) is float and 0.0 < Q <= 1.0 or is_finite_real(Q) and 0.0 < Q <= 1.0):
             raise ModelDomainError(f"Q must lie in (0, 1], got {Q!r}")
-        if not (is_finite_real(A) and A >= 0.0):
+        if not (type(A) is float and 0.0 <= A < math.inf or is_finite_real(A) and A >= 0.0):
             raise ModelDomainError(f"A must be a finite non-negative real, got {A!r}")
         return tuple.__new__(cls, (mu, q, Q, A))
 
@@ -469,20 +471,43 @@ def _model_d2(params: ModelParams, omega1: float, omega3: float,
 
 
 def _median_abs(values) -> float:
-    """statistics.median of the magnitudes of a non-empty sequence of floats.
+    """statistics.median of the magnitudes of a non-empty sequence of finite
+    floats.
 
     The result is bit for bit that of statistics.median, but no list of all
     the magnitudes is built: runs of MEDIAN_CHUNK are sorted into arrays of
-    doubles and merged up to the middle.
+    doubles, and _select picks the middle values out of them.
     """
     n = len(values)
     runs = [array("d", sorted(map(abs, values[i:i + MEDIAN_CHUNK])))
             for i in range(0, n, MEDIAN_CHUNK)]
-    ordered = heapq.merge(*runs)
     if n % 2:
-        return next(itertools.islice(ordered, n // 2, None))
-    below = next(itertools.islice(ordered, n // 2 - 1, None))
-    return (below + next(ordered)) / 2
+        return _select(runs, n // 2)
+    return (_select(runs, n // 2 - 1) + _select(runs, n // 2)) / 2
+
+
+#: a double's IEEE bit pattern as an unsigned int, and +inf's pattern
+_DOUBLE, _BITS = struct.Struct("<d"), struct.Struct("<Q")
+_INF_BITS = _BITS.unpack(_DOUBLE.pack(math.inf))[0]
+
+
+def _double(bits: int) -> float:
+    return _DOUBLE.unpack(_BITS.pack(bits))[0]
+
+
+def _select(runs, k: int) -> float:
+    """The k-th smallest (from 0) of the values in sorted arrays of finite,
+    non-negative doubles: the least double with more than k values at or
+    below it.
+
+    Such doubles order as their bit patterns, so that pattern is found by
+    bisecting [bits(0.0), bits(inf)): at most 63 steps, each one C-level
+    bisection per run, and no work per value.
+    """
+    def more_than_k(bits):
+        return sum(map(bisect_right, runs, itertools.repeat(_double(bits)))) > k
+
+    return _double(bisect_left(range(_INF_BITS), True, key=more_than_k))
 
 
 def _degeneracy_cut(d2_tolerance: float | None, scale) -> float:
@@ -679,8 +704,9 @@ def scan_blocks(params: ModelParams, omega3: float, lo: float, hi: float,
     and a list of their flags, at most FLAG_BLOCK rows long.  A block lies
     wholly inside or wholly outside the windows of _void_windows: rows
     inside go through _status, and every other row takes _BY_SIZE's flag
-    for abs(D2) <= cut by C-level maps over its block, with no Python frame
-    per row but the grid's.
+    for abs(D2) <= cut, by C-level work over its block (one minimum when
+    the whole block lies above the cut), with no Python frame per row but
+    the grid's.
     """
     for name, bound in (("lo", lo), ("hi", hi)):
         if not is_finite_real(bound):
@@ -731,8 +757,13 @@ _SCAN_ROW = partial(tuple.__new__, ScanRow)
 def _column_blocks(values, windows, omega3, lo, hi, cut) -> Iterator[tuple[list, array, list]]:
     """The (omega1s, d2s, flags) column blocks of a scan's rows, in order,
     each of at most FLAG_BLOCK rows and wholly inside or wholly outside the
-    windows."""
-    steps, by_size, at = len(values), _FLAG_BY_SIZE.__getitem__, 0
+    windows.
+
+    Rows inside a window take _status's flag.  Outside, a block whose
+    smallest |D2| is above the cut is all "ok", one list built at once;
+    any other block takes _BY_SIZE's flag for each row's abs(D2) <= cut.
+    """
+    steps, by_size, ok, at = len(values), _FLAG_BY_SIZE.__getitem__, _FLAG_BY_SIZE[False], 0
     for start, stop in (*windows, (steps, steps)):
         for first, last, inside in ((at, start, False), (start, stop, True)):
             for b in range(first, last, FLAG_BLOCK):
@@ -741,6 +772,8 @@ def _column_blocks(values, windows, omega3, lo, hi, cut) -> Iterator[tuple[list,
                 if inside:
                     flags = list(map(_FLAG, map(_status, d2s, omega1s,
                                                 itertools.repeat(omega3), itertools.repeat(cut))))
+                elif cut < min(map(abs, d2s)):
+                    flags = [ok] * len(d2s)
                 else:
                     flags = list(map(by_size, map(le, map(abs, d2s), itertools.repeat(cut))))
                 yield omega1s, d2s, flags

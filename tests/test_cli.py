@@ -545,8 +545,8 @@ class TestRtbpScanCommand:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_scan_memory_is_bounded_per_row(self, monkeypatch, tmp_path, fmt):
         # the scan call keeps D2 (8 B) and the median's sorted runs of |D2|
-        # (8 B) per row, about 17 B/row in all.  Small runs make the merge
-        # take the median: one sorted list of every |D2| costs 32 B/row.
+        # (8 B) per row, about 17 B/row in all.  Small runs make the median
+        # a select over many runs: one sorted list of every |D2| costs 32 B/row.
         # The flag and write pass that follows holds one block of rows and
         # its text at a time, whatever the grid size; its peak is read apart
         # from the scan call's, which the median sets.  The second grid lies

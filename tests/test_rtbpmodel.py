@@ -168,6 +168,27 @@ class TestCoefficients:
         assert_record_refuses(ModelParams(0.5, 0.5, 0.5, 0.0), ModelDomainError, message,
                               **{field: bad})
 
+    RANGE_MESSAGES = {"mu": "mu must lie strictly inside (0, 1)", "q": "q must lie in (0, 1]",
+                      "Q": "Q must lie in (0, 1]", "A": "A must be a finite non-negative real"}
+
+    @pytest.mark.parametrize("value, accepted", [
+        (True, ""), (1, "q Q A"), (Fraction(1, 2), "mu q Q A"), (Fraction(3, 2), "A"),
+        (math.nan, ""), (math.inf, ""), (-math.inf, ""), (-0.0, "A"), (0.0, "A"),
+        (1.0, "q Q A"), (5e-324, "mu q Q A"), (math.nextafter(1.0, 2.0), "A"),
+        (1.7976931348623157e308, "A"),
+    ], ids=repr)
+    def test_floats_and_other_reals_meet_one_range_rule(self, value, accepted):
+        # a float takes the exact-float test, any other real is_finite_real:
+        # both accept and refuse the same values, with the same message
+        for field, message in self.RANGE_MESSAGES.items():
+            kw = {"mu": 0.5, "q": 0.5, "Q": 0.5, "A": 0.0, field: value}
+            if field in accepted.split():
+                assert getattr(ModelParams(**kw), field) is value
+            else:
+                with pytest.raises(ModelDomainError) as caught:
+                    ModelParams(**kw)
+                assert str(caught.value) == f"{message}, got {value!r}"
+
     def test_half_order_truncation_monotonicity(self):
         # difference between O(A) and O(A^2) truncations shrinks like a power
         # between A^(3/2) and A^2, i.e. by 10^1.4 or more per decade of A
@@ -572,6 +593,27 @@ class TestScan:
         got = rtbpmodel._median_abs(values)
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
+    @pytest.mark.parametrize("chunk", [1, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 12, 13, 64, 99])
+    def test_median_over_single_values_and_unequal_runs(self, monkeypatch, chunk, n):
+        # runs of one value each, and runs of 5 whose last is shorter, with
+        # ties, signed zeros and the extreme doubles
+        monkeypatch.setattr(rtbpmodel, "MEDIAN_CHUNK", chunk)
+        rng = random.Random(100 * chunk + n)
+        values = [rng.choice((-1.0, 1.0)) * rng.choice((0.0, 5e-324, 0.1, 0.1, 3.0, 1e300))
+                  for _ in range(n)]
+        want = statistics.median(abs(v) for v in values)
+        got = rtbpmodel._median_abs(values)
+        assert got.hex() == want.hex()
+
+    def test_select_over_runs_of_unequal_lengths(self):
+        rng = random.Random(3)
+        runs = [array("d", sorted(rng.choice((0.0, 5e-324, 1.0, 2.5, 2.5, 1e308))
+                                  for _ in range(size)))
+                for size in (1, 7, 0, 30, 2)]
+        merged = sorted(v for run in runs for v in run)
+        assert [rtbpmodel._select(runs, k) for k in range(len(merged))] == merged
+
     @pytest.mark.parametrize("n", [rtbpmodel.MEDIAN_CHUNK * 2 + 1,
                                    rtbpmodel.MEDIAN_CHUNK * 2 + 2])
     def test_chunked_median_across_full_size_chunks(self, n):
@@ -682,6 +724,21 @@ class TestScan:
             tied = self.assert_flags_match_status(1.0, lo, hi, steps, abs(rows[k].d2))
             if rows[k].flag in ("ok", "degenerate"):
                 assert tied[k].flag == "degenerate"
+
+    def test_a_block_s_smallest_size_as_the_cut_is_degenerate(self):
+        # every block of this grid is clear of the windows; a tolerance equal
+        # to a block's smallest |D2| is not above it, so that row is
+        # degenerate and the block is not all "ok"
+        lo, hi, steps = 0.6, 0.9, 3 * rtbpmodel.FLAG_BLOCK
+        windows = rtbpmodel._void_windows(1.0, lo, hi, steps)
+        assert all(start == stop for start, stop in windows)
+        at = 0
+        for _, d2s, _ in scan_blocks(REFERENCE_POINT, 1.0, lo, hi, steps):
+            least = min(map(abs, d2s))
+            tied = self.assert_flags_match_status(1.0, lo, hi, steps, least)
+            assert tied[at + list(map(abs, d2s)).index(least)].flag == "degenerate"
+            at += len(d2s)
+        assert at == steps
 
     @pytest.mark.parametrize("lo, hi, steps, most", [
         (0.05, 4.0, 100_000, 1000),  # about 760 rows near a void relation
