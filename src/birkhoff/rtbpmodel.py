@@ -79,8 +79,7 @@ class ModelParams(checked_record("ModelParams", "mu q Q A")):
 
     def __new__(cls, mu: float, q: float, Q: float, A: float):
         # a float in range is finite, so its test spares is_finite_real
-        if not (type(mu) is float and 0.0 < mu < 1.0
-                or is_finite_real(mu) and 0.0 < mu < 1.0):
+        if not (type(mu) is float and 0.0 < mu < 1.0 or is_finite_real(mu) and 0.0 < mu < 1.0):
             raise ModelDomainError(f"mu must lie strictly inside (0, 1), got {mu!r}")
         if not (type(q) is float and 0.0 < q <= 1.0 or is_finite_real(q) and 0.0 < q <= 1.0):
             raise ModelDomainError(f"q must lie in (0, 1], got {q!r}")
