@@ -9,13 +9,12 @@ CSV or JSON).  Exit codes: 0 success, 2 usage error, 3 domain error,
 
 from __future__ import annotations
 
-import argparse
-import functools
 import itertools
 import json
 import os
 import stat
 import sys
+from types import SimpleNamespace
 
 from .closedform import CubicQuarticCoefficients, PoleError, d2_closed, k0022, k1111, k2200
 from .normalform import ResonanceError, normalize
@@ -94,58 +93,12 @@ def _json_text(value) -> str:
 def _parse_grid(text: str) -> tuple[float, float, int]:
     pieces = text.split(":")
     if len(pieces) != 3:
-        raise argparse.ArgumentTypeError("grid must look like lo:hi:steps")
+        raise ValueError("grid must look like lo:hi:steps")
     try:
         lo, hi, steps = float(pieces[0]), float(pieces[1]), int(pieces[2])
     except ValueError as err:
-        raise argparse.ArgumentTypeError(f"bad grid {text!r}: {err}") from err
+        raise ValueError(f"bad grid {text!r}: {err}") from err
     return lo, hi, steps
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing does not change it."""
-    parser = argparse.ArgumentParser(
-        prog="birkhoff",
-        description="Degree-4 Birkhoff normal forms and the stability "
-                    "determinant for the radiating oblate three-body model.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_norm = sub.add_parser("normalize", help="normalize a Hamiltonian JSON file")
-    p_norm.add_argument("--input", required=True, help="Hamiltonian JSON path")
-    p_norm.add_argument("--output", default=None)
-
-    p_cf = sub.add_parser("closed-form", help="tabulated K coefficients and D2")
-    for name in CubicQuarticCoefficients._fields:
-        p_cf.add_argument(f"--{name}", type=float, default=0.0)
-    p_cf.add_argument("--omega1", type=float, required=True)
-    p_cf.add_argument("--omega3", type=float, required=True)
-    p_cf.add_argument("--format", choices=("json", "csv"), default="json")
-    p_cf.add_argument("--output", default=None)
-
-    # the flags rtbp-eval and rtbp-scan share
-    model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--mu", type=float, required=True)
-    model.add_argument("--q", type=float, required=True)
-    model.add_argument("--Q", type=float, required=True)
-    model.add_argument("--A", type=float, required=True)
-    model.add_argument("--omega3", type=float, default=1.0)
-    model.add_argument("--d2-tolerance", type=float, default=None)
-    model.add_argument("--max-half-order", type=int, default=None,
-                       help="truncate the expansions after A**(h/2)")
-    model.add_argument("--output", default=None)
-
-    p_eval = sub.add_parser("rtbp-eval", parents=[model],
-                            help="model coefficients and stability verdict")
-    p_eval.add_argument("--omega1", type=float, required=True)
-
-    p_scan = sub.add_parser("rtbp-scan", parents=[model],
-                            help="determinant over an omega1 grid")
-    p_scan.add_argument("--grid", type=_parse_grid, required=True,
-                        metavar="LO:HI:STEPS")
-    p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    return parser
 
 
 #: _json_text of one generator term inside a normalize report, keys sorted;
@@ -275,12 +228,102 @@ def _json_rows(blocks):
     yield "\n]\n"
 
 
-_HANDLERS = {
-    "normalize": _run_normalize,
-    "closed-form": _run_closed_form,
-    "rtbp-eval": _run_rtbp_eval,
-    "rtbp-scan": _run_rtbp_scan,
+#: the default of a flag that must be given
+_REQUIRED = object()
+
+#: the flags rtbp-eval and rtbp-scan share
+_MODEL_FLAGS = {"mu": (float, _REQUIRED), "q": (float, _REQUIRED), "Q": (float, _REQUIRED),
+                "A": (float, _REQUIRED), "omega3": (float, 1.0), "d2-tolerance": (float, None),
+                "max-half-order": (int, None), "output": (str, None)}
+
+#: command -> (handler, summary, {flag: (converter, default)}), the one
+#: source of the parser and of the --help text.  A converter is a callable
+#: that raises ValueError on a bad value, or the tuple of the values allowed.
+_COMMANDS = {
+    "normalize": (_run_normalize, "normalize a Hamiltonian JSON file",
+                  {"input": (str, _REQUIRED), "output": (str, None)}),
+    "closed-form": (_run_closed_form, "tabulated K coefficients and D2",
+                    {**dict.fromkeys(CubicQuarticCoefficients._fields, (float, 0.0)),
+                     "omega1": (float, _REQUIRED), "omega3": (float, _REQUIRED),
+                     "format": (("json", "csv"), "json"), "output": (str, None)}),
+    "rtbp-eval": (_run_rtbp_eval, "model coefficients and stability verdict",
+                  {**_MODEL_FLAGS, "omega1": (float, _REQUIRED)}),
+    "rtbp-scan": (_run_rtbp_scan, "determinant over an omega1 grid",
+                  {**_MODEL_FLAGS, "grid": (_parse_grid, _REQUIRED),
+                   "format": (("csv", "json"), "csv")}),
 }
+
+_HELP = ("-h", "--help")
+#: how --help names the value of each converter that is not a tuple
+_METAVARS = {float: "X", int: "N", str: "PATH", _parse_grid: "LO:HI:STEPS"}
+
+
+class _UsageError(Exception):
+    """An argv that _COMMANDS does not accept; main exits 2 with its message."""
+
+
+def _parse(argv) -> SimpleNamespace | None:
+    """The command and its flag values, one field per flag with "-" written
+    "_", or None when argv asks for help.
+
+    argv is a command, then flags as `--name value` or `--name=value` with
+    the name in full; a value is taken as given, even if it starts with "-".
+    Each value is converted as it is read, and the last of a repeated flag
+    wins.  Raises _UsageError.
+    """
+    tokens = iter(argv)
+    command = next(tokens, None)
+    if command in _HELP:
+        return None
+    if command not in _COMMANDS:
+        got = "" if command is None else f", got {command!r}"
+        raise _UsageError(f"expected a command, one of {', '.join(_COMMANDS)}{got}")
+    flags = _COMMANDS[command][2]
+    given = {}
+    for token in tokens:
+        if token in _HELP:
+            return None
+        name, eq, value = token.partition("=")
+        if name[:2] != "--" or name[2:] not in flags:
+            raise _UsageError(f"{command} has no flag {name!r}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise _UsageError(f"{name} needs a value")
+        convert = flags[name[2:]][0]
+        try:
+            if type(convert) is not tuple:
+                value = convert(value)
+            elif value not in convert:
+                raise ValueError(f"choose from {', '.join(convert)}, got {value!r}")
+        except ValueError as err:
+            raise _UsageError(f"{name}: {err}") from None
+        given[name[2:]] = value
+    missing = [f"--{name}" for name, (_, default) in flags.items()
+               if default is _REQUIRED and name not in given]
+    if missing:
+        raise _UsageError(f"{command} needs {', '.join(missing)}")
+    return SimpleNamespace(command=command, **{name.replace("-", "_"): given.get(name, default)
+                                               for name, (_, default) in flags.items()})
+
+
+def _usage_text() -> str:
+    """The --help text, built from _COMMANDS."""
+    lines = ["usage: birkhoff COMMAND [--FLAG VALUE | --FLAG=VALUE] ...",
+             "",
+             "Degree-4 Birkhoff normal forms and the stability determinant for the",
+             "radiating oblate three-body model.  Flags are spelled in full; the last",
+             "of a repeated flag wins.  Exit codes: 0 success, 2 usage error, 3 domain",
+             "error, 4 resonance or pole error, with a JSON document on stderr."]
+    for command, (_, summary, flags) in _COMMANDS.items():
+        lines += ["", f"{command}: {summary}"]
+        for name, (convert, default) in flags.items():
+            value = ("{" + ",".join(convert) + "}" if type(convert) is tuple
+                     else _METAVARS[convert])
+            note = ("required" if default is _REQUIRED else "optional" if default is None
+                    else f"default {default}")
+            lines.append(f"  --{name} {value} ({note})")
+    return "\n".join(lines)
 
 
 def _fail(code: int, document: dict) -> int:
@@ -290,9 +333,14 @@ def _fail(code: int, document: dict) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            _emit(_usage_text(), None)
+            return 0
+        return _COMMANDS[args.command][0](args)
+    except _UsageError as err:
+        return _fail(USAGE_ERROR, {"error": "usage", "message": str(err)})
     except ResonanceError as err:
         return _fail(RESONANCE_ERROR, {"error": "resonance", "message": str(err),
                                        "exponents": list(err.exponents),

@@ -577,8 +577,8 @@ def _status(d2: float, omega1: float, omega3: float,
 
 def _void_windows(omega3: float, lo: float, hi: float,
                   steps: int) -> list[tuple[int, int]]:
-    """Sorted (start, stop) row ranges of a scan's grid that hold every row
-    where _status can hit a void relation.
+    """Sorted, non-empty (start, stop) row ranges of a scan's grid that hold
+    every row where _status can hit a void relation.
 
     Each relation of _VOID_RELATIONS holds only for omega1 within a
     half-width h of a centre c: a pole band within guard/2 of omega3/2 and
@@ -590,7 +590,9 @@ def _void_windows(omega3: float, lo: float, hi: float,
     out.  The rows are found by bisecting the grid's first steps - 1 points,
     which never decrease; the last row, hi itself, may sit an ulp below the
     one before it, so it is tested on its own.  The ranges are disjoint, as
-    the six omega1 intervals are.
+    the six omega1 intervals are.  A relation that holds at no row, between
+    two points or beyond the grid, has no range, so it ends no block of
+    _column_blocks.
     """
     guard, reach = RESONANCE_GUARD * omega3, 2.0 * DIVISOR_REL_TOL
     relations = [(omega3 / 2.0, guard / 2.0), (2.0 * omega3, guard), (0.0, guard)]
@@ -604,8 +606,9 @@ def _void_windows(omega3: float, lo: float, hi: float,
     for c, h in relations:
         margin = WINDOW_MARGIN_ULPS * math.ulp(c + h)
         low, high = c - h - margin, c + h + margin
-        windows.append((bisect_left(rows, low, key=point),
-                        bisect_right(rows, high, key=point)))
+        start, stop = bisect_left(rows, low, key=point), bisect_right(rows, high, key=point)
+        if start < stop:
+            windows.append((start, stop))
         if low <= hi <= high:
             windows.append((steps - 1, steps))
     return sorted(windows)

@@ -410,9 +410,10 @@ class TestRtbpEvalCommand:
                        "a1 must be finite, got -inf"}
 
     def test_usage_error_exit_code(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["rtbp-eval", "--mu", "0.1"])
-        assert exc.value.code == 2
+        code, out, err = run(capsys, ["rtbp-eval", "--mu", "0.1"])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "usage",
+                                   "message": "rtbp-eval needs --q, --Q, --A, --omega1"}
 
     def test_underflowing_denominator_is_domain_error(self, capsys):
         for frequencies in (["--omega1", "1e-100", "--omega3", "1e-100"],
@@ -682,9 +683,10 @@ class TestRtbpScanCommand:
         assert payload["message"] == "grid bound hi must be finite, got inf"
 
     def test_bad_grid_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["rtbp-scan", *REF_FLAGS, "--grid", "nonsense"])
-        assert exc.value.code == 2
+        code, out, err = run(capsys, ["rtbp-scan", *REF_FLAGS, "--grid", "nonsense"])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "usage",
+                                   "message": "--grid: grid must look like lo:hi:steps"}
 
 
 @pytest.mark.parametrize("command", [
@@ -871,7 +873,7 @@ class TestInterpreterFlags:
 
 
 class TestParser:
-    def test_cached_parser_keeps_no_state_between_calls(self, capsys, tmp_path):
+    def test_parser_keeps_no_state_between_calls(self, capsys, tmp_path):
         path = tmp_path / "h.json"
         path.write_text(json.dumps(populated_payload(11, "real")))
         scan = ["rtbp-scan", *REF_FLAGS, "--omega3", "1", "--grid", "0.1:0.9:50"]
@@ -881,11 +883,38 @@ class TestParser:
              ["closed-form", "--b5", "1", "--omega1", "1", "--omega3", "3"]),
         ]
         for before, after in pairs:
-            cli.build_parser.cache_clear()
+            # after alone, then after once more behind before
+            fresh = run(capsys, after)
             first = run(capsys, before)
             second = run(capsys, after)
-            cli.build_parser.cache_clear()
-            fresh = run(capsys, after)
             assert first[0] == second[0] == 0
             assert first[1] != second[1]
             assert second == fresh
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["rtbp-scan", "--help"],
+                                      ["closed-form", "--omega1", "1", "-h"]])
+    def test_help_names_every_command_and_flag(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        for command, (_, summary, flags) in cli._COMMANDS.items():
+            assert f"\n{command}: {summary}\n" in out
+            section = out[out.index(f"\n{command}: "):]
+            for name in flags:
+                assert f"\n  --{name} " in section, (command, name)
+
+    def test_an_abbreviated_flag_is_a_usage_error(self, capsys):
+        # argparse took any unique prefix of a flag; the table takes names in full
+        code, out, err = run(capsys, ["normalize", "--inp", "h.json"])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "usage",
+                                   "message": "normalize has no flag '--inp'"}
+
+    def test_a_separate_value_may_start_with_a_dash(self, capsys):
+        # argparse read "-1e-3" as a flag; the table takes the token after a
+        # flag as its value, so both forms give the same document
+        argv = ["closed-form", "--b5", "1", "--omega3", "3"]
+        separate = run(capsys, [*argv, "--omega1", "-1e-3"])
+        joined = run(capsys, [*argv, "--omega1=-1e-3"])
+        assert separate == joined
+        assert separate[0] == 3
+        assert cli._parse([*argv, "--omega1", "-1e-3"]).omega1 == -1e-3

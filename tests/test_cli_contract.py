@@ -1,9 +1,10 @@
-"""Property tests of the CLI's exit-code contract over extreme numeric flags
-and over arbitrary Hamiltonian files.
+"""Property tests of the CLI's exit-code contract over extreme numeric flags,
+over malformed command lines and over arbitrary Hamiltonian files.
 
 Every run ends with exit 0, 2, 3 or 4.  Exit 0 writes no NaN or Infinity
-token; exits 3 and 4 write a JSON error document whose kind matches the code,
-and no domain message is a bare errno tuple.
+token; exits 2, 3 and 4 write nothing to stdout and a JSON error document
+whose kind matches the code to stderr, and no domain message is a bare errno
+tuple.
 """
 
 import contextlib
@@ -18,10 +19,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from birkhoff import cli  # noqa: E402
 from birkhoff.cli import main  # noqa: E402
 
 MODEL = ["--mu=0.00025", "--q=0.025", "--Q=0.00025", "--A=0.00025"]
-ERROR_KINDS = {3: "domain", 4: "resonance"}
+ERROR_KINDS = {2: "usage", 3: "domain", 4: "resonance"}
 ERRNO_TUPLE = re.compile(r"\(\d+, '[^']*'\)")
 SCAN_FLAGS = {"ok", "pole", "degenerate", "resonant"}
 NON_FINITE_TOKENS = {"nan", "inf", "-inf"}
@@ -43,10 +45,7 @@ def flag(name, value):
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -140,6 +139,29 @@ def test_an_overflowing_omega3_is_named(argv):
     code, err = check_contract(argv)
     assert code == 3
     assert json.loads(err)["message"].startswith("determinant overflows at omega1="), err
+
+
+# every flag name of the table but --output, which could write a file, and
+# --format, so that a run that succeeds writes its command's default format
+FLAG_NAMES = sorted({f"--{name}" for _, _, flags in cli._COMMANDS.values() for name in flags}
+                    - {"--output", "--format"})
+TOKENS = (st.sampled_from(FLAG_NAMES)
+          | st.builds("{}={}".format, st.sampled_from(FLAG_NAMES), st.text(max_size=6))
+          | st.text(max_size=8).filter(lambda t: not t.startswith(("--output", "--format", "-h",
+                                                                     "--help"))))
+
+
+@CONTRACT
+@given(st.sampled_from([*cli._COMMANDS, "", "bogus", "--mu"]), st.lists(TOKENS, max_size=8))
+@example("rtbp-eval", ["--mu", "0.1"])  # required flags missing
+@example("rtbp-scan", ["--grid"])  # a flag without its value
+@example("closed-form", ["--omega1=1", "--omega3=3", "--b5=x"])  # a bad number
+@example("--mu", ["1"])  # a flag before the command
+def test_malformed_command_lines(command, tokens):
+    argv = [command, *tokens]
+    code, err = check_contract(argv, "csv" if command == "rtbp-scan" else "json")
+    if code == 2:
+        assert json.loads(err)["message"], argv
 
 
 # -- Hamiltonian files through `birkhoff normalize` ---------------------------

@@ -575,6 +575,23 @@ class TestScan:
         if steps > rtbpmodel.FLAG_BLOCK:
             assert max(len(d2s) for _, d2s, _ in blocks) == rtbpmodel.FLAG_BLOCK
 
+    @pytest.mark.parametrize("lo, hi, steps, lengths", [
+        # every relation lies off the grid: whole blocks to the last row
+        (0.6, 0.9, 3 * rtbpmodel.FLAG_BLOCK, [rtbpmodel.FLAG_BLOCK] * 3),
+        (0.6, 0.9, 100, [100]),
+        # the reference scan: the omega3/3 resonance falls between two
+        # points, and the pole band at 0.5 holds three rows
+        (0.05, 0.95, 181, [89, 3, 89]),
+        (0.05, 40.0, 2 * rtbpmodel.FLAG_BLOCK + 5, [92, 2, 305, 4, 4096, 3698]),
+    ])
+    def test_block_lengths(self, lo, hi, steps, lengths):
+        # a window is never empty, so a relation that holds at no row splits
+        # no stretch of rows clear of every window
+        windows = rtbpmodel._void_windows(1.0, lo, hi, steps)
+        assert all(start < stop for start, stop in windows)
+        blocks = scan_blocks(REFERENCE_POINT, 1.0, lo, hi, steps)
+        assert [len(d2s) for _, d2s, _ in blocks] == lengths
+
     def test_blocks_raise_before_the_first_is_taken(self):
         # scan_blocks is not a generator function: the scan runs when it is called
         with pytest.raises(DeterminantOverflowError):
@@ -718,8 +735,7 @@ class TestScan:
         # to a block's smallest |D2| is not above it, so that row is
         # degenerate and the block is not all "ok"
         lo, hi, steps = 0.6, 0.9, 3 * rtbpmodel.FLAG_BLOCK
-        windows = rtbpmodel._void_windows(1.0, lo, hi, steps)
-        assert all(start == stop for start, stop in windows)
+        assert rtbpmodel._void_windows(1.0, lo, hi, steps) == []
         at = 0
         for _, d2s, _ in scan_blocks(REFERENCE_POINT, 1.0, lo, hi, steps):
             least = min(map(abs, d2s))

@@ -1,8 +1,9 @@
 """The runtime package imports nothing outside the standard library, and
-loading its command line does not load the standard library's introspection
-modules."""
+running its command line loads neither the standard library's introspection
+modules nor argparse."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -32,14 +33,27 @@ def test_project_declares_no_runtime_dependencies():
     assert project["dependencies"] == []
 
 
-def test_cli_import_loads_no_introspection_modules():
+def test_cli_import_loads_no_introspection_modules(tmp_path):
     # dataclasses pulls in inspect (and with it ast, dis and tokenize), about
-    # half the start-up time of a command-line call; the records are tuples
+    # half the start-up time of a command-line call; the records are tuples.
+    # argparse loads gettext on import and locale when it builds a parser,
+    # so the modules are read after a scan and a normalize, not the import
+    terms = [{"exponents": e, "re": re} for e, re in (
+        ([2, 0, 0, 0], 0.535), ([0, 2, 0, 0], 0.535), ([0, 0, 2, 0], 0.205),
+        ([0, 0, 0, 2], 0.205), ([4, 0, 0, 0], 0.1))]
+    hamiltonian = tmp_path / "h.json"
+    hamiltonian.write_text(json.dumps({"dof": 2, "chart": "real",
+                                       "frequencies": [1.07, 0.41], "terms": terms}))
+    scan = ["rtbp-scan", "--mu", "0.00025", "--q", "0.025", "--Q", "0.00025",
+            "--A", "0.00025", "--grid", "0.1:0.9:2", "--output", os.devnull]
+    normalize = ["normalize", "--input", str(hamiltonian), "--output", os.devnull]
     script = ("import sys; before = set(sys.modules); import birkhoff.cli; "
-              "print(sorted(set(sys.modules) - before))")
+              f"codes = [birkhoff.cli.main({scan!r}), birkhoff.cli.main({normalize!r})]; "
+              "print(codes); print(sorted(set(sys.modules) - before))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True).stdout
-    loaded = set(ast.literal_eval(out))
+    codes, loaded = map(ast.literal_eval, out.splitlines())
+    assert codes == [0, 0]
     assert "birkhoff.cli" in loaded
-    assert {"dataclasses", "inspect"} & loaded == set()
+    assert {"dataclasses", "inspect", "argparse", "gettext", "locale"} & set(loaded) == set()
